@@ -35,6 +35,7 @@ from .errors import ConfigError, DataValidationError, LkfsError, NumericalError
 from .evaluation import EvaluationReport, aggregate, pca_2d, red_score
 from .kernel import (
     KernelMatrix,
+    StackedKernels,
     alignment,
     feature_kernels,
     frobenius_inner,

@@ -1,10 +1,11 @@
-"""Gaussian Gram matrices, Frobenius inner products and kernel alignment."""
+"""Gaussian Gram matrices, stacked feature kernels, Frobenius inner products and
+kernel alignment."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from .dataio import ExpressionMatrix
 from .errors import ConfigError, DataValidationError, NumericalError
 
 BANDWIDTH_MODES = ("per-feature", "global")
+_BLOCK_ENTRIES = 1 << 17  # pair entries per block of columns in feature_kernels (1 MB)
 
 
 @dataclass(frozen=True)
@@ -77,34 +79,155 @@ def gaussian_kernel(points: np.ndarray, sigma: float, source: str = "data") -> K
     return KernelMatrix(entries, bandwidth=float(sigma), source=source)
 
 
-def feature_kernels(X: ExpressionMatrix, bandwidth_mode: str = "per-feature") -> list[KernelMatrix]:
-    """One Gaussian kernel per feature column.
+@lru_cache(maxsize=8)
+def _triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(n, 1)``, shared by every kernel of size n."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
-    With ``bandwidth_mode="per-feature"`` (default) each kernel uses the median
-    heuristic on its own column; "global" applies a single bandwidth computed
-    on the full matrix. Constant columns yield flagged degenerate kernels.
+
+def upper_triangle(K: KernelMatrix) -> np.ndarray:
+    """Strict upper triangle of a symmetric unit-diagonal kernel, in
+    ``np.triu_indices(n, 1)`` order."""
+    entries = K.entries
+    if not (np.array_equal(entries, entries.T) and (np.diagonal(entries) == 1.0).all()):
+        raise DataValidationError(f"kernel {K.source!r} is not symmetric with unit diagonal")
+    return entries[_triu_indices(K.n)]
+
+
+@dataclass(frozen=True, eq=False)
+class StackedKernels:
+    """d symmetric unit-diagonal n x n kernels, one strict upper triangle per row.
+
+    Row j of ``upper`` holds K_j[i, l] for i < l in ``np.triu_indices(n, 1)``
+    order. With unit diagonals <K_a, K_b> = n + 2 upper[a] . upper[b], so the
+    stack takes 4 d n (n - 1) bytes instead of 8 d n^2. Indexing and iteration
+    give back dense ``KernelMatrix`` objects.
+    """
+
+    upper: np.ndarray
+    n: int
+    bandwidths: np.ndarray
+    degenerate: np.ndarray
+    sources: tuple[str, ...]
+
+    @classmethod
+    def from_kernels(cls, kernels: Sequence[KernelMatrix]) -> StackedKernels:
+        if not kernels:
+            raise DataValidationError("no kernels to stack")
+        n = kernels[0].n
+        if any(K.n != n for K in kernels):
+            raise DataValidationError("stacked kernels must share dimensions")
+        return cls(
+            upper=np.array([upper_triangle(K) for K in kernels]),
+            n=n,
+            bandwidths=np.array([K.bandwidth for K in kernels], dtype=np.float64),
+            degenerate=np.array([K.degenerate for K in kernels], dtype=bool),
+            sources=tuple(K.source for K in kernels),
+        )
+
+    def __len__(self) -> int:
+        return self.upper.shape[0]
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self)))]
+        entries = np.ones((self.n, self.n))
+        iu, ju = _triu_indices(self.n)
+        entries[iu, ju] = entries[ju, iu] = self.upper[j]
+        return KernelMatrix(
+            entries,
+            bandwidth=float(self.bandwidths[j]),
+            source=self.sources[j],
+            degenerate=bool(self.degenerate[j]),
+        )
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+    @property
+    def nbytes(self) -> int:
+        return self.upper.nbytes
+
+    @cached_property
+    def first_copies(self) -> np.ndarray:
+        """For every row, the index of the first row equal to it bit for bit."""
+        probe = np.ascontiguousarray(self.upper[:, :: max(1, self.upper.shape[1] // 64)])
+        first = np.arange(len(self))
+        buckets: dict[bytes, list[int]] = {}
+        for j in range(len(self)):
+            bucket = buckets.setdefault(probe[j].tobytes(), [])
+            first[j] = next((i for i in bucket if np.array_equal(self.upper[i], self.upper[j])), j)
+            if first[j] == j:
+                bucket.append(j)
+        return first
+
+    def inner(self, upper: np.ndarray) -> np.ndarray:
+        """<K_j, K> for every row j, K given by its strict upper triangle.
+
+        A BLAS matrix-vector product may round equal rows differently
+        depending on where they sit, so equal rows copy the value of their
+        first copy: identical kernels keep exactly tied inner products.
+        """
+        return (self.n + 2.0 * (self.upper @ upper))[self.first_copies]
+
+    def squared_norms(self) -> np.ndarray:
+        """<K_j, K_j> for every row j."""
+        return (self.n + 2.0 * np.einsum("ij,ij->i", self.upper, self.upper))[self.first_copies]
+
+
+def feature_kernels(X: ExpressionMatrix, bandwidth_mode: str = "per-feature") -> StackedKernels:
+    """One Gaussian kernel per feature column, stacked.
+
+    Row j is bit for bit the upper triangle of
+    ``gaussian_kernel(col_j, median_bandwidth(col_j))`` with the default
+    ``bandwidth_mode="per-feature"``; "global" applies a single bandwidth
+    computed on the full matrix. Constant columns yield flagged degenerate
+    all-ones kernels. Columns are processed in blocks so that temporaries stay
+    at a few MB.
     """
     if bandwidth_mode not in BANDWIDTH_MODES:
         raise ConfigError(f"bandwidth_mode must be one of {BANDWIDTH_MODES}")
     if X.n < 2:
         raise DataValidationError("feature kernels need at least 2 samples")
     global_sigma = median_bandwidth(X.values) if bandwidth_mode == "global" else None
-    kernels = []
-    for j in range(X.d):
-        col = X.values[:, j]
-        if col.max() == col.min():
-            kernels.append(
-                KernelMatrix(
-                    np.ones((X.n, X.n)),
-                    bandwidth=float("nan"),
-                    source=f"feature:{j}",
-                    degenerate=True,
+    cols = np.ascontiguousarray(X.values.T)
+    degenerate = cols.max(axis=1) == cols.min(axis=1)
+    iu, ju = _triu_indices(X.n)
+    upper = np.empty((X.d, iu.size))
+    bandwidths = np.full(X.d, np.nan)
+    step = max(1, _BLOCK_ENTRIES // iu.size)
+    for start in range(0, X.d, step):
+        rows = slice(start, start + step)
+        sq = cols[rows][:, ju] - cols[rows][:, iu]
+        sq *= sq
+        if global_sigma is None:
+            sigma = np.median(np.sqrt(sq), axis=1)
+        else:
+            sigma = np.full(sq.shape[0], global_sigma)
+        # a constant column has sq == 0, so any bandwidth gives exp(0) = 1
+        sigma[degenerate[rows]] = 1.0
+        bad = np.flatnonzero(sigma <= 0)
+        if bad.size:
+            j = bad[0]
+            if global_sigma is None and not sq[j].any():  # distances underflow to zero
+                raise NumericalError(
+                    f"feature {start + j}: all pairwise distances are zero; "
+                    "kernel would be degenerate"
                 )
-            )
-            continue
-        sigma = global_sigma if global_sigma is not None else median_bandwidth(col)
-        kernels.append(gaussian_kernel(col, sigma, source=f"feature:{j}"))
-    return kernels
+            raise ConfigError(f"sigma must be > 0, got {sigma[j]} for feature {start + j}")
+        np.negative(sq, out=sq)
+        sq /= (2.0 * sigma * sigma)[:, None]
+        np.exp(sq, out=upper[rows])
+        bandwidths[rows] = np.where(degenerate[rows], np.nan, sigma)
+    return StackedKernels(
+        upper=upper,
+        n=X.n,
+        bandwidths=bandwidths,
+        degenerate=degenerate,
+        sources=tuple(f"feature:{j}" for j in range(X.d)),
+    )
 
 
 def frobenius_inner(K1: KernelMatrix | np.ndarray, K2: KernelMatrix | np.ndarray) -> float:
@@ -123,32 +246,3 @@ def alignment(K1: KernelMatrix | np.ndarray, K2: KernelMatrix | np.ndarray) -> f
     if den <= 0.0:
         raise NumericalError("alignment undefined: a kernel has zero Frobenius norm")
     return num / float(np.sqrt(den))
-
-
-def save_kernel(K: KernelMatrix, path: str | Path, binary: bool = True) -> None:
-    """Dump the dense matrix: binary little-endian float64 behind an 8-byte
-    unsigned size header, or tab-delimited text."""
-    path = Path(path)
-    if binary:
-        with path.open("wb") as fh:
-            fh.write(struct.pack("<Q", K.n))
-            fh.write(K.entries.astype("<f8").tobytes(order="C"))
-    else:
-        lines = ["\t".join(repr(float(v)) for v in row) for row in K.entries]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_kernel(path: str | Path) -> KernelMatrix:
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) >= 8:
-        (n,) = struct.unpack_from("<Q", raw, 0)
-        if len(raw) == 8 + 8 * n * n:
-            entries = np.frombuffer(raw, dtype="<f8", offset=8).reshape(n, n).copy()
-            return KernelMatrix(entries, bandwidth=float("nan"), source="loaded")
-    rows = [
-        [float(c) for c in line.split("\t")]
-        for line in raw.decode("utf-8").splitlines()
-        if line.strip()
-    ]
-    return KernelMatrix(np.array(rows), bandwidth=float("nan"), source="loaded")

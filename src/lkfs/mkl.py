@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataValidationError, NumericalError
-from .kernel import KernelMatrix, frobenius_inner
+from .kernel import KernelMatrix, StackedKernels, frobenius_inner, upper_triangle
 
 _DET_FLOOR = 1e-14  # relative determinant threshold for the 2x2 solve
 
@@ -96,8 +96,38 @@ def solve_pair_weights(
     )
 
 
+def _pair_weights_batch(
+    aa: float, bb: np.ndarray, ab: np.ndarray, az: float, bz: np.ndarray, zz: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_pair_weights_from_scalars`` of one kernel a against many kernels b,
+    with the same branches and the same float operations per candidate."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = aa * bb - ab * ab
+        wa = (bb * az - ab * bz) / det
+        wb = (aa * bz - ab * az) / det
+        interior = (det > _DET_FLOOR * np.maximum(aa * bb, 1.0)) & (wa > 0.0) & (wb > 0.0)
+        total = wa + wb
+        wa, wb = wa / total, wb / total
+        quad = wa * wa * aa + 2.0 * wa * wb * ab + wb * wb * bb
+        achieved = (wa * az + wb * bz) / np.sqrt(quad * zz)
+        align_b = bz / np.sqrt(bb * zz)
+    # stationary point infeasible (or kernels proportional): best boundary wins
+    has_b = bb > 0
+    if aa > 0:
+        align_a = az / math.sqrt(aa * zz)
+        take_a = ~has_b | (align_a >= align_b)
+    elif has_b[~interior].all():
+        align_a, take_a = math.nan, np.zeros(bb.shape, dtype=bool)
+    else:
+        raise NumericalError("pair weights undefined: both kernels have zero norm")
+    wa = np.where(interior, wa, np.where(take_a, 1.0, 0.0))
+    wb = np.where(interior, wb, np.where(take_a, 0.0, 1.0))
+    achieved = np.where(interior, achieved, np.where(take_a, align_a, align_b))
+    return wa, wb, achieved
+
+
 def greedy_select(
-    candidates: Sequence[KernelMatrix], Kz: KernelMatrix, config: MklConfig
+    candidates: StackedKernels | Sequence[KernelMatrix], Kz: KernelMatrix, config: MklConfig
 ) -> MklSolution:
     """Iteratively build the aligned combination, one candidate kernel at a time.
 
@@ -106,56 +136,64 @@ def greedy_select(
     two-kernel closed form, accumulated weights rescaling by the kept share.
     Ties break toward the lowest feature index. Stops at ``config.p`` features
     or when the best gain falls to ``config.improvement_tolerance`` or below.
-    """
-    active = [j for j, K in enumerate(candidates) if not K.degenerate]
-    if not active:
-        raise DataValidationError("no non-degenerate candidate kernels")
-    zz = frobenius_inner(Kz, Kz)
-    cz = {j: frobenius_inner(candidates[j], Kz) for j in active}
-    ss = {j: frobenius_inner(candidates[j], candidates[j]) for j in active}
 
-    first = max(active, key=lambda j: (cz[j] / math.sqrt(ss[j] * zz), -j))
-    mu = np.zeros(len(candidates))
+    The state is m_j = <K_mu, K_j> for every candidate j. Accepting a feature
+    costs one matrix-vector product over the stacked upper triangles, and
+    <K_mu, Kz> and <K_mu, K_mu> follow as scalar recurrences. Every kernel
+    must be symmetric with unit diagonal.
+    """
+    stack = (
+        candidates
+        if isinstance(candidates, StackedKernels)
+        else StackedKernels.from_kernels(candidates)
+    )
+    if Kz.n != stack.n:
+        raise DataValidationError("target and candidate kernels must share dimensions")
+    open_ = ~stack.degenerate
+    if not open_.any():
+        raise DataValidationError("no non-degenerate candidate kernels")
+    tz = upper_triangle(Kz)
+    zz = stack.n + 2.0 * float(tz @ tz)
+    cz = stack.inner(tz)
+    ss = stack.squared_norms()
+
+    active = np.flatnonzero(open_)
+    first = int(active[np.argmax(cz[active] / np.sqrt(ss[active] * zz))])
+    mu = np.zeros(len(stack))
     mu[first] = 1.0
     selected = [first]
-    k_mu = candidates[first].entries.copy()
-    mz, mm = cz[first], ss[first]
+    open_[first] = False
+    m = stack.inner(stack.upper[first])
+    mz, mm = float(cz[first]), float(ss[first])
     trajectory = [mz / math.sqrt(mm * zz)]
-    remaining = [j for j in active if j != first]
     subsample_rng = (
         np.random.default_rng([config.seed, 7]) if config.candidate_subsample else None
     )
 
     stop_reason = "reached_p"
     while len(selected) < config.p:
-        if not remaining:
+        pool = np.flatnonzero(open_)
+        if not pool.size:
             stop_reason = "no_candidates"
             break
-        pool = remaining
-        if subsample_rng is not None and config.candidate_subsample < len(remaining):
+        if subsample_rng is not None and config.candidate_subsample < pool.size:
             pool_idx = subsample_rng.choice(
-                len(remaining), size=config.candidate_subsample, replace=False
+                pool.size, size=config.candidate_subsample, replace=False
             )
-            pool = [remaining[i] for i in sorted(pool_idx)]
-        best = None
-        for j in pool:
-            mj = float((k_mu * candidates[j].entries).sum())
-            w1, w2, achieved = _pair_weights_from_scalars(mm, ss[j], mj, mz, cz[j], zz)
-            key = (achieved, -j)
-            if best is None or key > best[0]:
-                best = (key, j, w1, w2)
-        (achieved, _), j, w1, w2 = best
-        if achieved - trajectory[-1] <= config.improvement_tolerance:
+            pool = pool[np.sort(pool_idx)]
+        w1s, w2s, achieved = _pair_weights_batch(mm, ss[pool], m[pool], mz, cz[pool], zz)
+        best = int(np.argmax(achieved))  # the first maximum: lowest feature index
+        j, w1, w2 = int(pool[best]), float(w1s[best]), float(w2s[best])
+        if float(achieved[best]) - trajectory[-1] <= config.improvement_tolerance:
             stop_reason = "no_improvement"
             break
-        k_mu *= w1
-        k_mu += w2 * candidates[j].entries
         mu *= w1
         mu[j] = w2
         selected.append(j)
-        remaining.remove(j)
-        mz = float((k_mu * Kz.entries).sum())
-        mm = float((k_mu * k_mu).sum())
+        open_[j] = False
+        mz = w1 * mz + w2 * float(cz[j])
+        mm = w1 * w1 * mm + 2.0 * w1 * w2 * float(m[j]) + w2 * w2 * float(ss[j])
+        m = w1 * m + w2 * stack.inner(stack.upper[j])
         trajectory.append(mz / math.sqrt(mm * zz))
 
     mu = mu / mu.sum()
@@ -168,7 +206,9 @@ def greedy_select(
     )
 
 
-def combined_kernel(solution: MklSolution, candidates: Sequence[KernelMatrix]) -> KernelMatrix:
+def combined_kernel(
+    solution: MklSolution, candidates: StackedKernels | Sequence[KernelMatrix]
+) -> KernelMatrix:
     """K_mu = sum of mu_i * K_i over the selected features."""
     if any(j >= len(candidates) or j < 0 for j in solution.selected):
         raise DataValidationError("selected index out of candidate range")

@@ -157,7 +157,10 @@ def run_lkfs_once(
 ) -> tuple[mkl.MklSolution, LatentRepresentation]:
     """Train the autoencoder, build the latent target kernel and greedily select.
 
-    ``X`` is expected to be preprocessed already.
+    ``X`` is expected to be preprocessed already. ``seed`` seeds both the
+    autoencoder and the candidate subsample, and ``p`` defaults to
+    ``max(config.p_grid)``. For one seed, the selection at a smaller p is a
+    prefix of the selection at a larger one.
     """
     latent = _train_latent(X, config, seed)
     kz = kernel.gaussian_kernel(
@@ -192,35 +195,23 @@ def _select_for_method(
     p: int,
     config: RunConfig,
     rep_index: int,
-    latent_kz: kernel.KernelMatrix | None,
-    candidates: list[kernel.KernelMatrix] | None,
+    lkfs_selection: tuple[int, ...] | None,
+    spec: baselines.SpecResult | None,
 ) -> list[int]:
-    master = config.seed
     if method == "lkfs":
-        solution = mkl.greedy_select(
-            candidates,
-            latent_kz,
-            mkl.MklConfig(
-                p=p,
-                improvement_tolerance=config.mkl_tolerance,
-                candidate_subsample=config.mkl_candidate_subsample,
-                seed=derive_seed(master, rep_index, _SEED_AE, p),
-            ),
-        )
-        return list(solution.selected)
+        return list(lkfs_selection[:p])
     if method == "skm":
         s = config.skm_s if config.skm_s is not None else float(np.sqrt(p))
         result = baselines.sparse_kmeans(
             Xp,
             k=config.k_grid[0],
             s=s,
-            seed=derive_seed(master, rep_index, _SEED_SKM, p),
+            seed=derive_seed(config.seed, rep_index, _SEED_SKM, p),
             restarts=config.kmeans_restarts,
         )
         return list(baselines.select_top_p(result, p))
     if method == "spec":
-        result = baselines.spec_scores(Xp)
-        return list(baselines.select_top_p(result, p))
+        return list(baselines.select_top_p(spec, p))
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -241,21 +232,20 @@ def _run_repetition(
         covered = labels.covered(Xp.sample_ids)
         if covered:
             truth = labels
-    latent_kz = None
-    candidates = None
+    # p-independent work runs once per repetition: smaller p take prefixes of
+    # the max-p greedy selection and the top of one SPEC ranking
+    lkfs_selection = None
     if "lkfs" in config.methods:
-        latent = _train_latent(Xp, config, derive_seed(master, rep_index, _SEED_AE))
-        latent_kz = kernel.gaussian_kernel(
-            latent.z_values, kernel.median_bandwidth(latent.z_values), source="latent"
-        )
-        candidates = kernel.feature_kernels(Xp, bandwidth_mode=config.kernel_bandwidth_mode)
+        solution, _ = run_lkfs_once(Xp, config, derive_seed(master, rep_index, _SEED_AE))
+        lkfs_selection = solution.selected
+    spec = baselines.spec_scores(Xp) if "spec" in config.methods else None
 
     records: dict[str, list[RepetitionRecord]] = {m: [] for m in config.methods}
     projections: dict[tuple[str, int, int], np.ndarray] = {}
     for method in config.methods:
         for p in config.p_grid:
             selected = _select_for_method(
-                method, Xp, p, config, rep_index, latent_kz, candidates
+                method, Xp, p, config, rep_index, lkfs_selection, spec
             )
             red = evaluation.red_score(Xp, selected)
             sub = Xp.values[:, selected]

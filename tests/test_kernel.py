@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lkfs import kernel
 from lkfs.dataio import ExpressionMatrix, variance_filter
 from lkfs.errors import ConfigError, DataValidationError, NumericalError
 from lkfs.kernel import (
     KernelMatrix,
+    StackedKernels,
     alignment,
     feature_kernels,
     frobenius_inner,
     gaussian_kernel,
-    load_kernel,
     median_bandwidth,
-    save_kernel,
 )
 
 
@@ -183,26 +183,123 @@ class TestFrobeniusAndAlignment:
             alignment(np.zeros((3, 3)), np.eye(3))
 
 
-class TestKernelDump:
-    def test_binary_roundtrip(self, tmp_path, rng):
-        K = gaussian_kernel(rng.standard_normal((5, 2)), sigma=1.7)
-        path = tmp_path / "k.bin"
-        save_kernel(K, path, binary=True)
-        back = load_kernel(path)
-        np.testing.assert_array_equal(back.entries, K.entries)
+def matrix_of(values):
+    n, d = values.shape
+    return ExpressionMatrix(
+        values, tuple(f"s{i}" for i in range(n)), tuple(f"g{j}" for j in range(d))
+    )
 
-    def test_binary_layout(self, tmp_path, rng):
-        # 8-byte little-endian count, then n*n little-endian float64
-        K = gaussian_kernel(rng.standard_normal((3, 2)), sigma=1.0)
-        path = tmp_path / "k.bin"
-        save_kernel(K, path, binary=True)
-        raw = path.read_bytes()
-        assert len(raw) == 8 + 8 * 9
-        assert int.from_bytes(raw[:8], "little") == 3
 
-    def test_text_roundtrip(self, tmp_path, rng):
-        K = gaussian_kernel(rng.standard_normal((4, 2)), sigma=0.9)
-        path = tmp_path / "k.tsv"
-        save_kernel(K, path, binary=False)
-        back = load_kernel(path)
-        np.testing.assert_array_equal(back.entries, K.entries)
+def assert_rows_match_dense(stacked, X, sigma_of):
+    """Every stacked row is the upper triangle of the dense per-column kernel."""
+    iu = np.triu_indices(X.n, 1)
+    for j in range(X.d):
+        col = X.values[:, j]
+        if col.max() == col.min():
+            assert stacked.degenerate[j] and math.isnan(stacked.bandwidths[j])
+            np.testing.assert_array_equal(stacked.upper[j], 1.0)
+            continue
+        dense = gaussian_kernel(col, sigma_of(col))
+        assert not stacked.degenerate[j]
+        assert stacked.bandwidths[j] == dense.bandwidth
+        np.testing.assert_array_equal(stacked.upper[j], dense.entries[iu])
+        np.testing.assert_array_equal(stacked[j].entries, dense.entries)
+
+
+class TestStackedKernels:
+    @pytest.fixture
+    def with_constant(self, small_fixture):
+        X, _ = small_fixture
+        values = X.values.copy()
+        values[:, 4] = 0.25
+        return ExpressionMatrix(values, X.sample_ids, X.feature_names)
+
+    def test_rows_bit_identical_to_dense_kernels(self, with_constant, monkeypatch):
+        # a tiny block forces several column blocks, the last one partial
+        monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 4 * with_constant.n**2)
+        stacked = feature_kernels(with_constant)
+        assert stacked.upper.shape == (with_constant.d, with_constant.n * (with_constant.n - 1) // 2)
+        assert_rows_match_dense(stacked, with_constant, median_bandwidth)
+
+    def test_global_mode_bit_identical(self, with_constant):
+        sigma = median_bandwidth(with_constant.values)
+        stacked = feature_kernels(with_constant, bandwidth_mode="global")
+        assert_rows_match_dense(stacked, with_constant, lambda col: sigma)
+
+    # a subnormal bandwidth overflows the exponent to -inf in both paths
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(2, 12), st.integers(1, 5)),
+            elements=st.floats(min_value=-5, max_value=5, allow_nan=False),
+        )
+    )
+    def test_matches_dense_on_random_matrices(self, values):
+        X = matrix_of(values)
+        try:
+            for col in X.values.T:
+                if col.max() != col.min():
+                    gaussian_kernel(col, median_bandwidth(col))
+        except (ConfigError, NumericalError) as exc:
+            # a zero bandwidth or all-zero distances: the stack fails the same way
+            with pytest.raises(type(exc)):
+                feature_kernels(X)
+            return
+        assert_rows_match_dense(feature_kernels(X), X, median_bandwidth)
+
+    def test_sequence_protocol(self, small_fixture):
+        X, _ = small_fixture
+        stacked = feature_kernels(X)
+        assert len(stacked) == X.d
+        assert [K.source for K in stacked] == [f"feature:{j}" for j in range(X.d)]
+        assert [K.source for K in stacked[2:5]] == ["feature:2", "feature:3", "feature:4"]
+        np.testing.assert_array_equal(stacked[-1].entries, stacked[X.d - 1].entries)
+        with pytest.raises(IndexError):
+            stacked[X.d]
+
+    def test_nbytes_is_half_of_dense(self, small_fixture):
+        X, _ = small_fixture
+        stacked = feature_kernels(X)
+        assert stacked.nbytes == 4 * X.d * X.n * (X.n - 1)
+
+    def test_inner_matches_frobenius(self, small_fixture, rng):
+        X, _ = small_fixture
+        stacked = feature_kernels(X)
+        target = gaussian_kernel(rng.standard_normal((X.n, 2)), sigma=1.0)
+        inner = stacked.inner(kernel.upper_triangle(target))
+        for j in (0, 7, X.d - 1):
+            assert inner[j] == pytest.approx(frobenius_inner(stacked[j], target), rel=1e-13)
+
+    def test_equal_rows_give_equal_inner_products(self, rng):
+        # a BLAS matrix-vector product can round the twin rows 1, 3 and 5
+        # differently; OpenBLAS's SkylakeX kernels do at 7 rows of 66 entries
+        twin = gaussian_kernel(rng.standard_normal((12, 1)), sigma=1.0)
+        kernels = [
+            twin if j % 2 else gaussian_kernel(rng.standard_normal((12, 1)), sigma=1.0)
+            for j in range(7)
+        ]
+        stacked = StackedKernels.from_kernels(kernels)
+        target = kernel.upper_triangle(gaussian_kernel(rng.standard_normal((12, 2)), sigma=1.0))
+        assert list(stacked.first_copies) == [0, 1, 2, 1, 4, 1, 6]
+        assert len(set(stacked.inner(target)[1::2])) == 1
+        assert len(set(stacked.squared_norms()[1::2])) == 1
+
+    def test_from_kernels_round_trip(self, rng):
+        kernels = [gaussian_kernel(rng.standard_normal((6, 2)), sigma=s) for s in (0.5, 1.0, 2.0)]
+        stacked = StackedKernels.from_kernels(kernels)
+        for K, back in zip(kernels, stacked):
+            np.testing.assert_array_equal(back.entries, K.entries)
+            assert back.bandwidth == K.bandwidth and not back.degenerate
+
+    def test_from_kernels_rejects_what_the_identity_cannot_hold(self, rng):
+        K = gaussian_kernel(rng.standard_normal((5, 2)), sigma=1.0)
+        with pytest.raises(DataValidationError, match="unit diagonal"):
+            StackedKernels.from_kernels([K, KernelMatrix(2.0 * K.entries, 1.0)])
+        skewed = K.entries.copy()
+        skewed[0, 1] += 0.1
+        with pytest.raises(DataValidationError, match="symmetric"):
+            StackedKernels.from_kernels([KernelMatrix(skewed, 1.0)])
+        with pytest.raises(DataValidationError, match="dimensions"):
+            StackedKernels.from_kernels([K, gaussian_kernel(np.arange(4.0), sigma=1.0)])

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lkfs.dataio import generate_synthetic, minmax_scale
 from lkfs.errors import DataValidationError
@@ -7,6 +11,8 @@ from lkfs.kernel import KernelMatrix, alignment, feature_kernels, gaussian_kerne
 from lkfs.mkl import (
     MklConfig,
     MklSolution,
+    _pair_weights_batch,
+    _pair_weights_from_scalars,
     combined_kernel,
     greedy_select,
     solution_to_dict,
@@ -40,6 +46,55 @@ def informative_target_fixture(seed, n=200, d=100, informative=10):
     blocks = (codes[:, None] == codes[None, :]).astype(float)
     kz = KernelMatrix(blocks, bandwidth=1.0, source="latent")
     return Xs, candidates, kz
+
+
+def dense_reference_greedy(candidates, Kz, config):
+    """The greedy on dense n x n kernels: every inner product is a full
+    entrywise sum, recomputed for every candidate at every step."""
+
+    def inner(A, B):
+        return float((A * B).sum())
+
+    active = [j for j, K in enumerate(candidates) if not K.degenerate]
+    zz = inner(Kz.entries, Kz.entries)
+    cz = {j: inner(candidates[j].entries, Kz.entries) for j in active}
+    ss = {j: inner(candidates[j].entries, candidates[j].entries) for j in active}
+    first = max(active, key=lambda j: (cz[j] / math.sqrt(ss[j] * zz), -j))
+    mu = np.zeros(len(candidates))
+    mu[first] = 1.0
+    selected = [first]
+    k_mu = candidates[first].entries.copy()
+    mz, mm = cz[first], ss[first]
+    trajectory = [mz / math.sqrt(mm * zz)]
+    remaining = [j for j in active if j != first]
+    rng = np.random.default_rng([config.seed, 7]) if config.candidate_subsample else None
+    stop_reason = "reached_p"
+    while len(selected) < config.p:
+        if not remaining:
+            stop_reason = "no_candidates"
+            break
+        pool = remaining
+        if rng is not None and config.candidate_subsample < len(remaining):
+            idx = rng.choice(len(remaining), size=config.candidate_subsample, replace=False)
+            pool = [remaining[i] for i in sorted(idx)]
+        best = None
+        for j in pool:
+            mj = inner(k_mu, candidates[j].entries)
+            w1, w2, achieved = _pair_weights_from_scalars(mm, ss[j], mj, mz, cz[j], zz)
+            if best is None or (achieved, -j) > best[0]:
+                best = ((achieved, -j), j, w1, w2)
+        (achieved, _), j, w1, w2 = best
+        if achieved - trajectory[-1] <= config.improvement_tolerance:
+            stop_reason = "no_improvement"
+            break
+        k_mu = w1 * k_mu + w2 * candidates[j].entries
+        mu *= w1
+        mu[j] = w2
+        selected.append(j)
+        remaining.remove(j)
+        mz, mm = inner(k_mu, Kz.entries), inner(k_mu, k_mu)
+        trajectory.append(mz / math.sqrt(mm * zz))
+    return tuple(selected), trajectory, mu / mu.sum(), stop_reason
 
 
 class TestSolvePairWeights:
@@ -165,6 +220,72 @@ class TestGreedySelect:
         singles = [alignment(K, kz) for K in candidates]
         noise_median = np.median(singles[10:])
         assert all(singles[j] > noise_median for j in solution.selected)
+
+
+class TestIncrementalGreedy:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 24),
+        d=st.integers(2, 16),
+        p=st.integers(1, 10),
+        subsample=st.sampled_from([None, 1, 3]),
+    )
+    def test_matches_dense_reference(self, seed, n, d, p, subsample):
+        rng = np.random.default_rng(seed)
+        candidates = [
+            random_kernel(rng, n=n, m=int(rng.integers(1, 3)), sigma=float(rng.uniform(0.3, 3.0)))
+            for _ in range(d)
+        ]
+        Kz = random_kernel(rng, n=n, m=2)
+        config = MklConfig(p=p, candidate_subsample=subsample, seed=seed % 97)
+        selected, trajectory, mu, stop_reason = dense_reference_greedy(candidates, Kz, config)
+        solution = greedy_select(candidates, Kz, config)
+        assert solution.selected == selected
+        assert solution.stop_reason == stop_reason
+        np.testing.assert_allclose(solution.alignment_trajectory, trajectory, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(solution.mu, mu, rtol=0, atol=1e-12)
+        # mu is convex with support equal to the selection; alignment only rises
+        assert np.all(solution.mu >= 0) and solution.mu.sum() == pytest.approx(1.0, abs=1e-12)
+        assert set(np.flatnonzero(solution.mu)) == set(solution.selected)
+        assert np.all(np.diff(solution.alignment_trajectory) > 0)
+
+    def test_stacked_and_listed_candidates_agree(self, small_fixture):
+        X, labels = small_fixture
+        stacked = feature_kernels(X)
+        codes = labels.aligned_to(X.sample_ids)
+        kz = KernelMatrix((codes[:, None] == codes[None, :]).astype(float), 1.0)
+        a = greedy_select(stacked, kz, MklConfig(p=6))
+        b = greedy_select(list(stacked), kz, MklConfig(p=6))
+        assert a.selected == b.selected
+        assert a.alignment_trajectory == b.alignment_trajectory
+
+    def test_ties_break_toward_lowest_index(self, rng):
+        Kz = random_kernel(rng, n=12)
+        noise = random_kernel(rng, n=12)
+        twin = KernelMatrix(Kz.entries.copy(), 1.0)
+        solution = greedy_select([noise, twin, twin], Kz, MklConfig(p=2))
+        assert solution.selected[0] == 1
+
+    def test_target_must_share_dimensions(self, rng):
+        with pytest.raises(DataValidationError, match="dimensions"):
+            greedy_select([random_kernel(rng, n=5)], random_kernel(rng, n=6), MklConfig(p=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), batch=st.integers(1, 8))
+    def test_batch_pair_weights_equal_scalar_form(self, seed, k, batch):
+        # Gram entries of positive vectors, as for kernels; some b are scaled
+        # copies of a, which drives the determinant to the proportional branch
+        rng = np.random.default_rng(seed)
+        a, z = rng.uniform(0.01, 1.0, size=(2, k))
+        bs = rng.uniform(0.01, 1.0, size=(batch, k))
+        bs[::2] = a * rng.uniform(0.5, 2.0, size=(bs[::2].shape[0], 1))
+        aa, az, zz = float(a @ a), float(a @ z), float(z @ z)
+        bb, ab, bz = (bs * bs).sum(axis=1), bs @ a, bs @ z
+        wa, wb, achieved = _pair_weights_batch(aa, bb, ab, az, bz, zz)
+        for i in range(batch):
+            scalar = _pair_weights_from_scalars(aa, bb[i], ab[i], az, bz[i], zz)
+            assert (wa[i], wb[i], achieved[i]) == scalar
 
 
 class TestCombinedKernel:

@@ -152,6 +152,45 @@ class TestRunExperiment:
             run_experiment(fast_config(p_grid=(20,)), X=X, labels=labels)
 
 
+class TestOncePerRepetition:
+    @pytest.mark.parametrize("subsample", [None, 3])
+    def test_lkfs_selections_are_prefixes_of_max_p(self, fixture_data, subsample):
+        X, labels = fixture_data
+        config = fast_config(
+            methods=("lkfs",), p_grid=(2, 4, 6), k_grid=(2,), mkl_candidate_subsample=subsample
+        )
+        report = run_experiment(config, X=X, labels=labels).reports["lkfs"]
+        for rep in range(config.preprocess.repetitions):
+            by_p = {r.p: r.selected_features for r in report.records if r.repetition == rep}
+            for p, names in by_p.items():
+                assert names == by_p[6][:p]
+        # an independent greedy run at a smaller p stops on the same prefix
+        Xp = preprocess_matrix(X, PreprocessConfig())
+        largest, _ = run_lkfs_once(Xp, config, seed=5)
+        for p in (2, 4):
+            smaller, _ = run_lkfs_once(Xp, config, seed=5, p=p)
+            assert smaller.selected == largest.selected[:p]
+
+    def test_p_independent_work_runs_once(self, fixture_data, monkeypatch):
+        from lkfs import baselines, mkl
+
+        calls = {"greedy": 0, "spec": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(mkl, "greedy_select", counting("greedy", mkl.greedy_select))
+        monkeypatch.setattr(baselines, "spec_scores", counting("spec", baselines.spec_scores))
+        X, labels = fixture_data
+        config = fast_config(p_grid=(2, 4, 6), k_grid=(2,))
+        run_experiment(config, X=X, labels=labels)
+        assert calls == {"greedy": 2, "spec": 2}  # one each per repetition
+
+
 class TestEmitOutputs:
     def test_expected_file_set(self, emitted):
         _, out, _ = emitted
