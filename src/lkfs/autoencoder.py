@@ -9,9 +9,7 @@ differences.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -20,7 +18,6 @@ from .dataio import ExpressionMatrix
 from .errors import ConfigError, DataValidationError, NumericalError
 
 _BN_EPS = 1e-5
-_CHECKPOINT_FORMAT = "ae-checkpoint/1"
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,6 @@ class AeModel:
     encoder: list[DenseLayer]
     decoder: list[DenseLayer]
     loss_history: list[float] = field(default_factory=list)
-    hyperparams: AeHyperparams | None = None  # set by train()
 
     def layers(self) -> Iterator[DenseLayer]:
         yield from self.encoder
@@ -274,12 +270,6 @@ def weight_penalty(model: AeModel) -> float:
     return float(sum((w * w).sum() for w in model.weight_matrices()))
 
 
-def loss_regularized(model: AeModel, x: np.ndarray, x_reconstructed: np.ndarray, beta_l2: float) -> float:
-    if beta_l2 < 0:
-        raise ConfigError("beta_l2 must be >= 0")
-    return loss_mse(x, x_reconstructed) + beta_l2 * weight_penalty(model)
-
-
 def _training_loss(model: AeModel, batch: np.ndarray, beta_l2: float) -> float:
     _, _, recon = _forward_cached(model, batch, training=True)
     return loss_mse(batch, recon) + beta_l2 * weight_penalty(model)
@@ -413,77 +403,5 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams) -> AeMod
                 p -= hp.learning_rate * (m_state / bias1) / (np.sqrt(v_state / bias2) + hp.adam_epsilon)
             _update_running_stats(model, caches, batch.shape[0])
         model.loss_history.append(epoch_loss / X.n)
-    model.hyperparams = hp
     return model
 
-
-def save_model(model: AeModel, path: str | Path) -> None:
-    """Versioned JSON checkpoint; decimal text round-trips floats exactly."""
-    def layer_dict(layer: DenseLayer) -> dict:
-        out = {
-            "weights": layer.weights.tolist(),
-            "bias": layer.bias.tolist(),
-            "activation": layer.activation,
-        }
-        if layer.batch_norm is not None:
-            bn = layer.batch_norm
-            out["batch_norm"] = {
-                "gamma": bn.gamma.tolist(),
-                "shift": bn.shift.tolist(),
-                "running_mean": bn.running_mean.tolist(),
-                "running_var": bn.running_var.tolist(),
-                "momentum": bn.momentum,
-            }
-        return out
-
-    doc = {
-        "format": _CHECKPOINT_FORMAT,
-        "architecture": {
-            "encoder_layers": list(model.arch.encoder_layers),
-            "decoder_layers": list(model.arch.decoder_layers),
-            "latent_dim": model.arch.latent_dim,
-        },
-        "hyperparams": None if model.hyperparams is None else vars(model.hyperparams),
-        "encoder": [layer_dict(l) for l in model.encoder],
-        "decoder": [layer_dict(l) for l in model.decoder],
-        "loss_history": model.loss_history,
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> AeModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != _CHECKPOINT_FORMAT:
-        raise DataValidationError(f"unsupported checkpoint format: {doc.get('format')!r}")
-
-    def layer_from(dct: dict) -> DenseLayer:
-        bn = None
-        if "batch_norm" in dct:
-            b = dct["batch_norm"]
-            bn = BatchNormState(
-                gamma=np.array(b["gamma"]),
-                shift=np.array(b["shift"]),
-                running_mean=np.array(b["running_mean"]),
-                running_var=np.array(b["running_var"]),
-                momentum=b["momentum"],
-            )
-        return DenseLayer(
-            weights=np.array(dct["weights"]),
-            bias=np.array(dct["bias"]),
-            activation=dct["activation"],
-            batch_norm=bn,
-        )
-
-    arch = AeArchitecture(
-        encoder_layers=tuple(doc["architecture"]["encoder_layers"]),
-        decoder_layers=tuple(doc["architecture"]["decoder_layers"]),
-        latent_dim=doc["architecture"]["latent_dim"],
-    )
-    hp = doc.get("hyperparams")
-    return AeModel(
-        arch=arch,
-        encoder=[layer_from(l) for l in doc["encoder"]],
-        decoder=[layer_from(l) for l in doc["decoder"]],
-        loss_history=list(doc["loss_history"]),
-        hyperparams=None if hp is None else AeHyperparams(**hp),
-    )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +28,6 @@ class SkmResult:
     assignment: ClusterAssignment
     s: float
     objective_history: tuple[float, ...]
-    selected: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class SpecResult:
 
     scores: np.ndarray
     ranking: tuple[int, ...]
-    selected: tuple[int, ...] | None = None
 
 
 def soft_threshold(x: np.ndarray | float, delta: float) -> np.ndarray | float:
@@ -199,11 +197,6 @@ def select_top_p(result: SkmResult | SpecResult, p: int) -> tuple[int, ...]:
             raise ConfigError(f"p={p} exceeds d={result.scores.size}")
         return tuple(result.ranking[:p])
     raise ConfigError(f"unsupported result type: {type(result).__name__}")
-
-
-def with_selection(result: SkmResult | SpecResult, p: int):
-    """Return a copy of the result with ``selected`` filled in."""
-    return replace(result, selected=select_top_p(result, p))
 
 
 def save_baseline_solution(

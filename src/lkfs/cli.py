@@ -14,9 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import baselines, clustering, dataio, evaluation, mkl, pipeline
+from . import baselines, clustering, dataio, mkl, pipeline
 from .errors import ConfigError, DataValidationError, NumericalError
 from .pipeline import RunConfig
 
@@ -137,7 +135,7 @@ def _load_config(args) -> RunConfig:
         overrides["orientation"] = args.orientation
     if getattr(args, "methods", None):
         overrides["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    # `run` passes grids as tuples; `select`/`evaluate` reuse -p/-k as scalars
+    # `run` passes grids as tuples; `select` reuses --p as a single int
     if isinstance(getattr(args, "p", None), tuple):
         overrides["p_grid"] = args.p
     if isinstance(getattr(args, "k", None), tuple):
@@ -188,20 +186,13 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    config = _load_config(args)
+    config = dataclasses.replace(_load_config(args), p_grid=(args.p,))
     X = dataio.load_matrix(args.input, _orient(args.orientation))
-    if args.method == "lkfs":
-        solution, _ = pipeline.run_lkfs_once(X, config, seed=args.seed, p=args.p)
-        mkl.save_solution(solution, X.feature_names, args.out, method="lkfs")
-    elif args.method == "skm":
-        s = config.skm_s if config.skm_s is not None else float(np.sqrt(args.p))
-        result = baselines.sparse_kmeans(
-            X, k=config.k_grid[0], s=s, seed=args.seed, restarts=config.kmeans_restarts
-        )
-        baselines.save_baseline_solution(result, X.feature_names, args.p, args.out)
+    [(p, _, result)] = pipeline.select_features(args.method, X, config, rep=0)
+    if isinstance(result, mkl.MklSolution):
+        mkl.save_solution(result, X.feature_names, args.out)
     else:
-        result = baselines.spec_scores(X)
-        baselines.save_baseline_solution(result, X.feature_names, args.p, args.out)
+        baselines.save_baseline_solution(result, X.feature_names, p, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -233,23 +224,9 @@ def _cmd_evaluate(args) -> int:
     X = dataio.load_matrix(args.input, _orient(args.orientation))
     selected = _read_selection(args.selection, X.feature_names)
     labels = dataio.load_labels(args.labels) if args.labels else None
-    doc: dict = {"red": evaluation.red_score(X, selected), "clusterings": []}
-    sub = X.values[:, selected]
-    for k in args.k:
-        assignment = clustering.kmeans(sub, k, restarts=args.restarts, seed=args.seed)
-        entry: dict = {"k": k, "inertia": assignment.inertia}
-        if labels is not None:
-            covered = labels.covered(X.sample_ids)
-            mask = np.array([sid in labels.labels for sid in X.sample_ids])
-            codes = labels.aligned_to(covered)
-            entry["rand_index"] = clustering.rand_index(assignment.labels[mask], codes)
-            entry["adjusted_rand_index"] = clustering.adjusted_rand_index(
-                assignment.labels[mask], codes
-            )
-        else:
-            entry["rand_index"] = None
-            entry["adjusted_rand_index"] = None
-        doc["clusterings"].append(entry)
+    config = RunConfig(k_grid=args.k, kmeans_restarts=args.restarts, seed=args.seed)
+    red, metrics = pipeline.score_selection(X, selected, labels, config, rep=0, p=len(selected))
+    doc = {"red": red, "clusterings": [m.to_json_dict() for m in metrics]}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -262,7 +239,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_run(args) -> int:
     config = _load_config(args)
     if args.print_config:
-        print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True))
         return 0
     if config.input is None:
         raise ConfigError("run needs an input matrix (--input or config file)")

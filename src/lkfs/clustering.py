@@ -126,14 +126,13 @@ def _as_codes(values: Sequence | np.ndarray) -> np.ndarray:
 
 def _pair_counts(pred: np.ndarray, truth: np.ndarray) -> tuple[int, int, int, int]:
     """(A, B, C, D) sample-pair counts: same/same, diff/diff, same-cluster/diff-class,
-    diff-cluster/same-class."""
+    diff-cluster/same-class, exact integers from the contingency table."""
     n = pred.size
     contingency = np.zeros((pred.max() + 1, truth.max() + 1), dtype=np.int64)
     np.add.at(contingency, (pred, truth), 1)
 
     def comb2(x: np.ndarray) -> int:
-        x = x.astype(object)  # exact integer arithmetic
-        return int(sum(v * (v - 1) // 2 for v in x.reshape(-1)))
+        return sum(int(v) * (int(v) - 1) // 2 for v in x.reshape(-1))
 
     total = n * (n - 1) // 2
     a = comb2(contingency)
@@ -167,20 +166,11 @@ def rand_index(pred, truth) -> float:
 
 def adjusted_rand_index(pred, truth) -> float:
     """Chance-corrected Rand index from the pair-count contingency table."""
-    p, t = _validated_pair(pred, truth)
-    contingency = np.zeros((p.max() + 1, t.max() + 1), dtype=np.int64)
-    np.add.at(contingency, (p, t), 1)
-    n = p.size
-
-    def comb2(values) -> int:
-        return int(sum(int(v) * (int(v) - 1) // 2 for v in np.asarray(values).reshape(-1)))
-
-    sum_cells = comb2(contingency)
-    sum_rows = comb2(contingency.sum(axis=1))
-    sum_cols = comb2(contingency.sum(axis=0))
-    total = n * (n - 1) // 2
-    expected = sum_rows * sum_cols / total
-    maximum = (sum_rows + sum_cols) / 2.0
+    a, b, c, d = _pair_counts(*_validated_pair(pred, truth))
+    same_cluster = a + c
+    same_class = a + d
+    expected = same_cluster * same_class / (a + b + c + d)
+    maximum = (same_cluster + same_class) / 2.0
     if maximum == expected:
         return 1.0
-    return (sum_cells - expected) / (maximum - expected)
+    return (a - expected) / (maximum - expected)

@@ -269,16 +269,6 @@ def subsample(X: ExpressionMatrix, fraction: float, seed: int) -> ExpressionMatr
     )
 
 
-def select_columns(X: ExpressionMatrix, indices: Sequence[int]) -> ExpressionMatrix:
-    """Column subset in the given order."""
-    idx = list(indices)
-    return ExpressionMatrix(
-        X.values[:, idx],
-        X.sample_ids,
-        tuple(X.feature_names[j] for j in idx),
-    )
-
-
 def generate_synthetic(
     n: int, d: int, informative: int, separation: float, seed: int
 ) -> tuple[ExpressionMatrix, LabelVector]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -111,21 +111,6 @@ class CellAggregate:
     adjusted_rand_index_mean: float | None
     adjusted_rand_index_sd: float | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "n_repetitions": self.n_repetitions,
-            "red_mean": self.red_mean,
-            "red_sd": self.red_sd,
-            "inertia_mean": self.inertia_mean,
-            "inertia_sd": self.inertia_sd,
-            "rand_index_mean": self.rand_index_mean,
-            "rand_index_sd": self.rand_index_sd,
-            "adjusted_rand_index_mean": self.adjusted_rand_index_mean,
-            "adjusted_rand_index_sd": self.adjusted_rand_index_sd,
-        }
-
 
 @dataclass(frozen=True)
 class EvaluationReport:
@@ -139,7 +124,7 @@ class EvaluationReport:
             "method": self.method,
             "dataset_id": self.dataset_id,
             "repetitions": [r.to_json_dict() for r in self.records],
-            "aggregates": [a.to_json_dict() for a in self.aggregates],
+            "aggregates": [asdict(a) for a in self.aggregates],
         }
 
 

@@ -55,7 +55,11 @@ def pairwise_sqdist(points: np.ndarray) -> np.ndarray:
 
 
 def median_bandwidth(points: np.ndarray) -> float:
-    """Median of the n(n-1)/2 pairwise Euclidean distances."""
+    """Median of the n(n-1)/2 pairwise Euclidean distances.
+
+    Raises ``DataValidationError`` when more than half of the point pairs
+    coincide, so that the median, and with it the bandwidth, is zero.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -64,7 +68,12 @@ def median_bandwidth(points: np.ndarray) -> float:
     dists = np.sqrt(pairwise_sqdist(pts)[np.triu_indices(pts.shape[0], 1)])
     if dists.max() == 0.0:
         raise NumericalError("all pairwise distances are zero; kernel would be degenerate")
-    return float(np.median(dists))
+    sigma = float(np.median(dists))
+    if sigma == 0.0:
+        raise DataValidationError(
+            "median pairwise distance is 0 (more than half of the point pairs coincide)"
+        )
+    return sigma
 
 
 def gaussian_kernel(points: np.ndarray, sigma: float, source: str = "data") -> KernelMatrix:
@@ -216,7 +225,10 @@ def feature_kernels(X: ExpressionMatrix, bandwidth_mode: str = "per-feature") ->
                     f"feature {start + j}: all pairwise distances are zero; "
                     "kernel would be degenerate"
                 )
-            raise ConfigError(f"sigma must be > 0, got {sigma[j]} for feature {start + j}")
+            raise DataValidationError(
+                f"feature {X.feature_names[start + j]!r}: median pairwise distance is 0 "
+                "(more than half of the sample pairs hold equal values)"
+            )
         np.negative(sq, out=sq)
         sq /= (2.0 * sigma * sigma)[:, None]
         np.exp(sq, out=upper[rows])

@@ -16,7 +16,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,46 +98,6 @@ class RunConfig:
             **doc,
         )
 
-    def to_dict(self) -> dict:
-        pre = self.preprocess
-        ae = self.ae
-        return {
-            "input": self.input,
-            "labels": self.labels,
-            "orientation": self.orientation,
-            "preprocess": {
-                "variance_keep_fraction": pre.variance_keep_fraction,
-                "subsample_fraction": pre.subsample_fraction,
-                "repetitions": pre.repetitions,
-                "seed": pre.seed,
-            },
-            "ae_hidden": list(self.ae_hidden),
-            "ae_latent": self.ae_latent,
-            "ae": {
-                "learning_rate": ae.learning_rate,
-                "beta_l2": ae.beta_l2,
-                "epochs": ae.epochs,
-                "batch_size": ae.batch_size,
-                "adam_beta1": ae.adam_beta1,
-                "adam_beta2": ae.adam_beta2,
-                "adam_epsilon": ae.adam_epsilon,
-                "seed": ae.seed,
-            },
-            "mkl_tolerance": self.mkl_tolerance,
-            "mkl_candidate_subsample": self.mkl_candidate_subsample,
-            "kernel_bandwidth_mode": self.kernel_bandwidth_mode,
-            "methods": list(self.methods),
-            "p_grid": list(self.p_grid),
-            "k_grid": list(self.k_grid),
-            "kmeans_restarts": self.kmeans_restarts,
-            "skm_s": self.skm_s,
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-            "threads": self.threads,
-            "write_svg": self.write_svg,
-            "dataset_id": self.dataset_id,
-        }
-
 
 def preprocess_matrix(X: ExpressionMatrix, cfg: PreprocessConfig) -> ExpressionMatrix:
     """Min-max scale, then keep the top-variance fraction of columns."""
@@ -189,30 +149,86 @@ class RunResult:
     projections: dict[tuple[str, int, int], np.ndarray]  # (method, p, rep) -> n x 2
 
 
-def _select_for_method(
-    method: str,
-    Xp: ExpressionMatrix,
-    p: int,
-    config: RunConfig,
-    rep_index: int,
-    lkfs_selection: tuple[int, ...] | None,
-    spec: baselines.SpecResult | None,
-) -> list[int]:
+def select_features(
+    method: str, X: ExpressionMatrix, config: RunConfig, rep: int
+) -> Iterator[
+    tuple[int, tuple[int, ...], mkl.MklSolution | baselines.SkmResult | baselines.SpecResult]
+]:
+    """Selections of one method on the preprocessed ``X`` for every p of
+    ``config.p_grid``, as repetition ``rep`` of ``run_experiment`` makes them.
+
+    Yields (p, selected column indices, the result they come from) per p.
+    The greedy runs once at the largest p and SPEC scores once, so smaller p
+    take prefixes of one result; sparse k-means runs once per p. Seeds derive
+    from ``(config.seed, rep)``.
+    """
     if method == "lkfs":
-        return list(lkfs_selection[:p])
-    if method == "skm":
-        s = config.skm_s if config.skm_s is not None else float(np.sqrt(p))
-        result = baselines.sparse_kmeans(
-            Xp,
-            k=config.k_grid[0],
-            s=s,
-            seed=derive_seed(config.seed, rep_index, _SEED_SKM, p),
+        solution, _ = run_lkfs_once(X, config, derive_seed(config.seed, rep, _SEED_AE))
+        for p in config.p_grid:
+            yield p, solution.selected[:p], solution
+    elif method == "spec":
+        spec = baselines.spec_scores(X)
+        for p in config.p_grid:
+            yield p, baselines.select_top_p(spec, p), spec
+    elif method == "skm":
+        for p in config.p_grid:
+            result = baselines.sparse_kmeans(
+                X,
+                k=config.k_grid[0],
+                s=config.skm_s if config.skm_s is not None else float(np.sqrt(p)),
+                seed=derive_seed(config.seed, rep, _SEED_SKM, p),
+                restarts=config.kmeans_restarts,
+            )
+            yield p, baselines.select_top_p(result, p), result
+    else:
+        raise ConfigError(f"unknown method {method!r}")
+
+
+def score_selection(
+    X: ExpressionMatrix,
+    selected: Sequence[int],
+    labels: LabelVector | None,
+    config: RunConfig,
+    rep: int,
+    p: int,
+) -> tuple[float, tuple[ClusteringMetrics, ...]]:
+    """RED of the selected columns of ``X``, then k-means on them for every k
+    of ``config.k_grid``, as repetition ``rep`` of ``run_experiment`` scores
+    its selection for ``p``.
+
+    Rand index and ARI compare the clusters of the labelled samples with their
+    labels; with fewer than 2 labelled samples they are None.
+    """
+    red = evaluation.red_score(X, selected)
+    sub = X.values[:, selected]
+    labelled = labels.covered(X.sample_ids) if labels is not None else []
+    codes = mask = None
+    if len(labelled) >= 2:
+        codes = labels.aligned_to(labelled)
+        mask = np.array([sid in labels.labels for sid in X.sample_ids])
+    metrics = []
+    for k in config.k_grid:
+        assignment = clustering.kmeans(
+            sub,
+            k,
             restarts=config.kmeans_restarts,
+            seed=derive_seed(config.seed, rep, _SEED_KMEANS, p, k),
         )
-        return list(baselines.select_top_p(result, p))
-    if method == "spec":
-        return list(baselines.select_top_p(spec, p))
-    raise ConfigError(f"unknown method {method!r}")
+        rand = ari = None
+        if codes is not None:
+            pred = assignment.labels[mask]
+            rand = clustering.rand_index(pred, codes)
+            ari = clustering.adjusted_rand_index(pred, codes)
+        metrics.append(
+            ClusteringMetrics(
+                k=k,
+                inertia=assignment.inertia,
+                rand_index=rand,
+                adjusted_rand_index=ari,
+                cluster_labels=tuple(int(c) for c in assignment.labels),
+            )
+        )
+    return red, tuple(metrics)
 
 
 def _run_repetition(
@@ -222,60 +238,15 @@ def _run_repetition(
     config: RunConfig,
     progress: Callable[[dict], None] | None,
 ) -> tuple[dict[str, list[RepetitionRecord]], tuple[str, ...], tuple[str, ...] | None, dict]:
-    master = config.seed
-    rep_seed = derive_seed(master, rep_index, _SEED_SUBSAMPLE)
+    rep_seed = derive_seed(config.seed, rep_index, _SEED_SUBSAMPLE)
     Xs = dataio.subsample(X_raw, config.preprocess.subsample_fraction, seed=rep_seed)
     Xp = preprocess_matrix(Xs, config.preprocess)
-
-    truth = None
-    if labels is not None:
-        covered = labels.covered(Xp.sample_ids)
-        if covered:
-            truth = labels
-    # p-independent work runs once per repetition: smaller p take prefixes of
-    # the max-p greedy selection and the top of one SPEC ranking
-    lkfs_selection = None
-    if "lkfs" in config.methods:
-        solution, _ = run_lkfs_once(Xp, config, derive_seed(master, rep_index, _SEED_AE))
-        lkfs_selection = solution.selected
-    spec = baselines.spec_scores(Xp) if "spec" in config.methods else None
 
     records: dict[str, list[RepetitionRecord]] = {m: [] for m in config.methods}
     projections: dict[tuple[str, int, int], np.ndarray] = {}
     for method in config.methods:
-        for p in config.p_grid:
-            selected = _select_for_method(
-                method, Xp, p, config, rep_index, lkfs_selection, spec
-            )
-            red = evaluation.red_score(Xp, selected)
-            sub = Xp.values[:, selected]
-            metrics = []
-            for k in config.k_grid:
-                assignment = clustering.kmeans(
-                    sub,
-                    k,
-                    restarts=config.kmeans_restarts,
-                    seed=derive_seed(master, rep_index, _SEED_KMEANS, p, k),
-                )
-                rand = ari = None
-                if truth is not None:
-                    mask = np.array([sid in truth.labels for sid in Xp.sample_ids])
-                    if mask.sum() >= 2:
-                        pred = assignment.labels[mask]
-                        codes = truth.aligned_to(
-                            [s for s, m in zip(Xp.sample_ids, mask) if m]
-                        )
-                        rand = clustering.rand_index(pred, codes)
-                        ari = clustering.adjusted_rand_index(pred, codes)
-                metrics.append(
-                    ClusteringMetrics(
-                        k=k,
-                        inertia=assignment.inertia,
-                        rand_index=rand,
-                        adjusted_rand_index=ari,
-                        cluster_labels=tuple(int(c) for c in assignment.labels),
-                    )
-                )
+        for p, selected, _ in select_features(method, Xp, config, rep_index):
+            red, metrics = score_selection(Xp, selected, labels, config, rep_index, p)
             records[method].append(
                 RepetitionRecord(
                     repetition=rep_index,
@@ -283,14 +254,16 @@ def _run_repetition(
                     p=p,
                     selected_features=tuple(Xp.feature_names[j] for j in selected),
                     red=red,
-                    clusterings=tuple(metrics),
+                    clusterings=metrics,
                 )
             )
-            projections[(method, p, rep_index)] = evaluation.pca_2d(sub)
+            projections[(method, p, rep_index)] = evaluation.pca_2d(Xp.values[:, selected])
             if progress is not None:
                 progress({"repetition": rep_index, "method": method, "p": p, "red": red})
     truth_row = (
-        tuple(labels.labels.get(sid, "") for sid in Xp.sample_ids) if truth is not None else None
+        tuple(labels.labels.get(sid, "") for sid in Xp.sample_ids)
+        if labels is not None and labels.covered(Xp.sample_ids)
+        else None
     )
     return records, Xp.sample_ids, truth_row, projections
 

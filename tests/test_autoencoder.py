@@ -8,13 +8,10 @@ from lkfs.autoencoder import (
     forward,
     gradient_check,
     init_model,
-    load_model,
     loss_mse,
-    loss_regularized,
     max_relative_error,
     numerical_gradients,
     parameter_gradients,
-    save_model,
     train,
     weight_penalty,
 )
@@ -120,21 +117,6 @@ class TestLosses:
     def test_shape_mismatch(self):
         with pytest.raises(DataValidationError):
             loss_mse(np.zeros((2, 3)), np.zeros((3, 2)))
-
-    def test_beta_zero_reduces_to_mse(self):
-        model = init_model(TINY, seed=0)
-        x = tiny_batch()
-        _, rec = forward(model, x)
-        assert loss_regularized(model, x, rec, 0.0) == loss_mse(x, rec)
-
-    def test_penalty_linear_in_beta(self):
-        model = init_model(TINY, seed=0)
-        x = tiny_batch()
-        _, rec = forward(model, x)
-        base = loss_mse(x, rec)
-        p1 = loss_regularized(model, x, rec, 0.1) - base
-        p2 = loss_regularized(model, x, rec, 0.2) - base
-        assert p2 == pytest.approx(2 * p1)
 
     def test_zero_weights_zero_penalty(self):
         model = init_model(TINY, seed=0)
@@ -243,25 +225,3 @@ class TestEncode:
         rev = encode(model, ExpressionMatrix(values[::-1], ids[::-1], names))
         np.testing.assert_array_equal(fwd.z_values, rev.z_values[::-1])
 
-
-class TestCheckpoint:
-    def test_roundtrip_exact(self, tmp_path, trained_pair):
-        _, _, _, model = trained_pair
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        for (na, pa), (nb, pb) in zip(model.parameters(), back.parameters()):
-            assert na == nb
-            np.testing.assert_array_equal(pa, pb)
-        for la, lb in zip(model.layers(), back.layers()):
-            if la.batch_norm is not None:
-                np.testing.assert_array_equal(la.batch_norm.running_mean, lb.batch_norm.running_mean)
-                np.testing.assert_array_equal(la.batch_norm.running_var, lb.batch_norm.running_var)
-        assert back.loss_history == model.loss_history
-        assert back.hyperparams == model.hyperparams
-
-    def test_format_tag_checked(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "other/9"}')
-        with pytest.raises(DataValidationError):
-            load_model(path)

@@ -11,7 +11,6 @@ from lkfs.baselines import (
     soft_threshold,
     sparse_kmeans,
     spec_scores,
-    with_selection,
 )
 from lkfs.clustering import ClusterAssignment
 from lkfs.dataio import minmax_scale
@@ -176,10 +175,6 @@ class TestSelectTopP:
         result = SpecResult(scores=np.array([0.5]), ranking=(0,))
         with pytest.raises(ConfigError):
             select_top_p(result, 2)
-
-    def test_with_selection_fills_field(self):
-        result = SpecResult(scores=np.array([0.5, 0.1]), ranking=(1, 0))
-        assert with_selection(result, 1).selected == (1,)
 
 
 def test_baseline_solution_dump(tmp_path, small_fixture):

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from lkfs.cli import main
-from lkfs.dataio import load_matrix
+from lkfs.dataio import ExpressionMatrix, load_matrix, save_matrix, subsample
+from lkfs.pipeline import RunConfig, derive_seed, preprocess_matrix
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +86,20 @@ class TestSelectClusterEvaluate:
         assert 0.0 <= result["red"] <= 1.0
         assert result["clusterings"][0]["rand_index"] is not None
 
+    def test_evaluate_with_one_labelled_sample_gives_null_rand(self, fixture_dir, tmp_path):
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("sample_id\tlabel\ns0000\tclass0\n")
+        selection = tmp_path / "selection.txt"
+        selection.write_text("f0000\nf0001\n")
+        metrics = tmp_path / "metrics.json"
+        code = main(
+            ["evaluate", "--input", str(fixture_dir / "matrix.tsv"), "--labels", str(labels),
+             "--selection", str(selection), "--k", "2", "--out", str(metrics)]
+        )
+        assert code == 0
+        entry = json.loads(metrics.read_text())["clusterings"][0]
+        assert entry["rand_index"] is None and entry["adjusted_rand_index"] is None
+
     def test_cluster_assignment_dump(self, fixture_dir, tmp_path):
         out = tmp_path / "clusters.tsv"
         code = main(
@@ -94,6 +110,67 @@ class TestSelectClusterEvaluate:
         lines = out.read_text().splitlines()
         assert len(lines) == 80
         assert all(line.split("\t")[1] in {"0", "1"} for line in lines)
+
+
+STEP_SEED = 7
+STEP_CONFIG = {
+    "preprocess": {"repetitions": 2},
+    "ae_hidden": [8],
+    "ae_latent": 2,
+    "ae": {"epochs": 15, "batch_size": 32},
+    "methods": ["lkfs", "skm", "spec"],
+    "p_grid": [3, 5],
+    "k_grid": [2, 3],
+    "kmeans_restarts": 3,
+}
+
+
+@pytest.fixture(scope="module")
+def stepwise(fixture_dir, tmp_path_factory):
+    """A `run` on the fixture, and repetition 0's preprocessed resample saved."""
+    work = tmp_path_factory.mktemp("stepwise")
+    config_path = work / "config.json"
+    config_path.write_text(json.dumps(STEP_CONFIG))
+    code = main(
+        ["run", "--config", str(config_path), "--input", str(fixture_dir / "matrix.tsv"),
+         "--labels", str(fixture_dir / "labels.tsv"), "--seed", str(STEP_SEED),
+         "--out", str(work / "run")]
+    )
+    assert code == 0
+    config = RunConfig.from_dict(STEP_CONFIG)
+    X = load_matrix(fixture_dir / "matrix.tsv")
+    resample = subsample(X, config.preprocess.subsample_fraction, derive_seed(STEP_SEED, 0, 0))
+    save_matrix(preprocess_matrix(resample, config.preprocess), work / "rep0.tsv")
+    return work
+
+
+class TestStepsReproduceRun:
+    @pytest.mark.parametrize("method", ["lkfs", "skm", "spec"])
+    def test_select_then_evaluate_equals_repetition_0(self, fixture_dir, stepwise, method):
+        p = 3
+        report = json.loads((stepwise / "run" / f"report_{method}.json").read_text())
+        record = next(r for r in report["repetitions"] if r["repetition"] == 0 and r["p"] == p)
+        assert len(record["selected_features"]) == p
+
+        solution = stepwise / f"{method}.json"
+        code = main(
+            ["select", "--config", str(stepwise / "config.json"),
+             "--input", str(stepwise / "rep0.tsv"), "--method", method, "--p", str(p),
+             "--seed", str(STEP_SEED), "--out", str(solution)]
+        )
+        assert code == 0
+        assert json.loads(solution.read_text())["selected"] == record["selected_features"]
+
+        metrics = stepwise / f"{method}_metrics.json"
+        code = main(
+            ["evaluate", "--input", str(stepwise / "rep0.tsv"),
+             "--labels", str(fixture_dir / "labels.tsv"), "--selection", str(solution),
+             "--k", "2,3", "--restarts", "3", "--seed", str(STEP_SEED), "--out", str(metrics)]
+        )
+        assert code == 0
+        doc = json.loads(metrics.read_text())
+        assert doc["red"] == record["red"]
+        assert doc["clusterings"] == record["clusterings"]
 
 
 class TestRun:
@@ -155,6 +232,30 @@ class TestExitCodes:
             ["preprocess", "--input", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "o.tsv")]
         )
         assert code == 2
+
+    def test_zero_median_column_is_2(self, tmp_path, capsys):
+        # g1 takes one value in 29 of 40 samples: more than half of the sample
+        # pairs are at distance 0, so its median bandwidth is 0
+        values = np.random.default_rng(0).standard_normal((40, 3))
+        values[:29, 1] = 0.0
+        matrix = tmp_path / "matrix.tsv"
+        save_matrix(
+            ExpressionMatrix(values, [f"s{i}" for i in range(40)], ["g0", "g1", "g2"]), matrix
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "preprocess": {"variance_keep_fraction": 1.0, "subsample_fraction": 1.0,
+                           "repetitions": 1},
+            "ae_hidden": [4], "ae_latent": 2, "ae": {"epochs": 2, "batch_size": 16},
+            "methods": ["lkfs"], "p_grid": [2], "k_grid": [2],
+        }))
+        with pytest.warns(RuntimeWarning, match="labels"):
+            code = main(
+                ["run", "--config", str(config), "--input", str(matrix),
+                 "--out", str(tmp_path / "out")]
+            )
+        assert code == 2
+        assert "'g1'" in capsys.readouterr().err
 
     def test_bad_cell_is_2(self, tmp_path):
         bad = tmp_path / "bad.tsv"

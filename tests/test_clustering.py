@@ -145,3 +145,25 @@ class TestAdjustedRandIndex:
         assert adjusted_rand_index(labels, truth) == pytest.approx(
             adjusted_rand_index(relabeled, truth), abs=1e-14
         )
+
+
+def label_vectors(n):
+    """Labels for n samples: non-contiguous integer codes, strings, a single
+    cluster, or all singletons."""
+    return st.one_of(
+        st.lists(st.sampled_from([-7, 0, 3, 100]), min_size=n, max_size=n),
+        st.lists(st.sampled_from(["BRCA", "LUAD", "KIRC"]), min_size=n, max_size=n),
+        st.just([0] * n),
+        st.just([f"s{i}" for i in range(n)]),
+    )
+
+
+class TestPairCountOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 30).flatmap(lambda n: st.tuples(label_vectors(n), label_vectors(n))))
+    def test_both_indices_match_brute_force(self, pair):
+        pred, truth = pair
+        assert rand_index(pred, truth) == brute_force_rand(pred, truth)
+        assert adjusted_rand_index(pred, truth) == pytest.approx(
+            brute_force_ari(pred, truth), abs=1e-12
+        )

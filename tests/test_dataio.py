@@ -14,7 +14,6 @@ from lkfs.dataio import (
     minmax_scale,
     save_labels,
     save_matrix,
-    select_columns,
     subsample,
     variance_filter,
 )
@@ -272,13 +271,6 @@ class TestGenerateSynthetic:
             generate_synthetic(n=11, d=5, informative=2, separation=1.0, seed=0)
         with pytest.raises(ConfigError):
             generate_synthetic(n=10, d=5, informative=2, separation=0.0, seed=0)
-
-
-def test_select_columns_reorders():
-    X = matrix_from(np.arange(12.0).reshape(3, 4))
-    out = select_columns(X, [2, 0])
-    assert out.feature_names == ("g2", "g0")
-    np.testing.assert_array_equal(out.values[:, 0], X.values[:, 2])
 
 
 def test_preprocess_config_bounds():

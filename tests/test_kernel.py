@@ -51,6 +51,11 @@ class TestMedianBandwidth:
         with pytest.raises(NumericalError):
             median_bandwidth(np.zeros((4, 2)))
 
+    def test_zero_median_rejected(self):
+        # 6 of the 10 pairs coincide, so the median distance is 0
+        with pytest.raises(DataValidationError, match="median pairwise distance is 0"):
+            median_bandwidth(np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_sort_oracle_exactly(self, seed):
         rng = np.random.default_rng(seed)
@@ -242,8 +247,8 @@ class TestStackedKernels:
             for col in X.values.T:
                 if col.max() != col.min():
                     gaussian_kernel(col, median_bandwidth(col))
-        except (ConfigError, NumericalError) as exc:
-            # a zero bandwidth or all-zero distances: the stack fails the same way
+        except (ConfigError, DataValidationError, NumericalError) as exc:
+            # a zero median distance or all-zero distances: the stack fails the same way
             with pytest.raises(type(exc)):
                 feature_kernels(X)
             return

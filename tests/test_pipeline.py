@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -226,7 +227,7 @@ class TestEmitOutputs:
 class TestRunConfig:
     def test_from_dict_round_trip(self):
         config = fast_config()
-        rebuilt = RunConfig.from_dict(config.to_dict())
+        rebuilt = RunConfig.from_dict(dataclasses.asdict(config))
         assert rebuilt == config
 
     def test_unknown_keys_rejected(self):
