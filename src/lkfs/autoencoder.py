@@ -9,6 +9,7 @@ differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -18,6 +19,7 @@ from .dataio import ExpressionMatrix
 from .errors import ConfigError, DataValidationError, NumericalError
 
 _BN_EPS = 1e-5
+_ADAM_BLOCK = 1 << 15  # entries per block of the Adam step (256 KB of float64)
 
 
 @dataclass(frozen=True)
@@ -265,9 +267,17 @@ def loss_mse(x: np.ndarray, x_reconstructed: np.ndarray) -> float:
     return float((diff * diff).sum() / x.shape[0])
 
 
-def weight_penalty(model: AeModel) -> float:
-    """Sum of squared weight entries over encoder and decoder (biases excluded)."""
-    return float(sum((w * w).sum() for w in model.weight_matrices()))
+def weight_penalty(model: AeModel, scratch: np.ndarray | None = None) -> float:
+    """Sum of squared weight entries over encoder and decoder (biases excluded).
+
+    ``scratch``, a flat array at least as large as the largest weight matrix,
+    receives the squares instead of a fresh temporary per matrix.
+    """
+    total = 0
+    for w in model.weight_matrices():
+        squares = None if scratch is None else _view(scratch, w.shape)
+        total += np.multiply(w, w, out=squares).sum()
+    return float(total)
 
 
 def _training_loss(model: AeModel, batch: np.ndarray, beta_l2: float) -> float:
@@ -275,46 +285,130 @@ def _training_loss(model: AeModel, batch: np.ndarray, beta_l2: float) -> float:
     return loss_mse(batch, recon) + beta_l2 * weight_penalty(model)
 
 
+def _view(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading entries of a flat buffer as a C-contiguous array of ``shape``."""
+    return flat[: math.prod(shape)].reshape(shape)
+
+
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive, non-overlapping views of a flat buffer, one per shape."""
+    out, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[start : start + size].reshape(shape))
+        start += size
+    return out
+
+
+def _flatten_parameters(model: AeModel) -> np.ndarray:
+    """Move every trainable array into one flat buffer, in ``model.parameters()``
+    order, and leave the model holding reshaped views of it."""
+    arrays = [array for _, array in model.parameters()]
+    flat = np.concatenate([array.ravel() for array in arrays])
+    views = iter(_views(flat, [array.shape for array in arrays]))
+    for layer in model.layers():
+        layer.weights, layer.bias = next(views), next(views)
+        if layer.batch_norm is not None:
+            layer.batch_norm.gamma, layer.batch_norm.shift = next(views), next(views)
+    return flat
+
+
+class _Workspace:
+    """Gradient arrays and backward scratch for one model, reused across batches.
+
+    The gradients are views of one flat array aligned with
+    ``model.parameters()``; the row buffers hold up to ``rows`` rows of the
+    widest layer.
+    """
+
+    def __init__(self, model: AeModel, rows: int):
+        shapes = [array.shape for _, array in model.parameters()]
+        self.grad_flat = np.empty(sum(math.prod(shape) for shape in shapes))
+        self.grads = _views(self.grad_flat, shapes)
+        per_layer = iter(self.grads)
+        self.layer_grads = []  # (weights, bias, gamma, shift) per layer, None without BN
+        for layer in model.layers():
+            d_weights, d_bias = next(per_layer), next(per_layer)
+            bn = (next(per_layer), next(per_layer)) if layer.batch_norm is not None else (None, None)
+            self.layer_grads.append((d_weights, d_bias, *bn))
+        width = max(model.arch.encoder_layers + model.arch.decoder_layers)
+        self.deltas = (np.empty(rows * width), np.empty(rows * width))
+        self.rows_tmp = np.empty(rows * width)
+        self.mask = np.empty(rows * width, dtype=bool)
+        self.col_sums = np.empty((2, width))
+        self.weights_tmp = np.empty(max(w.size for w in model.weight_matrices()))
+
+
+def _backward(
+    model: AeModel,
+    caches: list[dict],
+    batch: np.ndarray,
+    recon: np.ndarray,
+    beta_l2: float,
+    out: _Workspace | None = None,
+) -> list[np.ndarray]:
+    """Gradients of the regularized loss from the caches of one train-mode pass.
+
+    They are written into the gradient arrays of ``out``, or of a fresh
+    workspace, and returned aligned with ``model.parameters()``. The input
+    gradient of the first layer is not computed: nothing reads it.
+    """
+    m = batch.shape[0]
+    ws = _Workspace(model, m) if out is None else out
+    delta_buf, below_buf = ws.deltas
+    d_out = _view(delta_buf, recon.shape)
+    np.subtract(recon, batch, out=d_out)
+    np.multiply(2.0, d_out, out=d_out)
+    np.divide(d_out, m, out=d_out)
+    layers = list(model.layers())
+    for idx in range(len(layers) - 1, -1, -1):
+        layer, cache = layers[idx], caches[idx]
+        d_weights, d_bias, d_gamma, d_shift = ws.layer_grads[idx]
+        # d_out becomes d_pre, then d_affine, in place
+        tmp = _view(ws.rows_tmp, d_out.shape)
+        if layer.activation == "relu":
+            mask = _view(ws.mask, d_out.shape)
+            np.greater(cache["pre"], 0, out=mask)
+            np.multiply(d_out, mask, out=d_out)
+        elif layer.activation == "sigmoid":
+            np.subtract(1.0, cache["out"], out=tmp)
+            np.multiply(d_out, cache["out"], out=d_out)
+            np.multiply(d_out, tmp, out=d_out)
+        bn = layer.batch_norm
+        if bn is not None:
+            xhat = cache["xhat"]
+            col_sum, col_dot = ws.col_sums[:, : d_out.shape[1]]
+            np.multiply(d_out, xhat, out=tmp)
+            np.sum(tmp, axis=0, out=d_gamma)
+            np.sum(d_out, axis=0, out=d_shift)
+            np.multiply(d_out, bn.gamma, out=d_out)  # d_xhat
+            np.sum(d_out, axis=0, out=col_sum)
+            np.multiply(d_out, xhat, out=tmp)
+            np.sum(tmp, axis=0, out=col_dot)
+            np.multiply(m, d_out, out=d_out)
+            np.subtract(d_out, col_sum, out=d_out)
+            np.multiply(xhat, col_dot, out=tmp)
+            np.subtract(d_out, tmp, out=d_out)
+            np.divide(cache["inv_std"], m, out=col_sum)
+            np.multiply(col_sum, d_out, out=d_out)
+        np.matmul(d_out.T, cache["h_in"], out=d_weights)
+        decay = _view(ws.weights_tmp, layer.weights.shape)
+        np.multiply(2.0 * beta_l2, layer.weights, out=decay)
+        np.add(d_weights, decay, out=d_weights)
+        np.sum(d_out, axis=0, out=d_bias)
+        if idx > 0:
+            d_in = _view(below_buf, (m, layer.weights.shape[1]))
+            np.matmul(d_out, layer.weights, out=d_in)
+            d_out = d_in
+            delta_buf, below_buf = below_buf, delta_buf
+    return ws.grads
+
+
 def parameter_gradients(model: AeModel, batch: np.ndarray, beta_l2: float) -> list[np.ndarray]:
     """Analytic gradients of the regularized loss, aligned with ``model.parameters()``."""
     batch = np.asarray(batch, dtype=np.float64)
     caches, _, recon = _forward_cached(model, batch, training=True)
-    m = batch.shape[0]
-    grads: dict[int, list[np.ndarray]] = {}
-    d_out = 2.0 * (recon - batch) / m
-    layers = list(model.layers())
-    for idx in range(len(layers) - 1, -1, -1):
-        layer, cache = layers[idx], caches[idx]
-        if layer.activation == "relu":
-            d_pre = d_out * (cache["pre"] > 0)
-        elif layer.activation == "sigmoid":
-            d_pre = d_out * cache["out"] * (1.0 - cache["out"])
-        else:
-            d_pre = d_out
-        bn = layer.batch_norm
-        layer_grads: list[np.ndarray] = []
-        if bn is not None:
-            xhat, inv_std = cache["xhat"], cache["inv_std"]
-            d_gamma = (d_pre * xhat).sum(axis=0)
-            d_shift = d_pre.sum(axis=0)
-            d_xhat = d_pre * bn.gamma
-            d_affine = (inv_std / m) * (
-                m * d_xhat - d_xhat.sum(axis=0) - xhat * (d_xhat * xhat).sum(axis=0)
-            )
-        else:
-            d_gamma = d_shift = None
-            d_affine = d_pre
-        d_weights = d_affine.T @ cache["h_in"] + 2.0 * beta_l2 * layer.weights
-        d_bias = d_affine.sum(axis=0)
-        layer_grads.extend([d_weights, d_bias])
-        if bn is not None:
-            layer_grads.extend([d_gamma, d_shift])
-        grads[idx] = layer_grads
-        d_out = d_affine @ layer.weights
-    flat: list[np.ndarray] = []
-    for idx in range(len(layers)):
-        flat.extend(grads[idx])
-    return flat
+    return _backward(model, caches, batch, recon, beta_l2)
 
 
 def numerical_gradients(model: AeModel, batch: np.ndarray, beta_l2: float, step: float = 1e-5) -> list[np.ndarray]:
@@ -362,11 +456,47 @@ def _batch_slices(n: int, batch_size: int, order: np.ndarray) -> list[np.ndarray
     return batches
 
 
+def _adam_step(
+    params: np.ndarray,
+    grads: np.ndarray,
+    adam_m: np.ndarray,
+    adam_v: np.ndarray,
+    step: int,
+    hp: AeHyperparams,
+    scratch: np.ndarray,
+) -> None:
+    """One Adam update of flat ``params`` in place, ``_ADAM_BLOCK`` entries at a
+    time so that the operands of every ufunc stay in cache."""
+    bias1 = 1.0 - hp.adam_beta1**step
+    bias2 = 1.0 - hp.adam_beta2**step
+    for start in range(0, params.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        p, g, m_state, v_state = params[block], grads[block], adam_m[block], adam_v[block]
+        t1, t2 = scratch[:, : p.size]
+        m_state *= hp.adam_beta1
+        np.multiply(1 - hp.adam_beta1, g, out=t1)
+        m_state += t1
+        v_state *= hp.adam_beta2
+        np.multiply(1 - hp.adam_beta2, g, out=t1)
+        t1 *= g
+        v_state += t1
+        np.divide(m_state, bias1, out=t1)
+        np.multiply(hp.learning_rate, t1, out=t1)
+        np.divide(v_state, bias2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += hp.adam_epsilon
+        t1 /= t2
+        p -= t1
+
+
 def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams) -> AeModel:
     """Mini-batch Adam over shuffled batches for ``hp.epochs`` passes.
 
     Deterministic given ``hp.seed`` (initialization and shuffling both derive
-    from it); records the mean regularized loss per epoch.
+    from it); records the mean regularized loss per epoch. Each batch runs one
+    forward pass, one backward pass and one Adam step. The trainable arrays of
+    the returned model are views of one flat buffer; gradients, Adam moments
+    and scratch are allocated once per call.
     """
     if arch.input_dim != X.d:
         raise ConfigError(f"architecture input size {arch.input_dim} != matrix width {X.d}")
@@ -374,9 +504,11 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams) -> AeMod
         raise DataValidationError(f"need n >= batch_size, got n={X.n}, batch_size={hp.batch_size}")
     model = init_model(arch, hp.seed)
     shuffle_rng = np.random.default_rng([hp.seed, 1])
-    params = [array for _, array in model.parameters()]
-    adam_m = [np.zeros_like(p) for p in params]
-    adam_v = [np.zeros_like(p) for p in params]
+    params = _flatten_parameters(model)
+    ws = _Workspace(model, hp.batch_size + 1)  # a trailing singleton joins the last batch
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
+    adam_scratch = np.empty((2, min(_ADAM_BLOCK, params.size)))
     step = 0
     values = X.values
     for epoch in range(hp.epochs):
@@ -384,24 +516,21 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams) -> AeMod
         epoch_loss = 0.0
         for batch_no, rows in enumerate(_batch_slices(X.n, hp.batch_size, order)):
             batch = values[rows]
+            m = batch.shape[0]
             caches, _, recon = _forward_cached(model, batch, training=True)
-            batch_loss = loss_mse(batch, recon) + hp.beta_l2 * weight_penalty(model)
+            # loss_mse and weight_penalty, squaring into reused scratch
+            diff = _view(ws.rows_tmp, batch.shape)
+            np.subtract(batch, recon, out=diff)
+            np.multiply(diff, diff, out=diff)
+            batch_loss = float(diff.sum() / m) + hp.beta_l2 * weight_penalty(model, ws.weights_tmp)
             if not np.isfinite(batch_loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
-            epoch_loss += batch_loss * batch.shape[0]
-            grads = parameter_gradients(model, batch, hp.beta_l2)
+            epoch_loss += batch_loss * m
+            _backward(model, caches, batch, recon, hp.beta_l2, out=ws)
             step += 1
-            bias1 = 1.0 - hp.adam_beta1**step
-            bias2 = 1.0 - hp.adam_beta2**step
-            for p, g, m_state, v_state in zip(params, grads, adam_m, adam_v):
-                m_state *= hp.adam_beta1
-                m_state += (1 - hp.adam_beta1) * g
-                v_state *= hp.adam_beta2
-                v_state += (1 - hp.adam_beta2) * g * g
-                p -= hp.learning_rate * (m_state / bias1) / (np.sqrt(v_state / bias2) + hp.adam_epsilon)
-            _update_running_stats(model, caches, batch.shape[0])
+            _adam_step(params, ws.grad_flat, adam_m, adam_v, step, hp, adam_scratch)
+            _update_running_stats(model, caches, m)
         model.loss_history.append(epoch_loss / X.n)
     return model
-

@@ -150,14 +150,15 @@ def _load_config(args) -> RunConfig:
         overrides["preprocess"] = dataclasses.replace(
             config.preprocess, repetitions=args.reps
         )
-    threads = getattr(args, "threads", None)
-    if threads is None and os.environ.get("LKFS_THREADS"):
-        try:
-            threads = int(os.environ["LKFS_THREADS"])
-        except ValueError:
-            raise ConfigError("LKFS_THREADS must be an integer") from None
-    if threads is not None:
-        overrides["threads"] = threads
+    if args.command == "run":  # the only subcommand that runs repetitions
+        threads = args.threads
+        if threads is None and os.environ.get("LKFS_THREADS"):
+            try:
+                threads = int(os.environ["LKFS_THREADS"])
+            except ValueError:
+                raise ConfigError("LKFS_THREADS must be an integer") from None
+        if threads is not None:
+            overrides["threads"] = threads
     return dataclasses.replace(config, **overrides) if overrides else config
 
 

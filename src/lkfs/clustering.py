@@ -30,9 +30,19 @@ class ClusterAssignment:
             raise NumericalError("non-finite inertia")
 
 
-def _sqdist_to_centers(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = X[:, None, :] - centers[None, :, :]
-    return (diff * diff).sum(axis=2)
+def _sqdist_to_centers(
+    X: np.ndarray, centers: np.ndarray, work: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, k) squared distances and the (n, k, d) scratch they were computed in.
+
+    Pass the scratch back to reuse it. A new one takes the memory layout numpy
+    gives ``X[:, None, :] - centers[None, :, :]``, so that the sums over its
+    last axis round as they do on that temporary: an F-ordered X, such as a
+    fancy-indexed column subset, puts the sample axis innermost.
+    """
+    work = np.subtract(X[:, None, :], centers[None, :, :], out=work)
+    np.multiply(work, work, out=work)
+    return work.sum(axis=2), work
 
 
 def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -56,8 +66,9 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, floa
     n = X.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
     prev_inertia = np.inf
+    work = None
     for iteration in range(1, _MAX_LLOYD_ITERATIONS + 1):
-        d2 = _sqdist_to_centers(X, centers)
+        d2, work = _sqdist_to_centers(X, centers, work)
         new_labels = d2.argmin(axis=1)
         inertia = float(d2[np.arange(n), new_labels].sum())
         if inertia > prev_inertia * (1 + 1e-9) + 1e-12:
@@ -74,7 +85,7 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, floa
         for c in range(k):
             if (labels == c).any():
                 continue
-            dist_own = _sqdist_to_centers(X, centers)[np.arange(n), labels]
+            dist_own = _sqdist_to_centers(X, centers, work)[0][np.arange(n), labels]
             counts = np.bincount(labels, minlength=k)
             movable = counts[labels] > 1
             if not movable.any():
@@ -85,7 +96,7 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, floa
             centers[c] = X[far]
             for cc in np.unique(labels):
                 centers[cc] = X[labels == cc].mean(axis=0)
-    d2 = _sqdist_to_centers(X, centers)
+    d2, _ = _sqdist_to_centers(X, centers, work)
     labels = d2.argmin(axis=1)
     inertia = float(d2[np.arange(n), labels].sum())
     return labels, inertia, _MAX_LLOYD_ITERATIONS

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lkfs.autoencoder import (
     AeArchitecture,
     AeHyperparams,
+    _batch_slices,
+    _forward_cached,
+    _update_running_stats,
     encode,
     forward,
     gradient_check,
@@ -225,3 +230,143 @@ class TestEncode:
         rev = encode(model, ExpressionMatrix(values[::-1], ids[::-1], names))
         np.testing.assert_array_equal(fwd.z_values, rev.z_values[::-1])
 
+
+def _reference_gradients(model, batch, beta_l2):
+    """The backward pass before the reused workspace: its own forward pass and
+    a fresh array for every intermediate and every gradient."""
+    caches, _, recon = _forward_cached(model, batch, training=True)
+    m = batch.shape[0]
+    grads = {}
+    d_out = 2.0 * (recon - batch) / m
+    layers = list(model.layers())
+    for idx in range(len(layers) - 1, -1, -1):
+        layer, cache = layers[idx], caches[idx]
+        if layer.activation == "relu":
+            d_pre = d_out * (cache["pre"] > 0)
+        elif layer.activation == "sigmoid":
+            d_pre = d_out * cache["out"] * (1.0 - cache["out"])
+        else:
+            d_pre = d_out
+        bn = layer.batch_norm
+        if bn is not None:
+            xhat, inv_std = cache["xhat"], cache["inv_std"]
+            d_gamma = (d_pre * xhat).sum(axis=0)
+            d_shift = d_pre.sum(axis=0)
+            d_xhat = d_pre * bn.gamma
+            d_affine = (inv_std / m) * (
+                m * d_xhat - d_xhat.sum(axis=0) - xhat * (d_xhat * xhat).sum(axis=0)
+            )
+        else:
+            d_affine = d_pre
+        layer_grads = [d_affine.T @ cache["h_in"] + 2.0 * beta_l2 * layer.weights, d_affine.sum(axis=0)]
+        if bn is not None:
+            layer_grads.extend([d_gamma, d_shift])
+        grads[idx] = layer_grads
+        d_out = d_affine @ layer.weights
+    return [g for idx in range(len(layers)) for g in grads[idx]]
+
+
+def _reference_train(X, arch, hp):
+    """Training before the single pass: two forward passes per batch and an
+    Adam step per parameter array with fresh temporaries."""
+    model = init_model(arch, hp.seed)
+    shuffle_rng = np.random.default_rng([hp.seed, 1])
+    params = [array for _, array in model.parameters()]
+    adam_m = [np.zeros_like(p) for p in params]
+    adam_v = [np.zeros_like(p) for p in params]
+    step = 0
+    for _ in range(hp.epochs):
+        order = shuffle_rng.permutation(X.n)
+        epoch_loss = 0.0
+        for rows in _batch_slices(X.n, hp.batch_size, order):
+            batch = X.values[rows]
+            caches, _, recon = _forward_cached(model, batch, training=True)
+            penalty = float(sum((w * w).sum() for w in model.weight_matrices()))
+            epoch_loss += (loss_mse(batch, recon) + hp.beta_l2 * penalty) * batch.shape[0]
+            grads = _reference_gradients(model, batch, hp.beta_l2)
+            step += 1
+            bias1 = 1.0 - hp.adam_beta1**step
+            bias2 = 1.0 - hp.adam_beta2**step
+            for p, g, m_state, v_state in zip(params, grads, adam_m, adam_v):
+                m_state *= hp.adam_beta1
+                m_state += (1 - hp.adam_beta1) * g
+                v_state *= hp.adam_beta2
+                v_state += (1 - hp.adam_beta2) * g * g
+                p -= hp.learning_rate * (m_state / bias1) / (np.sqrt(v_state / bias2) + hp.adam_epsilon)
+            _update_running_stats(model, caches, batch.shape[0])
+        model.loss_history.append(epoch_loss / X.n)
+    return model
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_training(X, arch, hp):
+    got, want = train(X, arch, hp), _reference_train(X, arch, hp)
+    for (name, a), (_, b) in zip(got.parameters(), want.parameters()):
+        _assert_same_bits(a, b)
+    for layer, ref in zip(got.layers(), want.layers()):
+        if layer.batch_norm is not None:
+            _assert_same_bits(layer.batch_norm.running_mean, ref.batch_norm.running_mean)
+            _assert_same_bits(layer.batch_norm.running_var, ref.batch_norm.running_var)
+    _assert_same_bits(got.loss_history, want.loss_history)
+    _assert_same_bits(encode(got, X).z_values, encode(want, X).z_values)
+    batch = X.values[: hp.batch_size]
+    for a, b in zip(
+        parameter_gradients(got, batch, hp.beta_l2), _reference_gradients(want, batch, hp.beta_l2)
+    ):
+        _assert_same_bits(a, b)
+
+
+def _uniform_matrix(n, d, seed):
+    values = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, d))
+    return ExpressionMatrix(values, tuple(f"s{i}" for i in range(n)), tuple(f"g{j}" for j in range(d)))
+
+
+@st.composite
+def training_cases(draw):
+    d = draw(st.integers(2, 12))
+    hidden = tuple(draw(st.lists(st.integers(1, 9), max_size=2)))
+    arch = AeArchitecture.default(d, hidden=hidden, latent_dim=draw(st.integers(1, 4)))
+    batch_size = draw(st.integers(2, 8))
+    # a tail of one row joins the previous batch
+    tail = draw(st.one_of(st.just(1), st.integers(0, batch_size - 1)))
+    n = batch_size * draw(st.integers(1, 4)) + tail
+    hp = AeHyperparams(
+        epochs=draw(st.integers(1, 4)),
+        batch_size=batch_size,
+        beta_l2=draw(st.sampled_from([0.0, 1e-4, 0.5])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return _uniform_matrix(n, d, hp.seed), arch, hp
+
+
+class TestTrainingBitIdentity:
+    """One forward pass, the reused workspace and the blocked Adam step give
+    the bits of the two-pass, per-array loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(training_cases())
+    def test_matches_two_pass_loop(self, case):
+        _assert_same_training(*case)
+
+    def test_matches_two_pass_loop_on_a_wider_network(self):
+        # several BLAS-sized layers and a trailing single row (65 = 2 * 32 + 1)
+        arch = AeArchitecture.default(60, hidden=(32, 16), latent_dim=8)
+        hp = AeHyperparams(epochs=3, batch_size=32, seed=11)
+        _assert_same_training(_uniform_matrix(65, 60, 11), arch, hp)
+
+    def test_parameter_gradients_are_fresh_arrays(self):
+        X, _ = generate_synthetic(n=24, d=6, informative=2, separation=3.0, seed=0)
+        model = train(minmax_scale(X), TINY, AeHyperparams(epochs=2, batch_size=8, seed=0))
+        batch = tiny_batch()
+        first = parameter_gradients(model, batch, 1e-3)
+        second = parameter_gradients(model, batch, 1e-3)
+        params = [array for _, array in model.parameters()]
+        for a, b in zip(first, second):
+            _assert_same_bits(a, b)
+        for i, a in enumerate(first):
+            assert not any(np.shares_memory(a, other) for other in second + params)
+            assert not any(np.shares_memory(a, other) for other in first[i + 1 :])

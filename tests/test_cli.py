@@ -219,6 +219,25 @@ class TestRun:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["threads"] == 3
 
+    def test_select_ignores_threads_env(self, fixture_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("LKFS_THREADS", "x")
+        code = main(
+            ["select", "--input", str(fixture_dir / "matrix.tsv"), "--method", "spec",
+             "--p", "3", "--out", str(tmp_path / "solution.json")]
+        )
+        assert code == 0
+
+    def test_evaluate_ignores_threads_env(self, fixture_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("LKFS_THREADS", "x")
+        selection = tmp_path / "selection.txt"
+        selection.write_text("f0000\nf0001\n")
+        code = main(
+            ["evaluate", "--input", str(fixture_dir / "matrix.tsv"),
+             "--labels", str(fixture_dir / "labels.tsv"), "--selection", str(selection),
+             "--k", "2", "--out", str(tmp_path / "metrics.json")]
+        )
+        assert code == 0
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):

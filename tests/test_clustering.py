@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lkfs.clustering import ClusterAssignment, adjusted_rand_index, kmeans, rand_index
+from lkfs.clustering import (
+    ClusterAssignment,
+    _sqdist_to_centers,
+    adjusted_rand_index,
+    kmeans,
+    rand_index,
+)
 from lkfs.dataio import minmax_scale
 from lkfs.errors import ConfigError, DataValidationError
 
@@ -80,6 +86,35 @@ class TestKmeans:
         result = kmeans(X, k=5, restarts=3, seed=2)
         assert result.labels.min() >= 0 and result.labels.max() < 5
         assert result.iterations_run >= 1
+
+
+class TestReusedDistanceWorkspace:
+    """Squared distances computed in the reused workspace have the bits of the
+    broadcast temporaries, for every memory layout of the points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 20),
+        st.integers(1, 5),
+        st.integers(1, 40),
+        st.sampled_from(["C", "fancy-indexed columns", "strided"]),
+        st.integers(0, 2**16),
+    )
+    def test_matches_broadcast_temporaries(self, n, k, d, layout, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, 2 * d))
+        X = {
+            "C": np.ascontiguousarray(values[:, :d]),
+            "fancy-indexed columns": values[:, rng.permutation(2 * d)[:d]],  # F-ordered
+            "strided": values[:, ::2],
+        }[layout]
+        work = None
+        for _ in range(3):  # later calls reuse the scratch of the first
+            centers = rng.standard_normal((k, d))
+            diff = X[:, None, :] - centers[None, :, :]
+            expected = (diff * diff).sum(axis=2)
+            got, work = _sqdist_to_centers(X, centers, work)
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestRandIndex:
