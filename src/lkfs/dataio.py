@@ -133,54 +133,72 @@ def _parse_cell(raw: str, line_no: int, col_name: str) -> float:
     return value
 
 
+def _parse_row(cells: list[str], line_no: int, col_names: Sequence[str]) -> np.ndarray:
+    """Convert one row's value cells at once.
+
+    A row that fails to convert, or that holds a non-finite value, is parsed
+    again cell by cell, which names the bad cell in the error.
+    """
+    try:
+        row = np.array(cells, dtype=np.float64)  # same values as float() on each cell
+        if np.isfinite(row).all():
+            return row
+    except ValueError:
+        pass
+    return np.array(
+        [_parse_cell(c, line_no, col_names[j]) for j, c in enumerate(cells)], dtype=np.float64
+    )
+
+
 def load_matrix(path: str | Path, orientation: str = "samples-as-rows") -> ExpressionMatrix:
     """Parse a delimited text matrix into a validated :class:`ExpressionMatrix`.
 
     ``orientation`` selects whether file rows are samples or features; in the
-    latter case the result is transposed so samples are rows.
+    latter case the result is transposed so samples are rows. The file is read
+    one line at a time, with the line boundaries of ``str.splitlines``; blank
+    lines are skipped but counted, so errors name the physical line.
     """
     if orientation not in ORIENTATIONS:
         raise ConfigError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
     path = Path(path)
     if not path.is_file():
         raise DataValidationError(f"matrix file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines = [ln for ln in lines if ln.strip() != ""]
-    if len(lines) < 2:
-        raise DataValidationError(f"matrix file has no data rows: {path}")
-
-    delim = _detect_delimiter(lines[0])
-    header = [c.strip() for c in lines[0].split(delim)]
-    col_names = header[1:]
-    if not col_names:
-        raise DataValidationError(f"header declares no columns: {path}")
 
     row_ids: list[str] = []
-    rows: list[list[float]] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(delim)]
-        if len(cells) != len(header):
-            raise DataValidationError(
-                f"ragged row at line {line_no}: expected {len(header)} cells, got {len(cells)}"
-            )
-        row_ids.append(cells[0])
-        rows.append(
-            [_parse_cell(c, line_no, col_names[j]) for j, c in enumerate(cells[1:])]
-        )
+    rows: list[np.ndarray] = []
+    with path.open(encoding="utf-8") as f:
+        numbered = enumerate((ln for chunk in f for ln in chunk.splitlines()), start=1)
+        lines = ((no, ln) for no, ln in numbered if ln.strip())
+        _, header_line = next(lines, (0, ""))
+        delim = _detect_delimiter(header_line)
+        header = [c.strip() for c in header_line.split(delim)]
+        col_names = header[1:]
+        if not col_names and next(lines, None) is not None:
+            raise DataValidationError(f"header declares no columns: {path}")
+        for line_no, line in lines:
+            cells = line.split(delim)
+            if len(cells) != len(header):
+                raise DataValidationError(
+                    f"ragged row at line {line_no}: expected {len(header)} cells, got {len(cells)}"
+                )
+            row_ids.append(cells[0].strip())
+            rows.append(_parse_row(cells[1:], line_no, col_names))
+    if not rows:
+        raise DataValidationError(f"matrix file has no data rows: {path}")
 
     values = np.array(rows, dtype=np.float64)
+    del rows  # free the row copies before validation, or the transpose, copies again
     if orientation == "features-as-rows":
         return ExpressionMatrix(values.T, sample_ids=col_names, feature_names=row_ids)
     return ExpressionMatrix(values, sample_ids=row_ids, feature_names=col_names)
 
 
 def save_matrix(X: ExpressionMatrix, path: str | Path, delimiter: str = "\t") -> None:
-    """Write a matrix in the on-disk format; floats use shortest exact repr."""
-    path = Path(path)
-    out = [delimiter.join(["sample_id", *X.feature_names])]
-    for sid, row in zip(X.sample_ids, X.values):
-        out.append(delimiter.join([sid, *(repr(float(v)) for v in row)]))
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    """Write a matrix in the on-disk format, one row at a time; floats use shortest exact repr."""
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.write(delimiter.join(["sample_id", *X.feature_names]) + "\n")
+        for sid, row in zip(X.sample_ids, X.values):
+            f.write(delimiter.join([sid, *map(repr, row.tolist())]) + "\n")
 
 
 def load_labels(path: str | Path) -> LabelVector:

@@ -42,15 +42,21 @@ class KernelMatrix:
 
 
 def pairwise_sqdist(points: np.ndarray) -> np.ndarray:
-    """Exact n x n squared Euclidean distances (row-by-row differences)."""
+    """Exact n x n squared Euclidean distances (row-by-row differences).
+
+    Each unordered pair is computed once and mirrored: ``(a - b)**2`` and
+    ``(b - a)**2`` are the same float, so the result is exactly symmetric.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     n = pts.shape[0]
     out = np.empty((n, n), dtype=np.float64)
     for i in range(n):
-        diff = pts - pts[i]
-        out[i] = (diff * diff).sum(axis=1)
+        diff = pts[i:] - pts[i]
+        row = (diff * diff).sum(axis=1)
+        out[i, i:] = row
+        out[i:, i] = row
     return out
 
 

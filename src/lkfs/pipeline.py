@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import types
+import typing
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -85,18 +87,56 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        doc = dict(doc)
-        pre = doc.pop("preprocess", {})
-        ae = doc.pop("ae", {})
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(
-            preprocess=PreprocessConfig(**pre) if isinstance(pre, dict) else pre,
-            ae=AeHyperparams(**ae) if isinstance(ae, dict) else ae,
-            **doc,
-        )
+        """Build a config from a parsed JSON document.
+
+        Every key is checked against its field's declared type first, so a
+        misspelt key or a value of the wrong type is a ``ConfigError`` that
+        names the key. A list is accepted where a tuple is declared.
+        """
+        return _build(cls, doc, "")
+
+
+def _build(cls, doc, prefix: str):
+    """``cls(**doc)`` once every key of ``doc`` names a field of the declared type."""
+    if not isinstance(doc, dict):
+        where = f"config key {prefix[:-1]!r}" if prefix else "config"
+        raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(prefix + key for key in set(doc) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    fields = {}
+    for key, value in doc.items():
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            value = _build(hint, value, f"{prefix}{key}.")
+        elif not _has_type(value, hint):
+            raise ConfigError(
+                f"config key {prefix + key!r} must be {_type_name(hint)}, got {value!r}"
+            )
+        fields[key] = value
+    return cls(**fields)
+
+
+def _has_type(value, hint) -> bool:
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, arg) for arg in args)
+    if typing.get_origin(hint) is tuple:  # always tuple[T, ...]
+        return isinstance(value, (list, tuple)) and all(_has_type(v, args[0]) for v in value)
+    if isinstance(value, bool):  # a bool is an int to isinstance, never to a config
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _type_name(hint) -> str:
+    if isinstance(hint, types.UnionType):
+        return " or ".join(_type_name(arg) for arg in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        return f"a list of {_type_name(typing.get_args(hint)[0])}"
+    return "null" if hint is type(None) else hint.__name__
 
 
 def preprocess_matrix(X: ExpressionMatrix, cfg: PreprocessConfig) -> ExpressionMatrix:

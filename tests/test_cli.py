@@ -276,6 +276,29 @@ class TestExitCodes:
         assert code == 2
         assert "'g1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"ae": {"epochs": "5"}}, "config key 'ae.epochs' must be int, got '5'"),
+            ({"p_grid": 5}, "config key 'p_grid' must be a list of int, got 5"),
+            ([1], "config must be a JSON object, got list"),
+            ({"preprocess": {"bogus": 1}}, "unknown config keys: ['preprocess.bogus']"),
+            ({"kmeans_restarts": "3"}, "config key 'kmeans_restarts' must be int, got '3'"),
+            ({"kmeans_restarts": True}, "config key 'kmeans_restarts' must be int, got True"),
+        ],
+        ids=["nested-string", "scalar-for-list", "top-level-list", "nested-unknown", "string",
+             "bool-for-int"],
+    )
+    def test_config_value_of_wrong_type_is_1(self, fixture_dir, tmp_path, capsys, doc, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code = main(
+            ["run", "--config", str(config), "--input", str(fixture_dir / "matrix.tsv"),
+             "--print-config"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_cell_is_2(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("id\tg1\ns1\tNA\ns2\t1\n")

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lkfs.dataio import (
+    ORIENTATIONS,
     ExpressionMatrix,
     LabelVector,
     PreprocessConfig,
@@ -68,6 +73,17 @@ class TestLoadMatrix:
         with pytest.raises(DataValidationError, match="ragged row at line 2"):
             load_matrix(path)
 
+    def test_bad_cell_names_physical_line(self, tmp_path):
+        # the bad cell sits on line 6, after two blank lines
+        path = write(tmp_path, "m.tsv", "id\tg1\tg2\n\ns1\t1\t2\n \ns2\t3\t4\ns3\t5\tx\n")
+        with pytest.raises(DataValidationError, match="non-numeric cell 'x' at line 6, column 'g2'"):
+            load_matrix(path)
+
+    def test_ragged_row_names_physical_line(self, tmp_path):
+        path = write(tmp_path, "m.tsv", "\nid\tg1\tg2\n\n\ns1\t1.0\n")
+        with pytest.raises(DataValidationError, match="ragged row at line 5"):
+            load_matrix(path)
+
     def test_duplicate_sample_id(self, tmp_path):
         path = write(tmp_path, "m.tsv", "id\tg1\ns1\t1\ns1\t2\n")
         with pytest.raises(DataValidationError, match="duplicate sample id"):
@@ -90,6 +106,155 @@ class TestLoadMatrix:
         back = load_matrix(path)
         np.testing.assert_array_equal(back.values, X.values)
         assert back.sample_ids == X.sample_ids
+
+
+def cell_by_cell_load_matrix(path, orientation="samples-as-rows"):
+    """The loader that read the whole text and parsed cell by cell, kept as
+    the reference; it numbers lines as ``str.splitlines`` does, blank ones
+    included, where it used to count only the non-blank ones."""
+    if orientation not in ORIENTATIONS:
+        raise ConfigError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
+    path = Path(path)
+    if not path.is_file():
+        raise DataValidationError(f"matrix file not found: {path}")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = [(no, ln) for no, ln in enumerate(lines, start=1) if ln.strip() != ""]
+    if len(lines) < 2:
+        raise DataValidationError(f"matrix file has no data rows: {path}")
+
+    delim = "\t" if "\t" in lines[0][1] else ","
+    header = [c.strip() for c in lines[0][1].split(delim)]
+    col_names = header[1:]
+    if not col_names:
+        raise DataValidationError(f"header declares no columns: {path}")
+
+    def parse_cell(raw, line_no, col_name):
+        text = raw.strip()
+        try:
+            value = float(text)
+        except ValueError:
+            raise DataValidationError(
+                f"non-numeric cell {text!r} at line {line_no}, column {col_name!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise DataValidationError(
+                f"non-finite cell {text!r} at line {line_no}, column {col_name!r}"
+            )
+        return value
+
+    row_ids, rows = [], []
+    for line_no, line in lines[1:]:
+        cells = [c.strip() for c in line.split(delim)]
+        if len(cells) != len(header):
+            raise DataValidationError(
+                f"ragged row at line {line_no}: expected {len(header)} cells, got {len(cells)}"
+            )
+        row_ids.append(cells[0])
+        rows.append([parse_cell(c, line_no, col_names[j]) for j, c in enumerate(cells[1:])])
+
+    values = np.array(rows, dtype=np.float64)
+    if orientation == "features-as-rows":
+        return ExpressionMatrix(values.T, sample_ids=col_names, feature_names=row_ids)
+    return ExpressionMatrix(values, sample_ids=row_ids, feature_names=col_names)
+
+
+def load_outcome(load, path, orientation):
+    try:
+        X = load(path, orientation)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return X.values.shape, X.values.tobytes(), X.sample_ids, X.feature_names
+
+
+PADDING = st.sampled_from(["", "", "", " ", "  ", "\xa0", "\u3000", "\x1f"])
+GOOD_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1e-400", "-0", "1_000", "\u0661\u0662\u0663", "\uff11\uff12", "+.5e-3"]),
+)
+BAD_CELL = st.sampled_from(
+    ["nan", "-inf", "inf", "1e309", "-1e309", "1__0", "_1", "0x10", "x", "NA", "", "1 2"]
+)
+NAME = st.tuples(st.sampled_from(["", " ", "\xa0"]), st.text("abcdefgh", min_size=1, max_size=2))
+BLANK = st.sampled_from(["", " ", "\t", "\xa0 "])
+LINE_END = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x0b", "\u2028", "\x85", "\x1e"])
+
+
+@st.composite
+def matrix_files(draw):
+    """Text of a delimited matrix with the irregularities a real file can hold."""
+    delim = draw(st.sampled_from(["\t", ","]))
+    bad_percent = draw(st.sampled_from([0, 0, 2, 20]))
+    ragged_percent = draw(st.sampled_from([0, 0, 0, 20]))
+
+    def cell():
+        text = draw(BAD_CELL if draw(st.integers(0, 99)) < bad_percent else GOOD_CELL)
+        return draw(PADDING) + text + draw(PADDING)
+
+    d = draw(st.integers(0, 5))
+    lines = [delim.join(["id", *("".join(draw(NAME)) for _ in range(d))])]
+    for _ in range(draw(st.integers(0, 6))):
+        width = d
+        if draw(st.integers(0, 99)) < ragged_percent:
+            width = max(0, d + draw(st.sampled_from([-1, 1])))
+        lines.append(delim.join(["".join(draw(NAME)), *(cell() for _ in range(width))]))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(BLANK))
+    text = "".join(line + draw(LINE_END) for line in lines)
+    return text if draw(st.booleans()) else text[:-1]
+
+
+class TestStreamingLoader:
+    """The streaming loader gives what the cell-by-cell loader gave: the same
+    value bytes, ids and names, or the same exception and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_files(), st.sampled_from(ORIENTATIONS))
+    def test_matches_cell_by_cell_loader(self, tmp_path_factory, text, orientation):
+        path = tmp_path_factory.mktemp("fuzz") / "m.txt"
+        path.write_bytes(text.encode("utf-8"))
+        expected = load_outcome(cell_by_cell_load_matrix, path, orientation)
+        assert load_outcome(load_matrix, path, orientation) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+               elements=st.floats(allow_nan=False, allow_infinity=False)),
+        st.sampled_from(["\t", ","]),
+        st.data(),
+    )
+    def test_save_load_round_trip(self, tmp_path_factory, values, delimiter, data):
+        name = st.text(
+            st.characters(categories=["L", "N", "P", "S"], exclude_characters="\t,"),
+            min_size=1, max_size=6,
+        )
+        n, d = values.shape
+        ids = data.draw(st.lists(name, min_size=n, max_size=n, unique=True))
+        names = data.draw(st.lists(name, min_size=d, max_size=d, unique=True))
+        X = ExpressionMatrix(values, ids, names)
+        path = tmp_path_factory.mktemp("roundtrip") / "m.txt"
+        save_matrix(X, path, delimiter=delimiter)
+        back = load_matrix(path)
+        assert back.values.tobytes() == X.values.tobytes()
+        assert (back.sample_ids, back.feature_names) == (X.sample_ids, X.feature_names)
+
+    def test_load_memory_is_a_small_multiple_of_the_values(self, tmp_path):
+        rng = np.random.default_rng(0)
+        X = ExpressionMatrix(
+            rng.standard_normal((100, 2000)),
+            tuple(f"s{i}" for i in range(100)),
+            tuple(f"g{j}" for j in range(2000)),
+        )
+        path = tmp_path / "m.tsv"
+        save_matrix(X, path)
+        tracemalloc.start()
+        try:
+            back = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.values.tobytes() == X.values.tobytes()
+        assert peak <= 3 * X.values.nbytes + 2**20
 
 
 class TestLoadLabels:

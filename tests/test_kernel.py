@@ -36,6 +36,47 @@ def brute_force_median_distance(points):
     return (dists[m // 2 - 1] + dists[m // 2]) / 2.0
 
 
+def row_loop_sqdist(points):
+    """Every row's differences to all points, the loop that computed every pair twice."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    out = np.empty((pts.shape[0], pts.shape[0]))
+    for i in range(pts.shape[0]):
+        diff = pts - pts[i]
+        out[i] = (diff * diff).sum(axis=1)
+    return out
+
+
+class TestPairwiseSqdist:
+    """Each pair computed once and mirrored has the bits of the full row loop,
+    for every memory layout of the points."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 25),
+        st.sampled_from([1, 2, 7, 9, 40, 130, 300]),
+        st.sampled_from(["C", "F", "fancy-indexed columns", "strided", "1-D"]),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    def test_matches_row_loop(self, n, d, layout, duplicates, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, 2 * d)) * 10.0 ** rng.integers(-3, 4, size=2 * d)
+        if duplicates:
+            values[rng.integers(0, n, size=n // 2)] = values[0]
+        pts = {
+            "C": np.ascontiguousarray(values[:, :d]),
+            "F": np.asfortranarray(values[:, :d]),
+            "fancy-indexed columns": values[:, rng.permutation(2 * d)[:d]],
+            "strided": values[:, ::2],
+            "1-D": values[:, 0],
+        }[layout]
+        got = kernel.pairwise_sqdist(pts)
+        assert got.tobytes() == row_loop_sqdist(pts).tobytes()
+        assert got.tobytes() == got.T.copy().tobytes()
+
+
 class TestMedianBandwidth:
     def test_three_points_odd_count(self):
         assert median_bandwidth(np.array([0.0, 1.0, 3.0])) == 2.0
