@@ -45,6 +45,14 @@ def _sqdist_to_centers(
     return work.sum(axis=2), work
 
 
+def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
+    """``int(rng.choice(p.size, p=p))`` for probabilities ``p``, without its
+    validation: the same steps give the same index and advance ``rng`` alike."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
@@ -56,10 +64,10 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             unchosen = [i for i in range(n) if i not in set(chosen)]
             nxt = unchosen[0]
         else:
-            nxt = int(rng.choice(n, p=d2 / total))
+            nxt = _draw(d2 / total, rng)
         chosen.append(nxt)
         d2 = np.minimum(d2, ((X - X[nxt]) ** 2).sum(axis=1))
-    return X[chosen].copy()
+    return X[chosen]
 
 
 def _lloyd(X: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, float, int]:
@@ -70,17 +78,20 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, floa
     for iteration in range(1, _MAX_LLOYD_ITERATIONS + 1):
         d2, work = _sqdist_to_centers(X, centers, work)
         new_labels = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(n), new_labels].sum())
+        inertia = float(d2.min(axis=1).sum())
         if inertia > prev_inertia * (1 + 1e-9) + 1e-12:
             raise NumericalError("Lloyd iteration increased inertia")
         prev_inertia = inertia
-        if np.array_equal(new_labels, labels):
+        if (new_labels == labels).all():
             return labels, inertia, iteration
         labels = new_labels
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                centers[c] = X[members].mean(axis=0)
+        counts = np.bincount(labels, minlength=k).tolist()
+        for c, count in enumerate(counts):
+            if count:
+                # what X[labels == c].mean(axis=0) computes
+                centers[c] = np.add.reduce(X[labels == c], axis=0) / count
+        if min(counts):
+            continue
         # empty-cluster repair: move the point farthest from its centroid
         for c in range(k):
             if (labels == c).any():

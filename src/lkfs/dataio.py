@@ -202,19 +202,23 @@ def save_matrix(X: ExpressionMatrix, path: str | Path, delimiter: str = "\t") ->
 
 
 def load_labels(path: str | Path) -> LabelVector:
-    """Parse a two-column (sample_id, label) file; header row optional."""
+    """Parse a two-column (sample_id, label) file; header row optional.
+
+    Blank lines are skipped but counted, so errors name the physical line.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataValidationError(f"labels file not found: {path}")
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    text = path.read_text(encoding="utf-8")
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise DataValidationError(f"labels file is empty: {path}")
-    delim = _detect_delimiter(lines[0])
+    delim = _detect_delimiter(lines[0][1])
 
-    first = [c.strip() for c in lines[0].split(delim)]
+    first = [c.strip() for c in lines[0][1].split(delim)]
     start = 1 if len(first) >= 2 and first[1] == "label" else 0
     labels: dict[str, str] = {}
-    for line_no, line in enumerate(lines[start:], start=start + 1):
+    for line_no, line in lines[start:]:
         cells = [c.strip() for c in line.split(delim)]
         if len(cells) < 2:
             raise DataValidationError(f"labels line {line_no} has fewer than two columns")

@@ -13,7 +13,6 @@ from .dataio import ExpressionMatrix
 from .errors import ConfigError, DataValidationError, NumericalError
 
 BANDWIDTH_MODES = ("per-feature", "global")
-_BLOCK_ENTRIES = 1 << 17  # pair entries per block of columns in feature_kernels (1 MB)
 
 
 @dataclass(frozen=True)
@@ -192,16 +191,17 @@ class StackedKernels:
         return (self.n + 2.0 * np.einsum("ij,ij->i", self.upper, self.upper))[self.first_copies]
 
 
-def _median_distance(sq: np.ndarray) -> np.ndarray:
-    """Row medians of ``np.sqrt(sq)`` for non-negative ``sq``, bit for bit as
-    ``np.median``, from one single-kth partition of ``sq``: the square root is
-    monotonic, and the lower middle value is the largest entry left of the kth."""
-    half = sq.shape[1] // 2
-    part = np.partition(sq, half, axis=1)
-    upper = np.sqrt(part[:, half])
-    if sq.shape[1] % 2:
+def _median_distance(sq: np.ndarray) -> float:
+    """Median of ``np.sqrt(sq)`` for a non-negative 1-D ``sq``, bit for bit as
+    ``np.median``, from one single-kth partition of a copy of ``sq``: the square
+    root is monotonic, and the lower middle value is the largest entry left of
+    the kth."""
+    half = sq.size // 2
+    part = np.partition(sq, half)
+    upper = np.sqrt(part[half])
+    if sq.size % 2:
         return upper
-    return (np.sqrt(part[:, :half].max(axis=1)) + upper) / 2.0
+    return (np.sqrt(part[:half].max()) + upper) / 2.0
 
 
 def feature_kernels(X: ExpressionMatrix, bandwidth_mode: str = "per-feature") -> StackedKernels:
@@ -211,46 +211,39 @@ def feature_kernels(X: ExpressionMatrix, bandwidth_mode: str = "per-feature") ->
     ``gaussian_kernel(col_j, median_bandwidth(col_j))`` with the default
     ``bandwidth_mode="per-feature"``; "global" applies a single bandwidth
     computed on the full matrix. Constant columns yield flagged degenerate
-    all-ones kernels. Columns are processed in blocks so that temporaries stay
-    at a few MB.
+    all-ones kernels. Each kernel is built in place in its row of the stack,
+    so the build needs only a few rows of pairs on top of the stack.
     """
     if bandwidth_mode not in BANDWIDTH_MODES:
         raise ConfigError(f"bandwidth_mode must be one of {BANDWIDTH_MODES}")
     if X.n < 2:
         raise DataValidationError("feature kernels need at least 2 samples")
     global_sigma = median_bandwidth(X.values) if bandwidth_mode == "global" else None
-    cols = np.ascontiguousarray(X.values.T)
-    degenerate = cols.max(axis=1) == cols.min(axis=1)
+    degenerate = X.values.max(axis=0) == X.values.min(axis=0)
     iu, ju = _triu_indices(X.n)
     upper = np.empty((X.d, iu.size))
     bandwidths = np.full(X.d, np.nan)
-    step = max(1, _BLOCK_ENTRIES // iu.size)
-    for start in range(0, X.d, step):
-        rows = slice(start, start + step)
-        sq = cols[rows][:, ju] - cols[rows][:, iu]
-        sq *= sq
-        if global_sigma is None:
-            sigma = _median_distance(sq)
-        else:
-            sigma = np.full(sq.shape[0], global_sigma)
-        # a constant column has sq == 0, so any bandwidth gives exp(0) = 1
-        sigma[degenerate[rows]] = 1.0
-        bad = np.flatnonzero(sigma <= 0)
-        if bad.size:
-            j = bad[0]
-            if global_sigma is None and not sq[j].any():  # distances underflow to zero
+    for j, row in enumerate(upper):
+        if degenerate[j]:
+            row.fill(1.0)  # exp(-0) at any bandwidth
+            continue
+        col = X.values[:, j]
+        np.subtract(col[ju], col[iu], out=row)
+        row *= row
+        sigma = _median_distance(row) if global_sigma is None else global_sigma
+        if sigma <= 0:
+            if not row.any():  # distances underflow to zero
                 raise NumericalError(
-                    f"feature {start + j}: all pairwise distances are zero; "
-                    "kernel would be degenerate"
+                    f"feature {j}: all pairwise distances are zero; kernel would be degenerate"
                 )
             raise DataValidationError(
-                f"feature {X.feature_names[start + j]!r}: median pairwise distance is 0 "
+                f"feature {X.feature_names[j]!r}: median pairwise distance is 0 "
                 "(more than half of the sample pairs hold equal values)"
             )
-        np.negative(sq, out=sq)
-        sq /= (2.0 * sigma * sigma)[:, None]
-        np.exp(sq, out=upper[rows])
-        bandwidths[rows] = np.where(degenerate[rows], np.nan, sigma)
+        bandwidths[j] = sigma
+        np.negative(row, out=row)
+        row /= 2.0 * sigma * sigma
+        np.exp(row, out=row)
     return StackedKernels(
         upper=upper,
         n=X.n,

@@ -400,11 +400,16 @@ def emit_outputs(result: RunResult, output_dir: str | Path, force: bool = False)
             f"output directory {out} is not empty; pass force=True (--force) to overwrite"
         )
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    entries: dict[Path, dict] = {}  # index entry of every file written, in write order
 
     def emit(path: Path, text: str) -> None:
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
+        data = text.encode("utf-8")
+        path.write_bytes(data)
+        entries[path] = {
+            "path": path.name,
+            "bytes": len(data),
+            "sha256": hashlib.sha256(data).hexdigest(),
+        }
 
     for method, report in result.reports.items():
         emit(out / f"report_{method}.json", _report_json(report))
@@ -440,17 +445,7 @@ def emit_outputs(result: RunResult, output_dir: str | Path, force: bool = False)
                     _projection_svg(coords, first_k.cluster_labels),
                 )
 
-    index = {
-        "files": [
-            {
-                "path": p.name,
-                "bytes": p.stat().st_size,
-                "sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
-            }
-            for p in sorted(written)
-        ]
-    }
+    index = {"files": [entries[p] for p in sorted(entries)]}
     index_path = out / "index.json"
     index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    written.append(index_path)
-    return written
+    return [*entries, index_path]

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from lkfs.clustering import (
     ClusterAssignment,
+    _draw,
     _sqdist_to_centers,
     adjusted_rand_index,
     kmeans,
     rand_index,
 )
 from lkfs.dataio import minmax_scale
-from lkfs.errors import ConfigError, DataValidationError
+from lkfs.errors import ConfigError, DataValidationError, NumericalError
 
 
 def brute_force_pair_counts(pred, truth):
@@ -115,6 +116,113 @@ class TestReusedDistanceWorkspace:
             expected = (diff * diff).sum(axis=2)
             got, work = _sqdist_to_centers(X, centers, work)
             assert got.tobytes() == expected.tobytes()
+
+
+def reference_kmeans(X, k, restarts, seed):
+    """k-means as written before its bookkeeping was cut: ``rng.choice`` draws,
+    a fancy-indexed inertia, ``np.array_equal`` convergence, per-cluster
+    ``.mean(axis=0)`` centers and an empty-cluster scan after every update."""
+
+    def init(rng):
+        n = X.shape[0]
+        chosen = [int(rng.integers(n))]
+        d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
+        while len(chosen) < k:
+            total = d2.sum()
+            if total <= 0.0:
+                nxt = [i for i in range(n) if i not in set(chosen)][0]
+            else:
+                nxt = int(rng.choice(n, p=d2 / total))
+            chosen.append(nxt)
+            d2 = np.minimum(d2, ((X - X[nxt]) ** 2).sum(axis=1))
+        return X[chosen].copy()
+
+    def lloyd(centers):
+        n = X.shape[0]
+        labels = np.full(n, -1, dtype=np.int64)
+        prev_inertia = np.inf
+        work = None
+        for iteration in range(1, 301):
+            d2, work = _sqdist_to_centers(X, centers, work)
+            new_labels = d2.argmin(axis=1)
+            inertia = float(d2[np.arange(n), new_labels].sum())
+            if inertia > prev_inertia * (1 + 1e-9) + 1e-12:
+                raise NumericalError("Lloyd iteration increased inertia")
+            prev_inertia = inertia
+            if np.array_equal(new_labels, labels):
+                return labels, inertia, iteration
+            labels = new_labels
+            for c in range(k):
+                members = labels == c
+                if members.any():
+                    centers[c] = X[members].mean(axis=0)
+            for c in range(k):
+                if (labels == c).any():
+                    continue
+                dist_own = _sqdist_to_centers(X, centers, work)[0][np.arange(n), labels]
+                counts = np.bincount(labels, minlength=k)
+                movable = counts[labels] > 1
+                if not movable.any():
+                    continue
+                dist_own[~movable] = -np.inf
+                far = int(dist_own.argmax())
+                labels[far] = c
+                centers[c] = X[far]
+                for cc in np.unique(labels):
+                    centers[cc] = X[labels == cc].mean(axis=0)
+        d2, _ = _sqdist_to_centers(X, centers, work)
+        labels = d2.argmin(axis=1)
+        return labels, float(d2[np.arange(n), labels].sum()), 300
+
+    best = None
+    for r in range(restarts):
+        labels, inertia, iterations = lloyd(init(np.random.default_rng([seed, r])))
+        if best is None or inertia < best[0]:
+            best = (inertia, labels, iterations)
+    return best
+
+
+class TestKmeansBitIdentity:
+    """kmeans gives the labels, inertia and iteration count of the reference
+    bit for bit, for C- and F-ordered points, duplicate rows and k up to n."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 14),
+        st.integers(1, 6),
+        st.floats(0.0, 1.0),
+        st.integers(1, 4),
+        st.sampled_from(["C", "fancy-indexed columns"]),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    def test_matches_reference(self, n, d, k_frac, restarts, layout, duplicates, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, 2 * d))
+        if duplicates:  # repeated rows put k-means++ mass at zero and empty clusters
+            values = values[rng.integers(0, max(1, n // 3), n)]
+        X = {
+            "C": np.ascontiguousarray(values[:, :d]),
+            "fancy-indexed columns": values[:, rng.permutation(2 * d)[:d]],  # F-ordered
+        }[layout]
+        k = 2 + round(k_frac * (n - 2))
+        inertia, labels, iterations = reference_kmeans(X, k, restarts, seed)
+        got = kmeans(X, k, restarts=restarts, seed=seed)
+        assert got.labels.tobytes() == labels.tobytes()
+        assert np.float64(got.inertia).tobytes() == np.float64(inertia).tobytes()
+        assert got.iterations_run == iterations
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**16))
+    def test_draw_matches_rng_choice(self, n, seed):
+        rng = np.random.default_rng(seed)
+        # non-negative weights with zeros and ties
+        weights = rng.integers(0, 4, n).astype(np.float64) * rng.choice([1.0, 0.1, 1e-3])
+        weights[rng.integers(n)] += 1.0
+        p = weights / weights.sum()
+        ours, theirs = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        assert _draw(p, ours) == int(theirs.choice(n, p=p))
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestRandIndex:

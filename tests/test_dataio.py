@@ -279,6 +279,15 @@ class TestLoadLabels:
         with pytest.raises(DataValidationError, match="empty"):
             load_labels(path)
 
+    def test_errors_name_physical_line(self, tmp_path):
+        # the short row sits on line 5, after two blank lines
+        path = write(tmp_path, "l.tsv", "sample_id\tlabel\n\ns1\ta\n\ns2\n")
+        with pytest.raises(DataValidationError, match="labels line 5 has fewer than two columns"):
+            load_labels(path)
+        path = write(tmp_path, "d.tsv", "\ns1\ta\n \ns1\tb\n")
+        with pytest.raises(DataValidationError, match="duplicate sample id 's1' at line 4"):
+            load_labels(path)
+
     def test_superset_accepted_and_intersection_used(self, tmp_path):
         path = write(tmp_path, "l.tsv", "s1\ta\ns2\tb\nextra\ta\n")
         labels = load_labels(path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,9 +261,7 @@ class TestStackedKernels:
         values[:, 4] = 0.25
         return ExpressionMatrix(values, X.sample_ids, X.feature_names)
 
-    def test_rows_bit_identical_to_dense_kernels(self, with_constant, monkeypatch):
-        # a tiny block forces several column blocks, the last one partial
-        monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 4 * with_constant.n**2)
+    def test_rows_bit_identical_to_dense_kernels(self, with_constant):
         stacked = feature_kernels(with_constant)
         assert stacked.upper.shape == (with_constant.d, with_constant.n * (with_constant.n - 1) // 2)
         assert_rows_match_dense(stacked, with_constant, median_bandwidth)
@@ -349,3 +348,92 @@ class TestStackedKernels:
             StackedKernels.from_kernels([KernelMatrix(skewed, 1.0)])
         with pytest.raises(DataValidationError, match="dimensions"):
             StackedKernels.from_kernels([K, gaussian_kernel(np.arange(4.0), sigma=1.0)])
+
+
+def blocked_feature_kernels(X, bandwidth_mode):
+    """The stack as built before each kernel was built in its own row: columns
+    of a transposed copy in 1 MB blocks, with a blockwise partition median.
+    Returns (upper, bandwidths, degenerate)."""
+    global_sigma = median_bandwidth(X.values) if bandwidth_mode == "global" else None
+    cols = np.ascontiguousarray(X.values.T)
+    degenerate = cols.max(axis=1) == cols.min(axis=1)
+    iu, ju = np.triu_indices(X.n, 1)
+    upper = np.empty((X.d, iu.size))
+    bandwidths = np.full(X.d, np.nan)
+    step = max(1, (1 << 17) // iu.size)
+    for start in range(0, X.d, step):
+        rows = slice(start, start + step)
+        sq = cols[rows][:, ju] - cols[rows][:, iu]
+        sq *= sq
+        if global_sigma is None:
+            half = sq.shape[1] // 2
+            part = np.partition(sq, half, axis=1)
+            sigma = np.sqrt(part[:, half])
+            if sq.shape[1] % 2 == 0:
+                sigma = (np.sqrt(part[:, :half].max(axis=1)) + sigma) / 2.0
+        else:
+            sigma = np.full(sq.shape[0], global_sigma)
+        sigma[degenerate[rows]] = 1.0
+        bad = np.flatnonzero(sigma <= 0)
+        if bad.size:
+            j = bad[0]
+            if global_sigma is None and not sq[j].any():
+                raise NumericalError(
+                    f"feature {start + j}: all pairwise distances are zero; "
+                    "kernel would be degenerate"
+                )
+            raise DataValidationError(
+                f"feature {X.feature_names[start + j]!r}: median pairwise distance is 0 "
+                "(more than half of the sample pairs hold equal values)"
+            )
+        np.negative(sq, out=sq)
+        sq /= (2.0 * sigma * sigma)[:, None]
+        np.exp(sq, out=upper[rows])
+        bandwidths[rows] = np.where(degenerate[rows], np.nan, sigma)
+    return upper, bandwidths, degenerate
+
+
+class TestInPlaceBuild:
+    """Each kernel built in its own stack row keeps the bytes of the blocked
+    build, and the build holds little more than the stack."""
+
+    # a subnormal bandwidth overflows the exponent to -inf in both builds
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(2, 40), st.integers(1, 12)),
+            # a few shared values give tied values and constant columns
+            elements=st.one_of(
+                st.sampled_from([-1.5, 0.0, 0.25, 3.0]),
+                st.floats(min_value=-5, max_value=5, allow_nan=False),
+            ),
+        ),
+        st.sampled_from(kernel.BANDWIDTH_MODES),
+    )
+    def test_matches_blocked_build(self, values, mode):
+        X = matrix_of(values)
+        try:
+            upper, bandwidths, degenerate = blocked_feature_kernels(X, mode)
+        except (DataValidationError, NumericalError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                feature_kernels(X, bandwidth_mode=mode)
+            assert str(raised.value) == str(exc)
+            return
+        stacked = feature_kernels(X, bandwidth_mode=mode)
+        assert stacked.upper.tobytes() == upper.tobytes()
+        assert stacked.bandwidths.tobytes() == bandwidths.tobytes()
+        assert stacked.degenerate.tobytes() == degenerate.tobytes()
+
+    def test_build_scratch_is_a_few_rows_of_pairs(self, rng):
+        X = matrix_of(rng.standard_normal((120, 200)))
+        m = 120 * 119 // 2
+        kernel._triu_indices.cache_clear()  # count the pair index arrays as scratch too
+        tracemalloc.start()
+        try:
+            stacked = feature_kernels(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= stacked.upper.nbytes + 6 * m * 8

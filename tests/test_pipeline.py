@@ -207,8 +207,9 @@ class TestEmitOutputs:
         index = json.loads((out / "index.json").read_text())
         assert index["files"]
         for entry in index["files"]:
-            digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
-            assert digest == entry["sha256"]
+            data = (out / entry["path"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+            assert len(data) == entry["bytes"]
 
     def test_refuses_nonempty_dir_without_force(self, emitted, fixture_data):
         result, out, _ = emitted
