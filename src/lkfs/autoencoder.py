@@ -158,42 +158,78 @@ def init_model(arch: AeArchitecture, seed: int) -> AeModel:
     )
 
 
-def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
+def _activate(pre: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     if kind == "relu":
-        return np.maximum(pre, 0.0)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-pre))
+        return np.maximum(pre, 0.0, out=out)
+    if kind == "sigmoid":  # 1 / (1 + exp(-pre))
+        out = np.negative(pre, out=out)
+        np.exp(out, out=out)
+        np.add(1.0, out, out=out)
+        return np.divide(1.0, out, out=out)
     return pre
 
 
-def _layer_forward(layer: DenseLayer, h_in: np.ndarray, training: bool) -> dict:
-    affine = h_in @ layer.weights.T + layer.bias
+def _forward_buffers(model: AeModel, rows: int) -> list[dict[str, np.ndarray]]:
+    """Per layer, flat arrays of ``rows`` rows for what a train-mode pass
+    writes: the affine map, with batch norm the centred values (then xhat) and
+    the pre-activation, and the output of a non-identity activation."""
+    buffers = []
+    for layer in model.layers():
+        names = ["affine"]
+        if layer.batch_norm is not None:
+            names += ["xhat", "pre"]
+        if layer.activation != "identity":
+            names.append("out")
+        buffers.append({name: np.empty(rows * layer.weights.shape[0]) for name in names})
+    return buffers
+
+
+def _layer_forward(
+    layer: DenseLayer, h_in: np.ndarray, training: bool, buffers: dict | None = None
+) -> dict:
+    """One layer's pass and the cache backpropagation reads. With ``buffers``
+    (one layer of ``_forward_buffers``) the (m, width) results are written
+    into them instead of into fresh arrays, with the same bits."""
+    shape = (h_in.shape[0], layer.weights.shape[0])
+
+    def into(name: str) -> np.ndarray | None:
+        flat = None if buffers is None else buffers.get(name)
+        return None if flat is None else _view(flat, shape)
+
+    affine = np.matmul(h_in, layer.weights.T, out=into("affine"))
+    affine += layer.bias
     bn = layer.batch_norm
     cache: dict = {"h_in": h_in, "affine": affine}
     if bn is not None:
         if training:
-            mu = affine.mean(axis=0)
-            var = affine.var(axis=0)
+            # the steps of affine.mean(axis=0) and affine.var(axis=0)
+            m = shape[0]
+            mu = np.add.reduce(affine, axis=0) / m
+            centred = np.subtract(affine, mu, out=into("xhat"))
+            var = np.add.reduce(np.multiply(centred, centred, out=into("pre")), axis=0) / m
         else:
-            mu = bn.running_mean
-            var = bn.running_var
+            mu, var = bn.running_mean, bn.running_var
+            centred = affine - mu
         inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-        xhat = (affine - mu) * inv_std
-        pre = bn.gamma * xhat + bn.shift
+        xhat = np.multiply(centred, inv_std, out=centred)
+        pre = np.multiply(bn.gamma, xhat, out=into("pre"))
+        pre += bn.shift
         cache.update(xhat=xhat, inv_std=inv_std, batch_mean=mu, batch_var=var)
     else:
         pre = affine
-    out = _activate(pre, layer.activation)
+    out = _activate(pre, layer.activation, into("out"))
     cache.update(pre=pre, out=out)
     return cache
 
 
-def _forward_cached(model: AeModel, batch: np.ndarray, training: bool) -> tuple[list[dict], np.ndarray, np.ndarray]:
+def _forward_cached(
+    model: AeModel, batch: np.ndarray, training: bool, buffers: list[dict] | None = None
+) -> tuple[list[dict], np.ndarray, np.ndarray]:
     h = batch
     caches = []
     z = None
     for i, layer in enumerate(model.layers()):
-        cache = _layer_forward(layer, h, training)
+        cache = _layer_forward(layer, h, training, None if buffers is None else buffers[i])
         caches.append(cache)
         h = cache["out"]
         if i == len(model.encoder) - 1:
@@ -495,8 +531,8 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams) -> AeMod
     Deterministic given ``hp.seed`` (initialization and shuffling both derive
     from it); records the mean regularized loss per epoch. Each batch runs one
     forward pass, one backward pass and one Adam step. The trainable arrays of
-    the returned model are views of one flat buffer; gradients, Adam moments
-    and scratch are allocated once per call.
+    the returned model are views of one flat buffer; gradients, Adam moments,
+    forward-pass layer outputs and scratch are allocated once per call.
     """
     if arch.input_dim != X.d:
         raise ConfigError(f"architecture input size {arch.input_dim} != matrix width {X.d}")
@@ -505,7 +541,9 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams) -> AeMod
     model = init_model(arch, hp.seed)
     shuffle_rng = np.random.default_rng([hp.seed, 1])
     params = _flatten_parameters(model)
-    ws = _Workspace(model, hp.batch_size + 1)  # a trailing singleton joins the last batch
+    rows = hp.batch_size + 1  # a trailing singleton joins the last batch
+    ws = _Workspace(model, rows)
+    buffers = _forward_buffers(model, rows)
     adam_m = np.zeros_like(params)
     adam_v = np.zeros_like(params)
     adam_scratch = np.empty((2, min(_ADAM_BLOCK, params.size)))
@@ -517,7 +555,7 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams) -> AeMod
         for batch_no, rows in enumerate(_batch_slices(X.n, hp.batch_size, order)):
             batch = values[rows]
             m = batch.shape[0]
-            caches, _, recon = _forward_cached(model, batch, training=True)
+            caches, _, recon = _forward_cached(model, batch, training=True, buffers=buffers)
             # loss_mse and weight_penalty, squaring into reused scratch
             diff = _view(ws.rows_tmp, batch.shape)
             np.subtract(batch, recon, out=diff)

@@ -75,6 +75,7 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, floa
     labels = np.full(n, -1, dtype=np.int64)
     prev_inertia = np.inf
     work = None
+    repaired = None  # the assignment the last iteration's empty-cluster repair changed
     for iteration in range(1, _MAX_LLOYD_ITERATIONS + 1):
         d2, work = _sqdist_to_centers(X, centers, work)
         new_labels = d2.argmin(axis=1)
@@ -84,13 +85,18 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, floa
         prev_inertia = inertia
         if (new_labels == labels).all():
             return labels, inertia, iteration
+        if repaired is not None and (new_labels == repaired).all():
+            # the assignment undoes the repair; the repair depends only on it,
+            # so every later iteration would repeat both, ending where this one is
+            return new_labels, inertia, iteration
         labels = new_labels
         counts = np.bincount(labels, minlength=k).tolist()
         for c, count in enumerate(counts):
             if count:
                 # what X[labels == c].mean(axis=0) computes
                 centers[c] = np.add.reduce(X[labels == c], axis=0) / count
-        if min(counts):
+        repaired = None if min(counts) else labels.copy()
+        if repaired is None:
             continue
         # empty-cluster repair: move the point farthest from its centroid
         for c in range(k):

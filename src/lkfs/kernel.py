@@ -1,11 +1,11 @@
-"""Gaussian Gram matrices, stacked feature kernels, Frobenius inner products and
-kernel alignment."""
+"""Gaussian Gram matrices, stacked feature kernels and their Gram matrix,
+Frobenius inner products and kernel alignment."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,18 +59,30 @@ def pairwise_sqdist(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def median_bandwidth(points: np.ndarray) -> float:
+def _given_sqdist(pts: np.ndarray, sqdist: np.ndarray | None) -> np.ndarray:
+    """``pairwise_sqdist(pts)``, or ``sqdist`` when the caller already has it."""
+    if sqdist is None:
+        return pairwise_sqdist(pts)
+    n = pts.shape[0]
+    if sqdist.shape != (n, n):
+        raise DataValidationError(f"sqdist of shape {sqdist.shape} does not fit {n} points")
+    return sqdist
+
+
+def median_bandwidth(points: np.ndarray, sqdist: np.ndarray | None = None) -> float:
     """Median of the n(n-1)/2 pairwise Euclidean distances.
 
-    Raises ``DataValidationError`` when more than half of the point pairs
-    coincide, so that the median, and with it the bandwidth, is zero.
+    ``sqdist``, the ``pairwise_sqdist(points)`` a caller already holds, is
+    read instead of recomputed. Raises ``DataValidationError`` when more than
+    half of the point pairs coincide, so that the median, and with it the
+    bandwidth, is zero.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.shape[0] < 2:
         raise DataValidationError("median_bandwidth needs at least 2 points")
-    dists = np.sqrt(pairwise_sqdist(pts)[np.triu_indices(pts.shape[0], 1)])
+    dists = np.sqrt(_given_sqdist(pts, sqdist)[np.triu_indices(pts.shape[0], 1)])
     if dists.max() == 0.0:
         raise NumericalError("all pairwise distances are zero; kernel would be degenerate")
     sigma = float(np.median(dists))
@@ -81,14 +93,19 @@ def median_bandwidth(points: np.ndarray) -> float:
     return sigma
 
 
-def gaussian_kernel(points: np.ndarray, sigma: float, source: str = "data") -> KernelMatrix:
-    """K[i][j] = exp(-||x_i - x_j||^2 / (2 sigma^2)); symmetric, unit diagonal."""
+def gaussian_kernel(
+    points: np.ndarray, sigma: float, source: str = "data", sqdist: np.ndarray | None = None
+) -> KernelMatrix:
+    """K[i][j] = exp(-||x_i - x_j||^2 / (2 sigma^2)); symmetric, unit diagonal.
+
+    ``sqdist``, the ``pairwise_sqdist(points)`` a caller already holds, is
+    read instead of recomputed."""
     if sigma <= 0:
         raise ConfigError(f"sigma must be > 0, got {sigma}")
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
         raise DataValidationError("gaussian_kernel input contains non-finite values")
-    entries = np.exp(-pairwise_sqdist(pts) / (2.0 * sigma * sigma))
+    entries = np.exp(-_given_sqdist(pts, sqdist) / (2.0 * sigma * sigma))
     np.fill_diagonal(entries, 1.0)
     return KernelMatrix(entries, bandwidth=float(sigma), source=source)
 
@@ -110,21 +127,29 @@ def upper_triangle(K: KernelMatrix) -> np.ndarray:
     return entries[_triu_indices(K.n)]
 
 
+_BLOCK_ENTRIES = 1 << 18  # entries of one block of sample pairs (2 MB of float64)
+
+
 @dataclass(frozen=True, eq=False)
 class StackedKernels:
-    """d symmetric unit-diagonal n x n kernels, one strict upper triangle per row.
+    """d symmetric unit-diagonal n x n kernels, read through their strict upper
+    triangles in ``np.triu_indices(n, 1)`` order.
 
-    Row j of ``upper`` holds K_j[i, l] for i < l in ``np.triu_indices(n, 1)``
-    order. With unit diagonals <K_a, K_b> = n + 2 upper[a] . upper[b], so the
-    stack takes 4 d n (n - 1) bytes instead of 8 d n^2. Indexing and iteration
-    give back dense ``KernelMatrix`` objects.
+    The kernels come from one of two sources. With ``points`` (n, d), kernel j
+    is the Gaussian kernel of column j at ``bandwidths[j]`` (all ones where
+    ``degenerate[j]``), and a triangle is computed when it is read, so the
+    ``(d, n(n-1)/2)`` stack of triangles is never held. ``upper`` holds that
+    stack explicitly, as ``from_kernels`` builds it from dense kernels.
+    Indexing and iteration give back dense ``KernelMatrix`` objects; ``gram``
+    gives every inner product the greedy selection reads.
     """
 
-    upper: np.ndarray
     n: int
     bandwidths: np.ndarray
     degenerate: np.ndarray
     sources: tuple[str, ...]
+    points: np.ndarray | None = None
+    upper: np.ndarray | None = None
 
     @classmethod
     def from_kernels(cls, kernels: Sequence[KernelMatrix]) -> StackedKernels:
@@ -134,22 +159,23 @@ class StackedKernels:
         if any(K.n != n for K in kernels):
             raise DataValidationError("stacked kernels must share dimensions")
         return cls(
-            upper=np.array([upper_triangle(K) for K in kernels]),
             n=n,
             bandwidths=np.array([K.bandwidth for K in kernels], dtype=np.float64),
             degenerate=np.array([K.degenerate for K in kernels], dtype=bool),
             sources=tuple(K.source for K in kernels),
+            upper=np.array([upper_triangle(K) for K in kernels]),
         )
 
     def __len__(self) -> int:
-        return self.upper.shape[0]
+        return self.bandwidths.size
 
     def __getitem__(self, j):
         if isinstance(j, slice):
             return [self[i] for i in range(*j.indices(len(self)))]
+        j = range(len(self))[j]
         entries = np.ones((self.n, self.n))
         iu, ju = _triu_indices(self.n)
-        entries[iu, ju] = entries[ju, iu] = self.upper[j]
+        entries[iu, ju] = entries[ju, iu] = self.row(j)
         return KernelMatrix(
             entries,
             bandwidth=float(self.bandwidths[j]),
@@ -162,33 +188,118 @@ class StackedKernels:
 
     @property
     def nbytes(self) -> int:
-        return self.upper.nbytes
+        """Bytes of the array the kernels are read from."""
+        return (self.upper if self.points is None else self.points).nbytes
+
+    @cached_property
+    def _scales(self) -> np.ndarray:
+        """2 sigma^2 per column of ``points``; 1 for a constant column, whose
+        squared differences are all 0, and exp(-0) = 1 at any bandwidth."""
+        return np.where(self.degenerate, 1.0, 2.0 * self.bandwidths * self.bandwidths)
+
+    def _gaussian(self, sq: np.ndarray, scales: np.ndarray | float) -> np.ndarray:
+        """exp(-sq / scales) in place, in the order of ``gaussian_kernel``."""
+        np.negative(sq, out=sq)
+        sq /= scales
+        return np.exp(sq, out=sq)
+
+    def _entries(self, pairs) -> np.ndarray:
+        """(len(pairs), d): entries at the given pair positions of every triangle.
+
+        From ``points`` the pairs (i, l) are taken as ``points[l] - points[i]``,
+        as ``feature_kernels`` and ``gaussian_kernel`` take them."""
+        if self.points is None:
+            return self.upper[:, pairs].T
+        iu, ju = _triu_indices(self.n)
+        sq = self.points[ju[pairs]] - self.points[iu[pairs]]
+        sq *= sq
+        return self._gaussian(sq, self._scales)
+
+    def row(self, j: int) -> np.ndarray:
+        """The strict upper triangle of kernel j."""
+        if self.points is None:
+            return self.upper[j]
+        if self.degenerate[j]:
+            return np.ones(self.n * (self.n - 1) // 2)
+        iu, ju = _triu_indices(self.n)
+        col = self.points[:, j]
+        row = col[ju]
+        row -= col[iu]
+        row *= row
+        return self._gaussian(row, self._scales[j])
+
+    def _pair_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Consecutive runs of sample pairs, as (pairs, block): row r of the
+        C-ordered (len(pairs), d) ``block`` holds entry ``pairs.start + r`` of
+        every triangle.
+
+        A block covers whole sample rows i, that is the pairs (i, i+1..n-1),
+        in one reused buffer of about ``_BLOCK_ENTRIES`` entries; from
+        ``points`` they are formed as ``points[i+1:] - points[i]``. Both
+        sources give equal kernels in equal blocks, hence equal sums."""
+        n, d = self.n, len(self)
+        buf = np.empty((min(max(_BLOCK_ENTRIES // d, n - 1), n * (n - 1) // 2), d))
+        i = lo = 0
+        while i < n - 1:
+            fill = 0
+            while i < n - 1 and fill + n - 1 - i <= buf.shape[0]:
+                if self.points is not None:
+                    np.subtract(self.points[i + 1 :], self.points[i], out=buf[fill : fill + n - 1 - i])
+                fill += n - 1 - i
+                i += 1
+            block = buf[:fill]
+            if self.points is None:
+                np.copyto(block, self.upper[:, lo : lo + fill].T)
+            else:
+                block *= block
+                self._gaussian(block, self._scales)
+            yield slice(lo, lo + fill), block
+            lo += fill
+
+    def gram(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(G, c) with G[a, b] = <K_a, K_b> and c[a] = <K_a, K> for the kernel K
+        given by its strict upper triangle ``target``.
+
+        With unit diagonals <K_a, K_b> = n + 2 sum over pairs of K_a K_b. The
+        sums accumulate ``block.T @ block``, a symmetric BLAS product, so G is
+        exactly symmetric, and ``block.T @ target[pairs]``, over the blocks
+        of ``_pair_blocks``: memory is two d x d matrices and one block. Equal
+        kernels take the row, column and entry of c of their first copy, so
+        identical kernels keep exactly tied inner products.
+        """
+        d = len(self)
+        gram, product = np.zeros((d, d)), np.empty((d, d))
+        cross = np.zeros(d)
+        for pairs, block in self._pair_blocks():
+            gram += np.matmul(block.T, block, out=product)
+            cross += block.T @ target[pairs]
+        del product
+        for sums in (gram, cross):
+            sums *= 2.0
+            sums += self.n
+        first = self.first_copies
+        twins = np.flatnonzero(first != np.arange(d))
+        if twins.size:
+            gram[twins] = gram[first[twins]]
+            gram[:, twins] = gram[:, first[twins]]
+            cross[twins] = cross[first[twins]]
+        return gram, cross
 
     @cached_property
     def first_copies(self) -> np.ndarray:
-        """For every row, the index of the first row equal to it bit for bit."""
-        probe = np.ascontiguousarray(self.upper[:, :: max(1, self.upper.shape[1] // 64)])
+        """For every kernel, the index of the first kernel equal to it bit for bit."""
+        total = self.n * (self.n - 1) // 2
+        probe = self._entries(np.arange(0, total, max(1, total // 64))).T
         first = np.arange(len(self))
         buckets: dict[bytes, list[int]] = {}
         for j in range(len(self)):
             bucket = buckets.setdefault(probe[j].tobytes(), [])
-            first[j] = next((i for i in bucket if np.array_equal(self.upper[i], self.upper[j])), j)
+            if bucket:
+                row = self.row(j)
+                first[j] = next((i for i in bucket if np.array_equal(self.row(i), row)), j)
             if first[j] == j:
                 bucket.append(j)
         return first
-
-    def inner(self, upper: np.ndarray) -> np.ndarray:
-        """<K_j, K> for every row j, K given by its strict upper triangle.
-
-        A BLAS matrix-vector product may round equal rows differently
-        depending on where they sit, so equal rows copy the value of their
-        first copy: identical kernels keep exactly tied inner products.
-        """
-        return (self.n + 2.0 * (self.upper @ upper))[self.first_copies]
-
-    def squared_norms(self) -> np.ndarray:
-        """<K_j, K_j> for every row j."""
-        return (self.n + 2.0 * np.einsum("ij,ij->i", self.upper, self.upper))[self.first_copies]
 
 
 def _median_distance(sq: np.ndarray) -> float:
@@ -207,49 +318,46 @@ def _median_distance(sq: np.ndarray) -> float:
 def feature_kernels(X: ExpressionMatrix, bandwidth_mode: str = "per-feature") -> StackedKernels:
     """One Gaussian kernel per feature column, stacked.
 
-    Row j is bit for bit the upper triangle of
-    ``gaussian_kernel(col_j, median_bandwidth(col_j))`` with the default
-    ``bandwidth_mode="per-feature"``; "global" applies a single bandwidth
-    computed on the full matrix. Constant columns yield flagged degenerate
-    all-ones kernels. Each kernel is built in place in its row of the stack,
-    so the build needs only a few rows of pairs on top of the stack.
+    Kernel j is bit for bit ``gaussian_kernel(col_j, median_bandwidth(col_j))``
+    with the default ``bandwidth_mode="per-feature"``; "global" applies a single
+    bandwidth computed on the full matrix. Constant columns yield flagged
+    degenerate all-ones kernels. Only the bandwidths are computed here, column
+    by column in one row of pairs; the kernels are read from the columns of
+    ``X`` on demand (see ``StackedKernels``).
     """
     if bandwidth_mode not in BANDWIDTH_MODES:
         raise ConfigError(f"bandwidth_mode must be one of {BANDWIDTH_MODES}")
     if X.n < 2:
         raise DataValidationError("feature kernels need at least 2 samples")
-    global_sigma = median_bandwidth(X.values) if bandwidth_mode == "global" else None
     degenerate = X.values.max(axis=0) == X.values.min(axis=0)
-    iu, ju = _triu_indices(X.n)
-    upper = np.empty((X.d, iu.size))
     bandwidths = np.full(X.d, np.nan)
-    for j, row in enumerate(upper):
-        if degenerate[j]:
-            row.fill(1.0)  # exp(-0) at any bandwidth
-            continue
-        col = X.values[:, j]
-        np.subtract(col[ju], col[iu], out=row)
-        row *= row
-        sigma = _median_distance(row) if global_sigma is None else global_sigma
-        if sigma <= 0:
-            if not row.any():  # distances underflow to zero
-                raise NumericalError(
-                    f"feature {j}: all pairwise distances are zero; kernel would be degenerate"
+    if bandwidth_mode == "global":
+        bandwidths[~degenerate] = median_bandwidth(X.values)
+    else:
+        iu, ju = _triu_indices(X.n)
+        row = np.empty(iu.size)
+        for j in np.flatnonzero(~degenerate):
+            col = X.values[:, j]
+            np.take(col, ju, out=row)
+            row -= col[iu]
+            row *= row
+            sigma = _median_distance(row)
+            if sigma <= 0:
+                if not row.any():  # distances underflow to zero
+                    raise NumericalError(
+                        f"feature {j}: all pairwise distances are zero; kernel would be degenerate"
+                    )
+                raise DataValidationError(
+                    f"feature {X.feature_names[j]!r}: median pairwise distance is 0 "
+                    "(more than half of the sample pairs hold equal values)"
                 )
-            raise DataValidationError(
-                f"feature {X.feature_names[j]!r}: median pairwise distance is 0 "
-                "(more than half of the sample pairs hold equal values)"
-            )
-        bandwidths[j] = sigma
-        np.negative(row, out=row)
-        row /= 2.0 * sigma * sigma
-        np.exp(row, out=row)
+            bandwidths[j] = sigma
     return StackedKernels(
-        upper=upper,
         n=X.n,
         bandwidths=bandwidths,
         degenerate=degenerate,
         sources=tuple(f"feature:{j}" for j in range(X.d)),
+        points=X.values,
     )
 
 

@@ -137,10 +137,12 @@ def greedy_select(
     Ties break toward the lowest feature index. Stops at ``config.p`` features
     or when the best gain falls to ``config.improvement_tolerance`` or below.
 
-    The state is m_j = <K_mu, K_j> for every candidate j. Accepting a feature
-    costs one matrix-vector product over the stacked upper triangles, and
-    <K_mu, Kz> and <K_mu, K_mu> follow as scalar recurrences. Every kernel
-    must be symmetric with unit diagonal.
+    The inner products come from one pass over the kernels: the d x d Gram
+    matrix G[a, b] = <K_a, K_b> and c[a] = <K_a, Kz> (``StackedKernels.gram``).
+    The state is m_j = <K_mu, K_j> for every candidate j; accepting feature j
+    updates it to ``w1 * m + w2 * G[j]``, and <K_mu, Kz> and <K_mu, K_mu>
+    follow as scalar recurrences. Every kernel must be symmetric with unit
+    diagonal.
     """
     stack = (
         candidates
@@ -154,8 +156,8 @@ def greedy_select(
         raise DataValidationError("no non-degenerate candidate kernels")
     tz = upper_triangle(Kz)
     zz = stack.n + 2.0 * float(tz @ tz)
-    cz = stack.inner(tz)
-    ss = stack.squared_norms()
+    gram, cz = stack.gram(tz)
+    ss = gram.diagonal()
 
     active = np.flatnonzero(open_)
     first = int(active[np.argmax(cz[active] / np.sqrt(ss[active] * zz))])
@@ -163,7 +165,7 @@ def greedy_select(
     mu[first] = 1.0
     selected = [first]
     open_[first] = False
-    m = stack.inner(stack.upper[first])
+    m = gram[first]
     mz, mm = float(cz[first]), float(ss[first])
     trajectory = [mz / math.sqrt(mm * zz)]
     subsample_rng = (
@@ -193,7 +195,7 @@ def greedy_select(
         open_[j] = False
         mz = w1 * mz + w2 * float(cz[j])
         mm = w1 * w1 * mm + 2.0 * w1 * w2 * float(m[j]) + w2 * w2 * float(ss[j])
-        m = w1 * m + w2 * stack.inner(stack.upper[j])
+        m = w1 * m + w2 * gram[j]
         trajectory.append(mz / math.sqrt(mm * zz))
 
     mu = mu / mu.sum()

@@ -7,6 +7,7 @@ from lkfs.autoencoder import (
     AeArchitecture,
     AeHyperparams,
     _batch_slices,
+    _forward_buffers,
     _forward_cached,
     _update_running_stats,
     encode,
@@ -231,10 +232,37 @@ class TestEncode:
         np.testing.assert_array_equal(fwd.z_values, rev.z_values[::-1])
 
 
+def _reference_forward(model, batch):
+    """The train-mode forward pass before the reused layer buffers: a fresh
+    array for every intermediate, numpy's own mean and variance."""
+    caches, h = [], batch
+    for layer in model.layers():
+        affine = h @ layer.weights.T + layer.bias
+        cache = {"h_in": h, "affine": affine}
+        bn = layer.batch_norm
+        if bn is not None:
+            mu, var = affine.mean(axis=0), affine.var(axis=0)
+            inv_std = 1.0 / np.sqrt(var + 1e-5)
+            xhat = (affine - mu) * inv_std
+            pre = bn.gamma * xhat + bn.shift
+            cache.update(xhat=xhat, inv_std=inv_std, batch_mean=mu, batch_var=var)
+        else:
+            pre = affine
+        if layer.activation == "relu":
+            h = np.maximum(pre, 0.0)
+        elif layer.activation == "sigmoid":
+            h = 1.0 / (1.0 + np.exp(-pre))
+        else:
+            h = pre
+        cache.update(pre=pre, out=h)
+        caches.append(cache)
+    return caches, h
+
+
 def _reference_gradients(model, batch, beta_l2):
     """The backward pass before the reused workspace: its own forward pass and
     a fresh array for every intermediate and every gradient."""
-    caches, _, recon = _forward_cached(model, batch, training=True)
+    caches, recon = _reference_forward(model, batch)
     m = batch.shape[0]
     grads = {}
     d_out = 2.0 * (recon - batch) / m
@@ -280,7 +308,7 @@ def _reference_train(X, arch, hp):
         epoch_loss = 0.0
         for rows in _batch_slices(X.n, hp.batch_size, order):
             batch = X.values[rows]
-            caches, _, recon = _forward_cached(model, batch, training=True)
+            caches, recon = _reference_forward(model, batch)
             penalty = float(sum((w * w).sum() for w in model.weight_matrices()))
             epoch_loss += (loss_mse(batch, recon) + hp.beta_l2 * penalty) * batch.shape[0]
             grads = _reference_gradients(model, batch, hp.beta_l2)
@@ -344,8 +372,8 @@ def training_cases(draw):
 
 
 class TestTrainingBitIdentity:
-    """One forward pass, the reused workspace and the blocked Adam step give
-    the bits of the two-pass, per-array loop."""
+    """One forward pass into reused layer buffers, the reused workspace and
+    the blocked Adam step give the bits of the two-pass, per-array loop."""
 
     @settings(max_examples=60, deadline=None)
     @given(training_cases())
@@ -357,6 +385,18 @@ class TestTrainingBitIdentity:
         arch = AeArchitecture.default(60, hidden=(32, 16), latent_dim=8)
         hp = AeHyperparams(epochs=3, batch_size=32, seed=11)
         _assert_same_training(_uniform_matrix(65, 60, 11), arch, hp)
+
+    def test_buffered_pass_writes_the_fresh_bits_into_its_buffers(self):
+        model = init_model(AeArchitecture.default(12, hidden=(9, 5), latent_dim=3), seed=4)
+        batch = _uniform_matrix(9, 12, 4).values
+        buffers = _forward_buffers(model, rows=10)
+        got, _, _ = _forward_cached(model, batch, training=True, buffers=buffers)
+        want, _ = _reference_forward(model, batch)
+        for cache, ref, layer_buffers in zip(got, want, buffers):
+            for key in ref:
+                _assert_same_bits(cache[key], ref[key])
+            for name, flat in layer_buffers.items():
+                assert np.shares_memory(cache[name], flat)
 
     def test_parameter_gradients_are_fresh_arrays(self):
         X, _ = generate_synthetic(n=24, d=6, informative=2, separation=3.0, seed=0)

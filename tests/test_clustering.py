@@ -121,7 +121,11 @@ class TestReusedDistanceWorkspace:
 def reference_kmeans(X, k, restarts, seed):
     """k-means as written before its bookkeeping was cut: ``rng.choice`` draws,
     a fancy-indexed inertia, ``np.array_equal`` convergence, per-cluster
-    ``.mean(axis=0)`` centers and an empty-cluster scan after every update."""
+    ``.mean(axis=0)`` centers and an empty-cluster scan after every update.
+
+    Returns (inertia, labels, iterations, undone) of the best restart, where
+    ``undone`` says whether an assignment there ever undid the empty-cluster
+    repair of the iteration before (recorded only; it changes nothing)."""
 
     def init(rng):
         n = X.shape[0]
@@ -142,6 +146,7 @@ def reference_kmeans(X, k, restarts, seed):
         labels = np.full(n, -1, dtype=np.int64)
         prev_inertia = np.inf
         work = None
+        repaired, undone = None, False
         for iteration in range(1, 301):
             d2, work = _sqdist_to_centers(X, centers, work)
             new_labels = d2.argmin(axis=1)
@@ -150,12 +155,14 @@ def reference_kmeans(X, k, restarts, seed):
                 raise NumericalError("Lloyd iteration increased inertia")
             prev_inertia = inertia
             if np.array_equal(new_labels, labels):
-                return labels, inertia, iteration
+                return labels, inertia, iteration, undone
+            undone |= repaired is not None and np.array_equal(new_labels, repaired)
             labels = new_labels
             for c in range(k):
                 members = labels == c
                 if members.any():
                     centers[c] = X[members].mean(axis=0)
+            repaired = labels.copy() if np.bincount(labels, minlength=k).min() == 0 else None
             for c in range(k):
                 if (labels == c).any():
                     continue
@@ -172,19 +179,21 @@ def reference_kmeans(X, k, restarts, seed):
                     centers[cc] = X[labels == cc].mean(axis=0)
         d2, _ = _sqdist_to_centers(X, centers, work)
         labels = d2.argmin(axis=1)
-        return labels, float(d2[np.arange(n), labels].sum()), 300
+        return labels, float(d2[np.arange(n), labels].sum()), 300, undone
 
     best = None
     for r in range(restarts):
-        labels, inertia, iterations = lloyd(init(np.random.default_rng([seed, r])))
+        labels, inertia, iterations, undone = lloyd(init(np.random.default_rng([seed, r])))
         if best is None or inertia < best[0]:
-            best = (inertia, labels, iterations)
+            best = (inertia, labels, iterations, undone)
     return best
 
 
 class TestKmeansBitIdentity:
     """kmeans gives the labels, inertia and iteration count of the reference
-    bit for bit, for C- and F-ordered points, duplicate rows and k up to n."""
+    bit for bit, for C- and F-ordered points, duplicate rows and k up to n.
+    Where an assignment undoes an empty-cluster repair, kmeans stops there,
+    and only the iteration count differs."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -206,11 +215,24 @@ class TestKmeansBitIdentity:
             "fancy-indexed columns": values[:, rng.permutation(2 * d)[:d]],  # F-ordered
         }[layout]
         k = 2 + round(k_frac * (n - 2))
-        inertia, labels, iterations = reference_kmeans(X, k, restarts, seed)
+        inertia, labels, iterations, undone = reference_kmeans(X, k, restarts, seed)
         got = kmeans(X, k, restarts=restarts, seed=seed)
         assert got.labels.tobytes() == labels.tobytes()
         assert np.float64(got.inertia).tobytes() == np.float64(inertia).tobytes()
-        assert got.iterations_run == iterations
+        if not undone:
+            assert got.iterations_run == iterations
+
+    def test_stops_when_an_assignment_undoes_a_repair(self):
+        # 9 clusters over 7 distinct rows: each repair moves a duplicate into
+        # an empty cluster, and the next assignment moves it back
+        X = np.random.default_rng(0).standard_normal((7, 3))[np.arange(24) % 7]
+        inertia, labels, iterations, undone = reference_kmeans(X, 9, 3, 1)
+        assert undone and iterations == 300
+        got = kmeans(X, 9, restarts=3, seed=1)
+        assert got.labels.tobytes() == labels.tobytes()
+        assert np.float64(got.inertia).tobytes() == np.float64(inertia).tobytes()
+        assert got.inertia == 0.0 and np.unique(got.labels).size == 7
+        assert got.iterations_run <= 3
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 2**16))

@@ -77,6 +77,19 @@ class TestPairwiseSqdist:
         assert got.tobytes() == row_loop_sqdist(pts).tobytes()
         assert got.tobytes() == got.T.copy().tobytes()
 
+    def test_given_sqdist_gives_the_same_bytes(self, rng):
+        # one distance matrix serves the bandwidth and the kernel
+        pts = rng.standard_normal((30, 4))
+        sq = kernel.pairwise_sqdist(pts)
+        sigma = median_bandwidth(pts)
+        assert median_bandwidth(pts, sqdist=sq) == sigma
+        got = gaussian_kernel(pts, sigma, sqdist=sq).entries
+        assert got.tobytes() == gaussian_kernel(pts, sigma).entries.tobytes()
+        with pytest.raises(DataValidationError, match="does not fit"):
+            median_bandwidth(pts[:10], sqdist=sq)
+        with pytest.raises(DataValidationError, match="does not fit"):
+            gaussian_kernel(pts, sigma, sqdist=sq[:5])
+
 
 class TestMedianBandwidth:
     def test_three_points_odd_count(self):
@@ -244,12 +257,12 @@ def assert_rows_match_dense(stacked, X, sigma_of):
         col = X.values[:, j]
         if col.max() == col.min():
             assert stacked.degenerate[j] and math.isnan(stacked.bandwidths[j])
-            np.testing.assert_array_equal(stacked.upper[j], 1.0)
+            np.testing.assert_array_equal(stacked.row(j), 1.0)
             continue
         dense = gaussian_kernel(col, sigma_of(col))
         assert not stacked.degenerate[j]
         assert stacked.bandwidths[j] == dense.bandwidth
-        np.testing.assert_array_equal(stacked.upper[j], dense.entries[iu])
+        np.testing.assert_array_equal(stacked.row(j), dense.entries[iu])
         np.testing.assert_array_equal(stacked[j].entries, dense.entries)
 
 
@@ -263,7 +276,8 @@ class TestStackedKernels:
 
     def test_rows_bit_identical_to_dense_kernels(self, with_constant):
         stacked = feature_kernels(with_constant)
-        assert stacked.upper.shape == (with_constant.d, with_constant.n * (with_constant.n - 1) // 2)
+        # rows are computed from the columns when read; no stack is held
+        assert stacked.upper is None and stacked.points is with_constant.values
         assert_rows_match_dense(stacked, with_constant, median_bandwidth)
 
     def test_global_mode_bit_identical(self, with_constant):
@@ -304,22 +318,27 @@ class TestStackedKernels:
         with pytest.raises(IndexError):
             stacked[X.d]
 
-    def test_nbytes_is_half_of_dense(self, small_fixture):
+    def test_nbytes_is_the_points(self, small_fixture):
         X, _ = small_fixture
         stacked = feature_kernels(X)
-        assert stacked.nbytes == 4 * X.d * X.n * (X.n - 1)
+        assert stacked.nbytes == X.values.nbytes == 8 * X.n * X.d
+        listed = StackedKernels.from_kernels(list(stacked[:3]))
+        assert listed.nbytes == 4 * 3 * X.n * (X.n - 1)
 
-    def test_inner_matches_frobenius(self, small_fixture, rng):
+    def test_gram_matches_frobenius(self, small_fixture, rng):
         X, _ = small_fixture
         stacked = feature_kernels(X)
         target = gaussian_kernel(rng.standard_normal((X.n, 2)), sigma=1.0)
-        inner = stacked.inner(kernel.upper_triangle(target))
+        gram, cross = stacked.gram(kernel.upper_triangle(target))
         for j in (0, 7, X.d - 1):
-            assert inner[j] == pytest.approx(frobenius_inner(stacked[j], target), rel=1e-13)
+            assert cross[j] == pytest.approx(frobenius_inner(stacked[j], target), rel=1e-13)
+            for k in (0, 3, X.d - 1):
+                expected = frobenius_inner(stacked[j], stacked[k])
+                assert gram[j, k] == pytest.approx(expected, rel=1e-13)
 
     def test_equal_rows_give_equal_inner_products(self, rng):
-        # a BLAS matrix-vector product can round the twin rows 1, 3 and 5
-        # differently; OpenBLAS's SkylakeX kernels do at 7 rows of 66 entries
+        # a BLAS product can round the twin rows 1, 3 and 5 differently
+        # depending on where they sit
         twin = gaussian_kernel(rng.standard_normal((12, 1)), sigma=1.0)
         kernels = [
             twin if j % 2 else gaussian_kernel(rng.standard_normal((12, 1)), sigma=1.0)
@@ -328,8 +347,10 @@ class TestStackedKernels:
         stacked = StackedKernels.from_kernels(kernels)
         target = kernel.upper_triangle(gaussian_kernel(rng.standard_normal((12, 2)), sigma=1.0))
         assert list(stacked.first_copies) == [0, 1, 2, 1, 4, 1, 6]
-        assert len(set(stacked.inner(target)[1::2])) == 1
-        assert len(set(stacked.squared_norms()[1::2])) == 1
+        gram, cross = stacked.gram(target)
+        assert len(set(cross[1::2])) == 1
+        assert len(set(gram.diagonal()[1::2])) == 1
+        assert (gram[1::2] == gram[1]).all() and (gram[:, 1::2] == gram[:, [1]]).all()
 
     def test_from_kernels_round_trip(self, rng):
         kernels = [gaussian_kernel(rng.standard_normal((6, 2)), sigma=s) for s in (0.5, 1.0, 2.0)]
@@ -394,8 +415,8 @@ def blocked_feature_kernels(X, bandwidth_mode):
 
 
 class TestInPlaceBuild:
-    """Each kernel built in its own stack row keeps the bytes of the blocked
-    build, and the build holds little more than the stack."""
+    """Rows read from the columns keep the bytes of the blocked build, and
+    the build holds a few rows of pairs."""
 
     # a subnormal bandwidth overflows the exponent to -inf in both builds
     @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
@@ -422,7 +443,7 @@ class TestInPlaceBuild:
             assert str(raised.value) == str(exc)
             return
         stacked = feature_kernels(X, bandwidth_mode=mode)
-        assert stacked.upper.tobytes() == upper.tobytes()
+        assert np.array([stacked.row(j) for j in range(X.d)]).tobytes() == upper.tobytes()
         assert stacked.bandwidths.tobytes() == bandwidths.tobytes()
         assert stacked.degenerate.tobytes() == degenerate.tobytes()
 
@@ -432,8 +453,81 @@ class TestInPlaceBuild:
         kernel._triu_indices.cache_clear()  # count the pair index arrays as scratch too
         tracemalloc.start()
         try:
-            stacked = feature_kernels(X)
+            feature_kernels(X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= stacked.upper.nbytes + 6 * m * 8
+        assert peak <= 6 * m * 8
+
+
+def dense_frobenius_products(kernels, target):
+    """(G, c) as full entrywise sums over the dense kernels."""
+    dense = [K.entries for K in kernels]
+    gram = np.array([[float((a * b).sum()) for b in dense] for a in dense])
+    return gram, np.array([float((a * target.entries).sum()) for a in dense])
+
+
+class TestGram:
+    """``StackedKernels.gram`` against the Frobenius products of the dense
+    kernels, from columns and from listed kernels."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @settings(max_examples=120, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(2, 30), st.integers(1, 10)),
+            # a few shared values give tied values and constant columns
+            elements=st.one_of(
+                st.sampled_from([-1.5, 0.0, 0.25, 3.0]),
+                st.floats(min_value=-5, max_value=5, allow_nan=False),
+            ),
+        ),
+        st.sampled_from(kernel.BANDWIDTH_MODES),
+        st.lists(st.integers(0, 9), max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_frobenius_products(self, values, mode, copies, seed):
+        # copies of earlier columns are twins: bit-identical kernels
+        values = np.column_stack([values, values[:, [c % values.shape[1] for c in copies]]])
+        X = matrix_of(values)
+        try:
+            stacked = feature_kernels(X, bandwidth_mode=mode)
+        except (DataValidationError, NumericalError):
+            return
+        rng = np.random.default_rng(seed)
+        target = gaussian_kernel(rng.standard_normal((X.n, 2)), sigma=1.0)
+        upper = kernel.upper_triangle(target)
+        gram, cross = stacked.gram(upper)
+        expected_gram, expected_cross = dense_frobenius_products(list(stacked), target)
+        np.testing.assert_allclose(gram, expected_gram, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cross, expected_cross, rtol=1e-12, atol=0)
+        assert (gram == gram.T).all()
+        # twins are exactly tied in every inner product
+        first = stacked.first_copies
+        for j in range(X.d):
+            if first[j] != j:
+                assert np.array_equal(stacked.row(j), stacked.row(first[j]))
+                assert (gram[j] == gram[first[j]]).all() and cross[j] == cross[first[j]]
+        d0 = X.d - len(copies)
+        for j, c in enumerate(copies):
+            assert (gram[d0 + j] == gram[c % d0]).all()
+        # listed dense kernels stream through the same blocks: the same bits
+        listed_gram, listed_cross = StackedKernels.from_kernels(list(stacked)).gram(upper)
+        assert listed_gram.tobytes() == gram.tobytes()
+        assert listed_cross.tobytes() == cross.tobytes()
+
+    def test_selection_memory_is_two_gram_matrices_and_a_block(self, rng):
+        # the stack of triangles alone would take 4 d n (n - 1) = 61 MB here
+        from lkfs.mkl import MklConfig, greedy_select
+
+        n, d = 160, 600
+        X = matrix_of(rng.random((n, d)))
+        target = gaussian_kernel(rng.standard_normal((n, 2)), sigma=1.0)
+        tracemalloc.start()
+        try:
+            greedy_select(feature_kernels(X), target, MklConfig(p=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * d * d + 4 * 2**20
