@@ -13,7 +13,7 @@ import numpy as np
 from .clustering import ClusterAssignment, kmeans
 from .dataio import ExpressionMatrix
 from .errors import ConfigError, DataValidationError
-from .kernel import gaussian_kernel, median_bandwidth, pairwise_sqdist
+from .kernel import gaussian_kernel, median_bandwidth
 
 _L1_BIND_TOL = 1e-6
 _WEIGHT_CHANGE_TOL = 1e-4
@@ -151,13 +151,11 @@ def spec_scores(X: ExpressionMatrix | np.ndarray, sigma: float | None = None) ->
     values = X.values if isinstance(X, ExpressionMatrix) else np.asarray(X, dtype=np.float64)
     if values.shape[0] < 2:
         raise DataValidationError("spec_scores needs at least 2 samples")
-    sqdist = None
     if sigma is None:
-        sqdist = pairwise_sqdist(values)
-        sigma = median_bandwidth(values, sqdist=sqdist)
+        sigma = median_bandwidth(values)
     elif sigma <= 0:
         raise ConfigError("sigma must be > 0")
-    similarity = gaussian_kernel(values, sigma, sqdist=sqdist).entries
+    similarity = gaussian_kernel(values, sigma).entries
     scores = graph_consistency_scores(values, similarity)
     ranking = tuple(int(j) for j in np.argsort(scores, kind="stable"))
     return SpecResult(scores=scores, ranking=ranking)

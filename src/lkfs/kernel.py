@@ -59,30 +59,18 @@ def pairwise_sqdist(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _given_sqdist(pts: np.ndarray, sqdist: np.ndarray | None) -> np.ndarray:
-    """``pairwise_sqdist(pts)``, or ``sqdist`` when the caller already has it."""
-    if sqdist is None:
-        return pairwise_sqdist(pts)
-    n = pts.shape[0]
-    if sqdist.shape != (n, n):
-        raise DataValidationError(f"sqdist of shape {sqdist.shape} does not fit {n} points")
-    return sqdist
-
-
-def median_bandwidth(points: np.ndarray, sqdist: np.ndarray | None = None) -> float:
+def median_bandwidth(points: np.ndarray) -> float:
     """Median of the n(n-1)/2 pairwise Euclidean distances.
 
-    ``sqdist``, the ``pairwise_sqdist(points)`` a caller already holds, is
-    read instead of recomputed. Raises ``DataValidationError`` when more than
-    half of the point pairs coincide, so that the median, and with it the
-    bandwidth, is zero.
+    Raises ``DataValidationError`` when more than half of the point pairs
+    coincide, so that the median, and with it the bandwidth, is zero.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.shape[0] < 2:
         raise DataValidationError("median_bandwidth needs at least 2 points")
-    dists = np.sqrt(_given_sqdist(pts, sqdist)[np.triu_indices(pts.shape[0], 1)])
+    dists = np.sqrt(pairwise_sqdist(pts)[np.triu_indices(pts.shape[0], 1)])
     if dists.max() == 0.0:
         raise NumericalError("all pairwise distances are zero; kernel would be degenerate")
     sigma = float(np.median(dists))
@@ -93,19 +81,14 @@ def median_bandwidth(points: np.ndarray, sqdist: np.ndarray | None = None) -> fl
     return sigma
 
 
-def gaussian_kernel(
-    points: np.ndarray, sigma: float, source: str = "data", sqdist: np.ndarray | None = None
-) -> KernelMatrix:
-    """K[i][j] = exp(-||x_i - x_j||^2 / (2 sigma^2)); symmetric, unit diagonal.
-
-    ``sqdist``, the ``pairwise_sqdist(points)`` a caller already holds, is
-    read instead of recomputed."""
+def gaussian_kernel(points: np.ndarray, sigma: float, source: str = "data") -> KernelMatrix:
+    """K[i][j] = exp(-||x_i - x_j||^2 / (2 sigma^2)); symmetric, unit diagonal."""
     if sigma <= 0:
         raise ConfigError(f"sigma must be > 0, got {sigma}")
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
         raise DataValidationError("gaussian_kernel input contains non-finite values")
-    entries = np.exp(-_given_sqdist(pts, sqdist) / (2.0 * sigma * sigma))
+    entries = np.exp(-pairwise_sqdist(pts) / (2.0 * sigma * sigma))
     np.fill_diagonal(entries, 1.0)
     return KernelMatrix(entries, bandwidth=float(sigma), source=source)
 
@@ -137,11 +120,13 @@ class StackedKernels:
 
     The kernels come from one of two sources. With ``points`` (n, d), kernel j
     is the Gaussian kernel of column j at ``bandwidths[j]`` (all ones where
-    ``degenerate[j]``), and a triangle is computed when it is read, so the
-    ``(d, n(n-1)/2)`` stack of triangles is never held. ``upper`` holds that
-    stack explicitly, as ``from_kernels`` builds it from dense kernels.
-    Indexing and iteration give back dense ``KernelMatrix`` objects; ``gram``
-    gives every inner product the greedy selection reads.
+    ``degenerate[j]``), and a triangle is computed when it is read (``row``),
+    so the ``(d, n(n-1)/2)`` stack of triangles is held only when asked for
+    (``triangles``). ``upper`` holds that stack explicitly, as
+    ``from_kernels`` builds it from dense kernels.
+    Indexing and iteration give back dense ``KernelMatrix`` objects. The greedy
+    selection reads its inner products from ``gram`` or from ``triangles``,
+    whichever costs less for the shape.
     """
 
     n: int
@@ -193,13 +178,14 @@ class StackedKernels:
 
     @cached_property
     def _scales(self) -> np.ndarray:
-        """2 sigma^2 per column of ``points``; 1 for a constant column, whose
+        """-2 sigma^2 per column of ``points``; -1 for a constant column, whose
         squared differences are all 0, and exp(-0) = 1 at any bandwidth."""
-        return np.where(self.degenerate, 1.0, 2.0 * self.bandwidths * self.bandwidths)
+        return np.where(self.degenerate, -1.0, -(2.0 * self.bandwidths * self.bandwidths))
 
     def _gaussian(self, sq: np.ndarray, scales: np.ndarray | float) -> np.ndarray:
-        """exp(-sq / scales) in place, in the order of ``gaussian_kernel``."""
-        np.negative(sq, out=sq)
+        """exp(sq / scales) in place for the negative ``scales``. IEEE division
+        is symmetric in sign, so this gives the bits of ``gaussian_kernel``'s
+        exp(-sq / (2 sigma^2)) without a pass to negate."""
         sq /= scales
         return np.exp(sq, out=sq)
 
@@ -215,18 +201,31 @@ class StackedKernels:
         sq *= sq
         return self._gaussian(sq, self._scales)
 
-    def row(self, j: int) -> np.ndarray:
-        """The strict upper triangle of kernel j."""
+    def row(self, j: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The strict upper triangle of kernel j, written into ``out`` if given."""
         if self.points is None:
             return self.upper[j]
+        if out is None:
+            out = np.empty(self.n * (self.n - 1) // 2)
         if self.degenerate[j]:
-            return np.ones(self.n * (self.n - 1) // 2)
+            out.fill(1.0)
+            return out
         iu, ju = _triu_indices(self.n)
         col = self.points[:, j]
-        row = col[ju]
-        row -= col[iu]
-        row *= row
-        return self._gaussian(row, self._scales[j])
+        np.take(col, ju, out=out)
+        out -= col[iu]
+        out *= out
+        return self._gaussian(out, self._scales[j])
+
+    def triangles(self) -> np.ndarray:
+        """The (d, n(n-1)/2) stack of strict upper triangles, one kernel per
+        row; from ``points`` each row is built in place."""
+        if self.points is None:
+            return self.upper
+        stack = np.empty((len(self), self.n * (self.n - 1) // 2))
+        for j, row in enumerate(stack):
+            self.row(j, out=row)
+        return stack
 
     def _pair_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """Consecutive runs of sample pairs, as (pairs, block): row r of the
@@ -234,11 +233,14 @@ class StackedKernels:
         every triangle.
 
         A block covers whole sample rows i, that is the pairs (i, i+1..n-1),
-        in one reused buffer of about ``_BLOCK_ENTRIES`` entries; from
-        ``points`` they are formed as ``points[i+1:] - points[i]``. Both
-        sources give equal kernels in equal blocks, hence equal sums."""
+        in one reused buffer of about ``_BLOCK_ENTRIES`` entries, or of d/2
+        pairs when d is larger, so that each block's d x d product outweighs
+        adding it up; from ``points`` they are formed as
+        ``points[i+1:] - points[i]``. Both sources give equal kernels in equal
+        blocks, hence equal sums."""
         n, d = self.n, len(self)
-        buf = np.empty((min(max(_BLOCK_ENTRIES // d, n - 1), n * (n - 1) // 2), d))
+        rows = max(_BLOCK_ENTRIES // d, d // 2, n - 1)
+        buf = np.empty((min(rows, n * (n - 1) // 2), d))
         i = lo = 0
         while i < n - 1:
             fill = 0

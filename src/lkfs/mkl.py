@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .errors import ConfigError, DataValidationError, NumericalError
 from .kernel import KernelMatrix, StackedKernels, frobenius_inner, upper_triangle
 
 _DET_FLOOR = 1e-14  # relative determinant threshold for the 2x2 solve
+# features per greedy step up to which the Gram matrix is no slower than the
+# stack (measured break-even 30-60 at n = 160 and 400, one BLAS thread)
+_GRAM_FEATURES_PER_STEP = 30
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,35 @@ def _pair_weights_batch(
     return wa, wb, achieved
 
 
+def _inner_products(
+    stack: StackedKernels, tz: np.ndarray, steps: int
+) -> tuple[np.ndarray, np.ndarray, Callable[[int], np.ndarray]]:
+    """(c, s, column) with c[a] = <K_a, Kz>, s[a] = <K_a, K_a> and
+    ``column(j)[a]`` = <K_a, K_j> for a greedy that reads ``steps`` columns.
+
+    Two ways, and neither wins on every shape. The Gram matrix G
+    (``StackedKernels.gram``) costs one d^2 n(n-1)/2 product and up to
+    20 d^2 bytes: G, a product buffer and a block of d/2 pairs. The stack of
+    triangles costs one matrix-vector pass per column read and 4 d n(n-1)
+    bytes. G is taken only where it is no slower, with d at most
+    ``_GRAM_FEATURES_PER_STEP`` times ``steps``, and no larger, with d at most
+    n(n-1)/5. With unit diagonals <K_a, K_b> = n + 2 upper[a] . upper[b];
+    equal kernels take the products of their first copy, so twins stay
+    exactly tied either way.
+    """
+    d, pairs = len(stack), stack.n * (stack.n - 1) // 2
+    if d <= _GRAM_FEATURES_PER_STEP * steps and 5 * d <= 2 * pairs:
+        gram, cz = stack.gram(tz)
+        return cz, gram.diagonal(), gram.__getitem__
+    upper, first = stack.triangles(), stack.first_copies
+
+    def inner(t: np.ndarray) -> np.ndarray:
+        return (stack.n + 2.0 * (upper @ t))[first]
+
+    ss = (stack.n + 2.0 * np.einsum("ij,ij->i", upper, upper))[first]
+    return inner(tz), ss, lambda j: inner(upper[j])
+
+
 def greedy_select(
     candidates: StackedKernels | Sequence[KernelMatrix], Kz: KernelMatrix, config: MklConfig
 ) -> MklSolution:
@@ -137,12 +169,11 @@ def greedy_select(
     Ties break toward the lowest feature index. Stops at ``config.p`` features
     or when the best gain falls to ``config.improvement_tolerance`` or below.
 
-    The inner products come from one pass over the kernels: the d x d Gram
-    matrix G[a, b] = <K_a, K_b> and c[a] = <K_a, Kz> (``StackedKernels.gram``).
     The state is m_j = <K_mu, K_j> for every candidate j; accepting feature j
-    updates it to ``w1 * m + w2 * G[j]``, and <K_mu, Kz> and <K_mu, K_mu>
-    follow as scalar recurrences. Every kernel must be symmetric with unit
-    diagonal.
+    updates it to ``w1 * m + w2 * G[j]`` with G[a, b] = <K_a, K_b>, and
+    <K_mu, Kz> and <K_mu, K_mu> follow as scalar recurrences (see
+    ``_inner_products`` for where G comes from). Every kernel must be
+    symmetric with unit diagonal.
     """
     stack = (
         candidates
@@ -156,8 +187,7 @@ def greedy_select(
         raise DataValidationError("no non-degenerate candidate kernels")
     tz = upper_triangle(Kz)
     zz = stack.n + 2.0 * float(tz @ tz)
-    gram, cz = stack.gram(tz)
-    ss = gram.diagonal()
+    cz, ss, column = _inner_products(stack, tz, config.p)
 
     active = np.flatnonzero(open_)
     first = int(active[np.argmax(cz[active] / np.sqrt(ss[active] * zz))])
@@ -165,7 +195,7 @@ def greedy_select(
     mu[first] = 1.0
     selected = [first]
     open_[first] = False
-    m = gram[first]
+    m = column(first)
     mz, mm = float(cz[first]), float(ss[first])
     trajectory = [mz / math.sqrt(mm * zz)]
     subsample_rng = (
@@ -195,7 +225,7 @@ def greedy_select(
         open_[j] = False
         mz = w1 * mz + w2 * float(cz[j])
         mm = w1 * w1 * mm + 2.0 * w1 * w2 * float(m[j]) + w2 * w2 * float(ss[j])
-        m = w1 * m + w2 * gram[j]
+        m = w1 * m + w2 * column(j)
         trajectory.append(mz / math.sqrt(mm * zz))
 
     mu = mu / mu.sum()

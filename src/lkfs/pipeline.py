@@ -163,10 +163,8 @@ def run_lkfs_once(
     prefix of the selection at a larger one.
     """
     latent = _train_latent(X, config, seed)
-    z = latent.z_values
-    sqdist = kernel.pairwise_sqdist(z)
     kz = kernel.gaussian_kernel(
-        z, kernel.median_bandwidth(z, sqdist=sqdist), source="latent", sqdist=sqdist
+        latent.z_values, kernel.median_bandwidth(latent.z_values), source="latent"
     )
     candidates = kernel.feature_kernels(X, bandwidth_mode=config.kernel_bandwidth_mode)
     solution = mkl.greedy_select(

@@ -77,19 +77,6 @@ class TestPairwiseSqdist:
         assert got.tobytes() == row_loop_sqdist(pts).tobytes()
         assert got.tobytes() == got.T.copy().tobytes()
 
-    def test_given_sqdist_gives_the_same_bytes(self, rng):
-        # one distance matrix serves the bandwidth and the kernel
-        pts = rng.standard_normal((30, 4))
-        sq = kernel.pairwise_sqdist(pts)
-        sigma = median_bandwidth(pts)
-        assert median_bandwidth(pts, sqdist=sq) == sigma
-        got = gaussian_kernel(pts, sigma, sqdist=sq).entries
-        assert got.tobytes() == gaussian_kernel(pts, sigma).entries.tobytes()
-        with pytest.raises(DataValidationError, match="does not fit"):
-            median_bandwidth(pts[:10], sqdist=sq)
-        with pytest.raises(DataValidationError, match="does not fit"):
-            gaussian_kernel(pts, sigma, sqdist=sq[:5])
-
 
 class TestMedianBandwidth:
     def test_three_points_odd_count(self):
@@ -444,6 +431,7 @@ class TestInPlaceBuild:
             return
         stacked = feature_kernels(X, bandwidth_mode=mode)
         assert np.array([stacked.row(j) for j in range(X.d)]).tobytes() == upper.tobytes()
+        assert stacked.triangles().tobytes() == upper.tobytes()
         assert stacked.bandwidths.tobytes() == bandwidths.tobytes()
         assert stacked.degenerate.tobytes() == degenerate.tobytes()
 
@@ -518,7 +506,8 @@ class TestGram:
         assert listed_cross.tobytes() == cross.tobytes()
 
     def test_selection_memory_is_two_gram_matrices_and_a_block(self, rng):
-        # the stack of triangles alone would take 4 d n (n - 1) = 61 MB here
+        # the stack of triangles alone would take 4 d n (n - 1) = 61 MB here;
+        # at 12 features per step the greedy reads the Gram matrix instead
         from lkfs.mkl import MklConfig, greedy_select
 
         n, d = 160, 600
@@ -526,7 +515,7 @@ class TestGram:
         target = gaussian_kernel(rng.standard_normal((n, 2)), sigma=1.0)
         tracemalloc.start()
         try:
-            greedy_select(feature_kernels(X), target, MklConfig(p=10))
+            greedy_select(feature_kernels(X), target, MklConfig(p=50))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

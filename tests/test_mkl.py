@@ -7,10 +7,21 @@ from hypothesis import strategies as st
 
 from lkfs.dataio import generate_synthetic, minmax_scale
 from lkfs.errors import DataValidationError
-from lkfs.kernel import KernelMatrix, alignment, feature_kernels, gaussian_kernel, median_bandwidth
+from lkfs import mkl
+from lkfs.dataio import ExpressionMatrix
+from lkfs.kernel import (
+    KernelMatrix,
+    StackedKernels,
+    alignment,
+    feature_kernels,
+    gaussian_kernel,
+    median_bandwidth,
+    upper_triangle,
+)
 from lkfs.mkl import (
     MklConfig,
     MklSolution,
+    _inner_products,
     _pair_weights_batch,
     _pair_weights_from_scalars,
     combined_kernel,
@@ -286,6 +297,90 @@ class TestIncrementalGreedy:
         for i in range(batch):
             scalar = _pair_weights_from_scalars(aa, bb[i], ab[i], az, bz[i], zz)
             assert (wa[i], wb[i], achieved[i]) == scalar
+
+
+class TestInnerProducts:
+    """The greedy reads its inner products from the Gram matrix or from the
+    stack of triangles, whichever costs less for the shape."""
+
+    @pytest.mark.parametrize(
+        ("n", "d", "p", "way"),
+        [
+            (160, 600, 50, "gram"),  # wide_select's shape: 12 features per step
+            (160, 500, 10, "stack"),  # deep_latent's shape: 50 features per step
+            (10, 18, 5, "gram"),  # 5 d <= 2 n(n-1)/2 = 90
+            (10, 19, 5, "stack"),  # the Gram would take more memory than the stack
+        ],
+    )
+    def test_takes_the_gram_only_where_no_slower_and_no_larger(self, monkeypatch, n, d, p, way):
+        calls = []
+        for name in ("gram", "triangles"):
+            method = getattr(StackedKernels, name)
+            monkeypatch.setattr(
+                StackedKernels,
+                name,
+                lambda self, *args, _m=method, _n=name: calls.append(_n) or _m(self, *args),
+            )
+        rng = np.random.default_rng(n + d)
+        X = ExpressionMatrix(
+            rng.random((n, d)), tuple(f"s{i}" for i in range(n)), tuple(f"g{j}" for j in range(d))
+        )
+        greedy_select(feature_kernels(X), random_kernel(rng, n=n), MklConfig(p=p))
+        assert calls == [{"gram": "gram", "stack": "triangles"}[way]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 30),
+        d=st.integers(1, 10),
+        copies=st.lists(st.integers(0, 9), max_size=3),
+    )
+    def test_both_ways_agree_and_keep_twins_tied(self, seed, n, d, copies):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, d))
+        values = np.column_stack([values, values[:, [c % d for c in copies]]])
+        X = ExpressionMatrix(
+            values, tuple(f"s{i}" for i in range(n)), tuple(f"g{j}" for j in range(values.shape[1]))
+        )
+        stacked = feature_kernels(X)
+        tz = upper_triangle(random_kernel(rng, n=n))
+        ways = {}
+        for name, ratio in (("gram", 10**9), ("stack", 0)):
+            if name == "gram" and 5 * X.d > n * (n - 1):
+                continue  # the Gram is never taken here
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mkl, "_GRAM_FEATURES_PER_STEP", ratio)
+                cz, ss, column = _inner_products(stacked, tz, 1)
+            ways[name] = cz, ss, np.array([column(j) for j in range(X.d)])
+        # the stack way is one matrix-vector product per column, as the
+        # greedy made them before the Gram matrix
+        upper = stacked.triangles()
+        first = stacked.first_copies
+        cz, ss, columns = ways["stack"]
+        assert cz.tobytes() == ((n + 2.0 * (upper @ tz))[first]).tobytes()
+        assert ss.tobytes() == ((n + 2.0 * np.einsum("ij,ij->i", upper, upper))[first]).tobytes()
+        for j in range(X.d):
+            assert columns[j].tobytes() == ((n + 2.0 * (upper @ upper[j]))[first]).tobytes()
+        for cz, ss, columns in ways.values():
+            for j in np.flatnonzero(first != np.arange(X.d)):
+                i = first[j]
+                assert cz[j] == cz[i] and ss[j] == ss[i] and columns[j][j] == columns[i][i]
+                assert (columns[:, j] == columns[:, i]).all()
+        if "gram" in ways:
+            for got, want in zip(ways["gram"], ways["stack"]):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_both_ways_select_the_same_features(self, monkeypatch):
+        _, candidates, kz = informative_target_fixture(seed=5, n=80, d=60)
+        solutions = []
+        for ratio in (10**9, 0):
+            monkeypatch.setattr(mkl, "_GRAM_FEATURES_PER_STEP", ratio)
+            solutions.append(greedy_select(candidates, kz, MklConfig(p=8)))
+        gram, stack = solutions
+        assert gram.selected == stack.selected and gram.stop_reason == stack.stop_reason
+        np.testing.assert_allclose(
+            gram.alignment_trajectory, stack.alignment_trajectory, rtol=0, atol=1e-14
+        )
 
 
 class TestCombinedKernel:
