@@ -3,9 +3,10 @@ Frobenius inner products and kernel alignment."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -118,46 +119,26 @@ class StackedKernels:
     """d symmetric unit-diagonal n x n kernels, read through their strict upper
     triangles in ``np.triu_indices(n, 1)`` order.
 
-    The kernels come from one of two sources. With ``points`` (n, d), kernel j
-    is the Gaussian kernel of column j at ``bandwidths[j]`` (all ones where
-    ``degenerate[j]``), and a triangle is computed when it is read (``row``),
-    so the ``(d, n(n-1)/2)`` stack of triangles is held only when asked for
-    (``triangles``). ``upper`` holds that stack explicitly, as
-    ``from_kernels`` builds it from dense kernels.
-    Indexing and iteration give back dense ``KernelMatrix`` objects. The greedy
-    selection reads its inner products from ``gram`` or from ``triangles``,
-    whichever costs less for the shape.
+    Kernel j is the Gaussian kernel of column j of ``points`` (n, d) at
+    ``bandwidths[j]`` (all ones where ``degenerate[j]``). A triangle is computed
+    when it is read (``row``), so the ``(d, n(n-1)/2)`` stack of triangles is
+    held only when asked for (``triangles``). Indexing and iteration give back
+    dense ``KernelMatrix`` objects. The greedy selection reads its inner
+    products from ``gram`` or from ``triangles``, whichever costs less for the
+    shape.
     """
 
     n: int
     bandwidths: np.ndarray
     degenerate: np.ndarray
     sources: tuple[str, ...]
-    points: np.ndarray | None = None
-    upper: np.ndarray | None = None
-
-    @classmethod
-    def from_kernels(cls, kernels: Sequence[KernelMatrix]) -> StackedKernels:
-        if not kernels:
-            raise DataValidationError("no kernels to stack")
-        n = kernels[0].n
-        if any(K.n != n for K in kernels):
-            raise DataValidationError("stacked kernels must share dimensions")
-        return cls(
-            n=n,
-            bandwidths=np.array([K.bandwidth for K in kernels], dtype=np.float64),
-            degenerate=np.array([K.degenerate for K in kernels], dtype=bool),
-            sources=tuple(K.source for K in kernels),
-            upper=np.array([upper_triangle(K) for K in kernels]),
-        )
+    points: np.ndarray
 
     def __len__(self) -> int:
         return self.bandwidths.size
 
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(*j.indices(len(self)))]
-        j = range(len(self))[j]
+    def __getitem__(self, j: int) -> KernelMatrix:
+        j = range(len(self))[operator.index(j)]
         entries = np.ones((self.n, self.n))
         iu, ju = _triu_indices(self.n)
         entries[iu, ju] = entries[ju, iu] = self.row(j)
@@ -174,7 +155,7 @@ class StackedKernels:
     @property
     def nbytes(self) -> int:
         """Bytes of the array the kernels are read from."""
-        return (self.upper if self.points is None else self.points).nbytes
+        return self.points.nbytes
 
     @cached_property
     def _scales(self) -> np.ndarray:
@@ -189,22 +170,8 @@ class StackedKernels:
         sq /= scales
         return np.exp(sq, out=sq)
 
-    def _entries(self, pairs) -> np.ndarray:
-        """(len(pairs), d): entries at the given pair positions of every triangle.
-
-        From ``points`` the pairs (i, l) are taken as ``points[l] - points[i]``,
-        as ``feature_kernels`` and ``gaussian_kernel`` take them."""
-        if self.points is None:
-            return self.upper[:, pairs].T
-        iu, ju = _triu_indices(self.n)
-        sq = self.points[ju[pairs]] - self.points[iu[pairs]]
-        sq *= sq
-        return self._gaussian(sq, self._scales)
-
     def row(self, j: int, out: np.ndarray | None = None) -> np.ndarray:
         """The strict upper triangle of kernel j, written into ``out`` if given."""
-        if self.points is None:
-            return self.upper[j]
         if out is None:
             out = np.empty(self.n * (self.n - 1) // 2)
         if self.degenerate[j]:
@@ -219,9 +186,7 @@ class StackedKernels:
 
     def triangles(self) -> np.ndarray:
         """The (d, n(n-1)/2) stack of strict upper triangles, one kernel per
-        row; from ``points`` each row is built in place."""
-        if self.points is None:
-            return self.upper
+        row, each built in place."""
         stack = np.empty((len(self), self.n * (self.n - 1) // 2))
         for j, row in enumerate(stack):
             self.row(j, out=row)
@@ -233,11 +198,9 @@ class StackedKernels:
         every triangle.
 
         A block covers whole sample rows i, that is the pairs (i, i+1..n-1),
-        in one reused buffer of about ``_BLOCK_ENTRIES`` entries, or of d/2
-        pairs when d is larger, so that each block's d x d product outweighs
-        adding it up; from ``points`` they are formed as
-        ``points[i+1:] - points[i]``. Both sources give equal kernels in equal
-        blocks, hence equal sums."""
+        formed as ``points[i+1:] - points[i]`` in one reused buffer of about
+        ``_BLOCK_ENTRIES`` entries, or of d/2 pairs when d is larger, so that
+        each block's d x d product outweighs adding it up."""
         n, d = self.n, len(self)
         rows = max(_BLOCK_ENTRIES // d, d // 2, n - 1)
         buf = np.empty((min(rows, n * (n - 1) // 2), d))
@@ -245,16 +208,12 @@ class StackedKernels:
         while i < n - 1:
             fill = 0
             while i < n - 1 and fill + n - 1 - i <= buf.shape[0]:
-                if self.points is not None:
-                    np.subtract(self.points[i + 1 :], self.points[i], out=buf[fill : fill + n - 1 - i])
+                np.subtract(self.points[i + 1 :], self.points[i], out=buf[fill : fill + n - 1 - i])
                 fill += n - 1 - i
                 i += 1
             block = buf[:fill]
-            if self.points is None:
-                np.copyto(block, self.upper[:, lo : lo + fill].T)
-            else:
-                block *= block
-                self._gaussian(block, self._scales)
+            block *= block
+            self._gaussian(block, self._scales)
             yield slice(lo, lo + fill), block
             lo += fill
 
@@ -289,9 +248,16 @@ class StackedKernels:
 
     @cached_property
     def first_copies(self) -> np.ndarray:
-        """For every kernel, the index of the first kernel equal to it bit for bit."""
+        """For every kernel, the index of the first kernel equal to it bit for bit.
+
+        Kernels are bucketed by their entries at a few pairs, computed as
+        ``row`` computes them, so equal kernels share a bucket."""
         total = self.n * (self.n - 1) // 2
-        probe = self._entries(np.arange(0, total, max(1, total // 64))).T
+        pairs = np.arange(0, total, max(1, total // 64))
+        iu, ju = _triu_indices(self.n)
+        sq = self.points[ju[pairs]] - self.points[iu[pairs]]
+        sq *= sq
+        probe = self._gaussian(sq, self._scales).T
         first = np.arange(len(self))
         buckets: dict[bytes, list[int]] = {}
         for j in range(len(self)):

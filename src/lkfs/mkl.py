@@ -158,9 +158,7 @@ def _inner_products(
     return inner(tz), ss, lambda j: inner(upper[j])
 
 
-def greedy_select(
-    candidates: StackedKernels | Sequence[KernelMatrix], Kz: KernelMatrix, config: MklConfig
-) -> MklSolution:
+def greedy_select(candidates: StackedKernels, Kz: KernelMatrix, config: MklConfig) -> MklSolution:
     """Iteratively build the aligned combination, one candidate kernel at a time.
 
     Iteration 0 takes the single best-aligned candidate; afterwards the running
@@ -172,26 +170,22 @@ def greedy_select(
     The state is m_j = <K_mu, K_j> for every candidate j; accepting feature j
     updates it to ``w1 * m + w2 * G[j]`` with G[a, b] = <K_a, K_b>, and
     <K_mu, Kz> and <K_mu, K_mu> follow as scalar recurrences (see
-    ``_inner_products`` for where G comes from). Every kernel must be
+    ``_inner_products`` for where G comes from). ``candidates`` is the
+    column-backed stack of ``feature_kernels``; the target ``Kz`` must be
     symmetric with unit diagonal.
     """
-    stack = (
-        candidates
-        if isinstance(candidates, StackedKernels)
-        else StackedKernels.from_kernels(candidates)
-    )
-    if Kz.n != stack.n:
+    if Kz.n != candidates.n:
         raise DataValidationError("target and candidate kernels must share dimensions")
-    open_ = ~stack.degenerate
+    open_ = ~candidates.degenerate
     if not open_.any():
         raise DataValidationError("no non-degenerate candidate kernels")
     tz = upper_triangle(Kz)
-    zz = stack.n + 2.0 * float(tz @ tz)
-    cz, ss, column = _inner_products(stack, tz, config.p)
+    zz = candidates.n + 2.0 * float(tz @ tz)
+    cz, ss, column = _inner_products(candidates, tz, config.p)
 
     active = np.flatnonzero(open_)
     first = int(active[np.argmax(cz[active] / np.sqrt(ss[active] * zz))])
-    mu = np.zeros(len(stack))
+    mu = np.zeros(len(candidates))
     mu[first] = 1.0
     selected = [first]
     open_[first] = False

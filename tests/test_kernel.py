@@ -12,7 +12,6 @@ from lkfs.dataio import ExpressionMatrix, variance_filter
 from lkfs.errors import ConfigError, DataValidationError, NumericalError
 from lkfs.kernel import (
     KernelMatrix,
-    StackedKernels,
     alignment,
     feature_kernels,
     frobenius_inner,
@@ -183,8 +182,9 @@ class TestFeatureKernels:
 
     def test_unit_diagonals(self, small_fixture):
         X, _ = small_fixture
-        for K in feature_kernels(X)[:5]:
-            np.testing.assert_array_equal(np.diag(K.entries), 1.0)
+        kernels = feature_kernels(X)
+        for j in range(5):
+            np.testing.assert_array_equal(np.diag(kernels[j].entries), 1.0)
 
     def test_global_bandwidth_mode(self, small_fixture):
         X, _ = small_fixture
@@ -264,7 +264,7 @@ class TestStackedKernels:
     def test_rows_bit_identical_to_dense_kernels(self, with_constant):
         stacked = feature_kernels(with_constant)
         # rows are computed from the columns when read; no stack is held
-        assert stacked.upper is None and stacked.points is with_constant.values
+        assert stacked.points is with_constant.values
         assert_rows_match_dense(stacked, with_constant, median_bandwidth)
 
     def test_global_mode_bit_identical(self, with_constant):
@@ -300,17 +300,16 @@ class TestStackedKernels:
         stacked = feature_kernels(X)
         assert len(stacked) == X.d
         assert [K.source for K in stacked] == [f"feature:{j}" for j in range(X.d)]
-        assert [K.source for K in stacked[2:5]] == ["feature:2", "feature:3", "feature:4"]
         np.testing.assert_array_equal(stacked[-1].entries, stacked[X.d - 1].entries)
         with pytest.raises(IndexError):
             stacked[X.d]
+        with pytest.raises(TypeError):
+            stacked[2:5]
 
     def test_nbytes_is_the_points(self, small_fixture):
         X, _ = small_fixture
         stacked = feature_kernels(X)
         assert stacked.nbytes == X.values.nbytes == 8 * X.n * X.d
-        listed = StackedKernels.from_kernels(list(stacked[:3]))
-        assert listed.nbytes == 4 * 3 * X.n * (X.n - 1)
 
     def test_gram_matches_frobenius(self, small_fixture, rng):
         X, _ = small_fixture
@@ -326,12 +325,9 @@ class TestStackedKernels:
     def test_equal_rows_give_equal_inner_products(self, rng):
         # a BLAS product can round the twin rows 1, 3 and 5 differently
         # depending on where they sit
-        twin = gaussian_kernel(rng.standard_normal((12, 1)), sigma=1.0)
-        kernels = [
-            twin if j % 2 else gaussian_kernel(rng.standard_normal((12, 1)), sigma=1.0)
-            for j in range(7)
-        ]
-        stacked = StackedKernels.from_kernels(kernels)
+        values = rng.standard_normal((12, 7))
+        values[:, 3] = values[:, 5] = values[:, 1]
+        stacked = feature_kernels(matrix_of(values))
         target = kernel.upper_triangle(gaussian_kernel(rng.standard_normal((12, 2)), sigma=1.0))
         assert list(stacked.first_copies) == [0, 1, 2, 1, 4, 1, 6]
         gram, cross = stacked.gram(target)
@@ -339,23 +335,21 @@ class TestStackedKernels:
         assert len(set(gram.diagonal()[1::2])) == 1
         assert (gram[1::2] == gram[1]).all() and (gram[:, 1::2] == gram[:, [1]]).all()
 
-    def test_from_kernels_round_trip(self, rng):
-        kernels = [gaussian_kernel(rng.standard_normal((6, 2)), sigma=s) for s in (0.5, 1.0, 2.0)]
-        stacked = StackedKernels.from_kernels(kernels)
-        for K, back in zip(kernels, stacked):
-            np.testing.assert_array_equal(back.entries, K.entries)
-            assert back.bandwidth == K.bandwidth and not back.degenerate
+    def test_greedy_rejects_targets_the_identity_cannot_hold(self, rng):
+        # <K_a, K_z> = n + 2 upper[a] . upper[z] holds only for a symmetric
+        # unit-diagonal target of the stack's n
+        from lkfs.mkl import MklConfig, greedy_select
 
-    def test_from_kernels_rejects_what_the_identity_cannot_hold(self, rng):
+        stacked = feature_kernels(matrix_of(rng.standard_normal((5, 3))))
         K = gaussian_kernel(rng.standard_normal((5, 2)), sigma=1.0)
         with pytest.raises(DataValidationError, match="unit diagonal"):
-            StackedKernels.from_kernels([K, KernelMatrix(2.0 * K.entries, 1.0)])
+            greedy_select(stacked, KernelMatrix(2.0 * K.entries, 1.0), MklConfig(p=1))
         skewed = K.entries.copy()
         skewed[0, 1] += 0.1
         with pytest.raises(DataValidationError, match="symmetric"):
-            StackedKernels.from_kernels([KernelMatrix(skewed, 1.0)])
+            greedy_select(stacked, KernelMatrix(skewed, 1.0), MklConfig(p=1))
         with pytest.raises(DataValidationError, match="dimensions"):
-            StackedKernels.from_kernels([K, gaussian_kernel(np.arange(4.0), sigma=1.0)])
+            greedy_select(stacked, gaussian_kernel(np.arange(4.0), sigma=1.0), MklConfig(p=1))
 
 
 def blocked_feature_kernels(X, bandwidth_mode):
@@ -457,7 +451,7 @@ def dense_frobenius_products(kernels, target):
 
 class TestGram:
     """``StackedKernels.gram`` against the Frobenius products of the dense
-    kernels, from columns and from listed kernels."""
+    kernels."""
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     @settings(max_examples=120, deadline=None)
@@ -485,8 +479,7 @@ class TestGram:
             return
         rng = np.random.default_rng(seed)
         target = gaussian_kernel(rng.standard_normal((X.n, 2)), sigma=1.0)
-        upper = kernel.upper_triangle(target)
-        gram, cross = stacked.gram(upper)
+        gram, cross = stacked.gram(kernel.upper_triangle(target))
         expected_gram, expected_cross = dense_frobenius_products(list(stacked), target)
         np.testing.assert_allclose(gram, expected_gram, rtol=1e-12, atol=0)
         np.testing.assert_allclose(cross, expected_cross, rtol=1e-12, atol=0)
@@ -500,10 +493,6 @@ class TestGram:
         d0 = X.d - len(copies)
         for j, c in enumerate(copies):
             assert (gram[d0 + j] == gram[c % d0]).all()
-        # listed dense kernels stream through the same blocks: the same bits
-        listed_gram, listed_cross = StackedKernels.from_kernels(list(stacked)).gram(upper)
-        assert listed_gram.tobytes() == gram.tobytes()
-        assert listed_cross.tobytes() == cross.tobytes()
 
     def test_selection_memory_is_two_gram_matrices_and_a_block(self, rng):
         # the stack of triangles alone would take 4 d n (n - 1) = 61 MB here;

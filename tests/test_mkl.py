@@ -48,6 +48,15 @@ def random_kernel(rng, n=6, m=2, sigma=None):
     return gaussian_kernel(pts, sigma or median_bandwidth(pts))
 
 
+def column_kernels(values):
+    """The feature kernels of the columns of an (n, d) array, as the pipeline
+    builds them."""
+    n, d = values.shape
+    return feature_kernels(
+        ExpressionMatrix(values, tuple(f"s{i}" for i in range(n)), tuple(f"g{j}" for j in range(d)))
+    )
+
+
 def informative_target_fixture(seed, n=200, d=100, informative=10):
     """Feature kernels plus the generator's ground-truth class-block target."""
     X, labels = generate_synthetic(n=n, d=d, informative=informative, separation=4.0, seed=seed)
@@ -147,9 +156,8 @@ class TestSolvePairWeights:
 
 class TestGreedySelect:
     def test_exact_target_candidate_stops_immediately(self, rng):
-        Kz = random_kernel(rng)
-        noise = [random_kernel(rng) for _ in range(3)]
-        candidates = [noise[0], KernelMatrix(Kz.entries.copy(), Kz.bandwidth), noise[1], noise[2]]
+        candidates = column_kernels(rng.standard_normal((6, 4)))
+        Kz = candidates[1]
         solution = greedy_select(candidates, Kz, MklConfig(p=3))
         assert solution.selected == (1,)
         assert solution.alignment_trajectory == (pytest.approx(1.0, abs=1e-12),)
@@ -157,14 +165,14 @@ class TestGreedySelect:
 
     def test_trajectory_strictly_increasing(self, rng):
         pts = rng.standard_normal((30, 1))
-        candidates = [random_kernel(rng, n=30, m=1) for _ in range(12)]
+        candidates = column_kernels(rng.standard_normal((30, 12)))
         Kz = gaussian_kernel(pts, median_bandwidth(pts))
         solution = greedy_select(candidates, Kz, MklConfig(p=8))
         diffs = np.diff(solution.alignment_trajectory)
         assert np.all(diffs > 0)
 
     def test_mu_nonzero_exactly_on_selected(self, rng):
-        candidates = [random_kernel(rng, n=20) for _ in range(10)]
+        candidates = column_kernels(rng.standard_normal((20, 10)))
         Kz = random_kernel(rng, n=20)
         solution = greedy_select(candidates, Kz, MklConfig(p=5))
         nonzero = set(np.nonzero(solution.mu)[0])
@@ -173,7 +181,7 @@ class TestGreedySelect:
         assert np.all(solution.mu >= 0)
 
     def test_final_alignment_recomputable_from_mu(self, rng):
-        candidates = [random_kernel(rng, n=25) for _ in range(15)]
+        candidates = column_kernels(rng.standard_normal((25, 15)))
         Kz = random_kernel(rng, n=25)
         solution = greedy_select(candidates, Kz, MklConfig(p=6))
         recomputed = alignment(combined_kernel(solution, candidates), Kz)
@@ -181,34 +189,34 @@ class TestGreedySelect:
         assert abs(recomputed - solution.alignment_trajectory[-1]) < 1e-10
 
     def test_final_beats_every_single_candidate(self, rng):
-        candidates = [random_kernel(rng, n=15) for _ in range(8)]
+        candidates = column_kernels(rng.standard_normal((15, 8)))
         Kz = random_kernel(rng, n=15)
         solution = greedy_select(candidates, Kz, MklConfig(p=8))
         singles = max(alignment(K, Kz) for K in candidates)
         assert solution.target_alignment >= singles - 1e-12
 
     def test_candidate_permutation_invariance(self, rng):
-        candidates = [random_kernel(rng, n=18) for _ in range(9)]
+        values = rng.standard_normal((18, 9))
         Kz = random_kernel(rng, n=18)
-        base = greedy_select(candidates, Kz, MklConfig(p=4))
+        base = greedy_select(column_kernels(values), Kz, MklConfig(p=4))
         perm = [4, 2, 7, 0, 8, 1, 5, 3, 6]
-        permuted = greedy_select([candidates[j] for j in perm], Kz, MklConfig(p=4))
+        permuted = greedy_select(column_kernels(values[:, perm]), Kz, MklConfig(p=4))
         assert {perm[j] for j in permuted.selected} == set(base.selected)
 
     def test_degenerate_candidates_excluded(self, rng):
-        good = random_kernel(rng, n=10)
-        bad = KernelMatrix(np.ones((10, 10)), float("nan"), degenerate=True)
+        candidates = column_kernels(np.column_stack([np.ones(10), rng.standard_normal(10)]))
+        assert list(candidates.degenerate) == [True, False]
         Kz = random_kernel(rng, n=10)
-        solution = greedy_select([bad, good], Kz, MklConfig(p=2))
+        solution = greedy_select(candidates, Kz, MklConfig(p=2))
         assert 0 not in solution.selected
 
     def test_all_degenerate_rejected(self):
-        bad = KernelMatrix(np.ones((4, 4)), float("nan"), degenerate=True)
-        with pytest.raises(DataValidationError):
-            greedy_select([bad], KernelMatrix(np.eye(4), 1.0), MklConfig(p=1))
+        candidates = column_kernels(np.ones((4, 1)))
+        with pytest.raises(DataValidationError, match="non-degenerate"):
+            greedy_select(candidates, KernelMatrix(np.eye(4), 1.0), MklConfig(p=1))
 
     def test_candidate_subsample_deterministic(self, rng):
-        candidates = [random_kernel(rng, n=14) for _ in range(12)]
+        candidates = column_kernels(rng.standard_normal((14, 12)))
         Kz = random_kernel(rng, n=14)
         config = MklConfig(p=4, candidate_subsample=5, seed=3)
         a = greedy_select(candidates, Kz, config)
@@ -244,13 +252,10 @@ class TestIncrementalGreedy:
     )
     def test_matches_dense_reference(self, seed, n, d, p, subsample):
         rng = np.random.default_rng(seed)
-        candidates = [
-            random_kernel(rng, n=n, m=int(rng.integers(1, 3)), sigma=float(rng.uniform(0.3, 3.0)))
-            for _ in range(d)
-        ]
+        candidates = column_kernels(rng.standard_normal((n, d)))
         Kz = random_kernel(rng, n=n, m=2)
         config = MklConfig(p=p, candidate_subsample=subsample, seed=seed % 97)
-        selected, trajectory, mu, stop_reason = dense_reference_greedy(candidates, Kz, config)
+        selected, trajectory, mu, stop_reason = dense_reference_greedy(list(candidates), Kz, config)
         solution = greedy_select(candidates, Kz, config)
         assert solution.selected == selected
         assert solution.stop_reason == stop_reason
@@ -261,26 +266,18 @@ class TestIncrementalGreedy:
         assert set(np.flatnonzero(solution.mu)) == set(solution.selected)
         assert np.all(np.diff(solution.alignment_trajectory) > 0)
 
-    def test_stacked_and_listed_candidates_agree(self, small_fixture):
-        X, labels = small_fixture
-        stacked = feature_kernels(X)
-        codes = labels.aligned_to(X.sample_ids)
-        kz = KernelMatrix((codes[:, None] == codes[None, :]).astype(float), 1.0)
-        a = greedy_select(stacked, kz, MklConfig(p=6))
-        b = greedy_select(list(stacked), kz, MklConfig(p=6))
-        assert a.selected == b.selected
-        assert a.alignment_trajectory == b.alignment_trajectory
-
     def test_ties_break_toward_lowest_index(self, rng):
-        Kz = random_kernel(rng, n=12)
-        noise = random_kernel(rng, n=12)
-        twin = KernelMatrix(Kz.entries.copy(), 1.0)
-        solution = greedy_select([noise, twin, twin], Kz, MklConfig(p=2))
+        noise, twin = rng.standard_normal((2, 12))
+        candidates = column_kernels(np.column_stack([noise, twin, twin]))
+        Kz = candidates[1]
+        solution = greedy_select(candidates, Kz, MklConfig(p=2))
         assert solution.selected[0] == 1
 
     def test_target_must_share_dimensions(self, rng):
         with pytest.raises(DataValidationError, match="dimensions"):
-            greedy_select([random_kernel(rng, n=5)], random_kernel(rng, n=6), MklConfig(p=1))
+            greedy_select(
+                column_kernels(rng.standard_normal((5, 1))), random_kernel(rng, n=6), MklConfig(p=1)
+            )
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), batch=st.integers(1, 8))
@@ -396,7 +393,7 @@ class TestCombinedKernel:
         np.testing.assert_array_equal(combined_kernel(solution, [K]).entries, K.entries)
 
     def test_convex_combination_keeps_unit_diagonal(self, rng):
-        candidates = [random_kernel(rng, n=10) for _ in range(6)]
+        candidates = column_kernels(rng.standard_normal((10, 6)))
         Kz = random_kernel(rng, n=10)
         solution = greedy_select(candidates, Kz, MklConfig(p=4))
         combo = combined_kernel(solution, candidates)
@@ -416,7 +413,7 @@ class TestCombinedKernel:
 
 
 def test_solution_dump_fields(rng):
-    candidates = [random_kernel(rng, n=8) for _ in range(5)]
+    candidates = column_kernels(rng.standard_normal((8, 5)))
     Kz = random_kernel(rng, n=8)
     solution = greedy_select(candidates, Kz, MklConfig(p=3))
     doc = solution_to_dict(solution, [f"g{j}" for j in range(5)])
