@@ -21,8 +21,9 @@ class KernelMatrix:
     """Symmetric PSD similarity matrix with unit diagonal.
 
     ``source`` records provenance: "latent", "feature:<index>", "combined" or
-    "data". Kernels built from a constant column are flagged ``degenerate`` and
-    are excluded from selection.
+    "data". Kernels built from a constant column, or from a column whose median
+    pairwise distance is 0, are flagged ``degenerate`` and are excluded from
+    selection.
     """
 
     entries: np.ndarray
@@ -124,8 +125,8 @@ class StackedKernels:
     when it is read (``row``), so the ``(d, n(n-1)/2)`` stack of triangles is
     held only when asked for (``triangles``). Indexing and iteration give back
     dense ``KernelMatrix`` objects. The greedy selection reads its inner
-    products from ``gram`` or from ``triangles``, whichever costs less for the
-    shape.
+    products from ``gram`` (at most 20 d^2 bytes) or from ``triangles``
+    (4 d n(n-1) bytes); ``mkl._takes_gram`` picks one from time and bytes.
     """
 
     n: int
@@ -159,9 +160,10 @@ class StackedKernels:
 
     @cached_property
     def _scales(self) -> np.ndarray:
-        """-2 sigma^2 per column of ``points``; -1 for a constant column, whose
-        squared differences are all 0, and exp(-0) = 1 at any bandwidth."""
-        return np.where(self.degenerate, -1.0, -(2.0 * self.bandwidths * self.bandwidths))
+        """-2 sigma^2 per column of ``points``; -inf for a degenerate column,
+        whose finite squared differences all divide to -0, and exp(-0) = 1,
+        the all-ones kernel of ``row``."""
+        return np.where(self.degenerate, -np.inf, -(2.0 * self.bandwidths * self.bandwidths))
 
     def _gaussian(self, sq: np.ndarray, scales: np.ndarray | float) -> np.ndarray:
         """exp(sq / scales) in place for the negative ``scales``. IEEE division
@@ -288,8 +290,10 @@ def feature_kernels(X: ExpressionMatrix, bandwidth_mode: str = "per-feature") ->
 
     Kernel j is bit for bit ``gaussian_kernel(col_j, median_bandwidth(col_j))``
     with the default ``bandwidth_mode="per-feature"``; "global" applies a single
-    bandwidth computed on the full matrix. Constant columns yield flagged
-    degenerate all-ones kernels. Only the bandwidths are computed here, column
+    bandwidth computed on the full matrix. Constant columns, and per feature
+    columns whose median pairwise distance is 0 (one value in about 71% or
+    more of the samples), have no bandwidth and yield flagged degenerate
+    all-ones kernels. Only the bandwidths are computed here, column
     by column in one row of pairs; the kernels are read from the columns of
     ``X`` on demand (see ``StackedKernels``).
     """
@@ -310,16 +314,14 @@ def feature_kernels(X: ExpressionMatrix, bandwidth_mode: str = "per-feature") ->
             row -= col[iu]
             row *= row
             sigma = _median_distance(row)
-            if sigma <= 0:
-                if not row.any():  # distances underflow to zero
-                    raise NumericalError(
-                        f"feature {j}: all pairwise distances are zero; kernel would be degenerate"
-                    )
-                raise DataValidationError(
-                    f"feature {X.feature_names[j]!r}: median pairwise distance is 0 "
-                    "(more than half of the sample pairs hold equal values)"
+            if sigma > 0:
+                bandwidths[j] = sigma
+            elif row.any():  # more than half of the sample pairs hold equal values
+                degenerate[j] = True
+            else:  # distances underflow to zero
+                raise NumericalError(
+                    f"feature {j}: all pairwise distances are zero; kernel would be degenerate"
                 )
-            bandwidths[j] = sigma
     return StackedKernels(
         n=X.n,
         bandwidths=bandwidths,

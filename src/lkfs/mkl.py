@@ -21,9 +21,16 @@ from .errors import ConfigError, DataValidationError, NumericalError
 from .kernel import KernelMatrix, StackedKernels, frobenius_inner, upper_triangle
 
 _DET_FLOOR = 1e-14  # relative determinant threshold for the 2x2 solve
-# features per greedy step up to which the Gram matrix is no slower than the
-# stack (measured break-even 30-60 at n = 160 and 400, one BLAS thread)
-_GRAM_FEATURES_PER_STEP = 30
+# Features per greedy step up to which the Gram matrix selects no slower than
+# the stack, and up to which it selects about 15% slower. Measured with
+# feature_kernels + greedy_select on random matrices, one BLAS thread
+# (scripts/selection_sources.py): break-even at d/p of 30-40 at n = 160 and
+# 40-60 at n = 400; at d/p = 50 a median 13% slower (13 runs at n = 160, 320
+# and 400), at d/p of 59-60 a median 24% slower (6 runs at n = 160 and 320).
+_GRAM_NO_SLOWER_PER_STEP = 30
+_GRAM_SLOWER_PER_STEP = 50
+# the Gram may be slower only where the stack takes this many times its bytes
+_GRAM_SHRINK = 4
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,19 @@ def _pair_weights_batch(
     return wa, wb, achieved
 
 
+def _takes_gram(n: int, d: int, steps: int) -> bool:
+    """Whether a greedy of ``steps`` steps over d kernels of size n reads the
+    Gram matrix rather than the stack of triangles.
+
+    The Gram holds at most 20 d^2 bytes, the stack 8 d n(n-1)/2. The Gram is
+    taken where it is no slower and no larger, and also where it is at most
+    about 15% slower and at least ``_GRAM_SHRINK`` times smaller."""
+    gram_bytes, stack_bytes = 20 * d * d, 4 * d * n * (n - 1)
+    if d <= _GRAM_NO_SLOWER_PER_STEP * steps:
+        return gram_bytes <= stack_bytes
+    return d <= _GRAM_SLOWER_PER_STEP * steps and _GRAM_SHRINK * gram_bytes <= stack_bytes
+
+
 def _inner_products(
     stack: StackedKernels, tz: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray, Callable[[int], np.ndarray]]:
@@ -139,14 +159,11 @@ def _inner_products(
     (``StackedKernels.gram``) costs one d^2 n(n-1)/2 product and up to
     20 d^2 bytes: G, a product buffer and a block of d/2 pairs. The stack of
     triangles costs one matrix-vector pass per column read and 4 d n(n-1)
-    bytes. G is taken only where it is no slower, with d at most
-    ``_GRAM_FEATURES_PER_STEP`` times ``steps``, and no larger, with d at most
-    n(n-1)/5. With unit diagonals <K_a, K_b> = n + 2 upper[a] . upper[b];
-    equal kernels take the products of their first copy, so twins stay
-    exactly tied either way.
+    bytes. ``_takes_gram`` weighs both, from (n, d, steps) alone. With unit
+    diagonals <K_a, K_b> = n + 2 upper[a] . upper[b]; equal kernels take the
+    products of their first copy, so twins stay exactly tied either way.
     """
-    d, pairs = len(stack), stack.n * (stack.n - 1) // 2
-    if d <= _GRAM_FEATURES_PER_STEP * steps and 5 * d <= 2 * pairs:
+    if _takes_gram(stack.n, len(stack), steps):
         gram, cz = stack.gram(tz)
         return cz, gram.diagonal(), gram.__getitem__
     upper, first = stack.triangles(), stack.first_copies

@@ -239,6 +239,60 @@ class TestRun:
         assert code == 0
 
 
+def run_lkfs_on(values, tmp_path, preprocess, p):
+    """`lkfs run` of lkfs alone on an unlabelled matrix of columns g0, g1, ...;
+    returns the exit code and the lkfs selections of every record."""
+    n, d = values.shape
+    matrix = tmp_path / "matrix.tsv"
+    save_matrix(
+        ExpressionMatrix(values, [f"s{i}" for i in range(n)], [f"g{j}" for j in range(d)]), matrix
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "preprocess": preprocess,
+        "ae_hidden": [4], "ae_latent": 2, "ae": {"epochs": 2, "batch_size": 16},
+        "methods": ["lkfs"], "p_grid": [p], "k_grid": [2],
+    }))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="labels"):
+        code = main(["run", "--config", str(config), "--input", str(matrix), "--out", str(out)])
+    if code:
+        return code, []
+    report = json.loads((out / "report_lkfs.json").read_text())
+    return code, [r["selected_features"] for r in report["repetitions"]]
+
+
+class TestZeroMedianColumns:
+    """A column that holds one value in about 71% or more of a resample has a
+    median pairwise distance of 0: it is left out of the greedy, as a constant
+    column is, and the run goes on."""
+
+    def test_zero_median_column_is_never_selected(self, tmp_path):
+        # g1 takes one value in 29 of 40 samples: more than half of the sample
+        # pairs are at distance 0, so its median bandwidth is 0
+        values = np.random.default_rng(0).standard_normal((40, 3))
+        values[:29, 1] = 0.0
+        preprocess = {"variance_keep_fraction": 1.0, "subsample_fraction": 1.0, "repetitions": 1}
+        code, selections = run_lkfs_on(values, tmp_path, preprocess, p=2)
+        assert code == 0
+        assert [sorted(s) for s in selections] == [["g0", "g2"]]
+
+    def test_zero_inflated_genes_do_not_abort_the_run(self, tmp_path):
+        # 10 of 60 columns are 80% zeros, as expression data often are; their
+        # other values lie far from 0, so the variance filter keeps them
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((100, 60))
+        values[:, :10] = 0.0
+        for j in range(10):
+            values[rng.choice(100, size=20, replace=False), j] = rng.uniform(2.0, 3.0, size=20)
+        preprocess = {"variance_keep_fraction": 0.5, "subsample_fraction": 0.8, "repetitions": 2}
+        code, selections = run_lkfs_on(values, tmp_path, preprocess, p=5)
+        assert code == 0
+        assert len(selections) == 2 and all(len(s) == 5 for s in selections)
+        zero_inflated = {f"g{j}" for j in range(10)}
+        assert not zero_inflated & {g for s in selections for g in s}
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["run", "--no-such-flag"]) == 1
@@ -251,30 +305,6 @@ class TestExitCodes:
             ["preprocess", "--input", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "o.tsv")]
         )
         assert code == 2
-
-    def test_zero_median_column_is_2(self, tmp_path, capsys):
-        # g1 takes one value in 29 of 40 samples: more than half of the sample
-        # pairs are at distance 0, so its median bandwidth is 0
-        values = np.random.default_rng(0).standard_normal((40, 3))
-        values[:29, 1] = 0.0
-        matrix = tmp_path / "matrix.tsv"
-        save_matrix(
-            ExpressionMatrix(values, [f"s{i}" for i in range(40)], ["g0", "g1", "g2"]), matrix
-        )
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "preprocess": {"variance_keep_fraction": 1.0, "subsample_fraction": 1.0,
-                           "repetitions": 1},
-            "ae_hidden": [4], "ae_latent": 2, "ae": {"epochs": 2, "batch_size": 16},
-            "methods": ["lkfs"], "p_grid": [2], "k_grid": [2],
-        }))
-        with pytest.warns(RuntimeWarning, match="labels"):
-            code = main(
-                ["run", "--config", str(config), "--input", str(matrix),
-                 "--out", str(tmp_path / "out")]
-            )
-        assert code == 2
-        assert "'g1'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "doc, message",

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -180,6 +181,27 @@ class TestFeatureKernels:
         kernels = feature_kernels(X)
         assert kernels[0].degenerate and not kernels[1].degenerate
 
+    def test_zero_median_column_flagged(self):
+        # "zeros" holds 0 in 8 of 10 samples: 29 of 45 pairs at distance 0
+        values = np.column_stack([np.ones(10), np.arange(10.0), np.zeros(10)])
+        values[[3, 7], 2] = [0.5, 2.0]
+        X = ExpressionMatrix(values, tuple("abcdefghij"), ("const", "ramp", "zeros"))
+        kernels = feature_kernels(X)
+        assert kernels.degenerate.tolist() == [True, False, True]
+        assert np.isnan(kernels.bandwidths[2])
+        np.testing.assert_array_equal(kernels[2].entries, 1.0)
+        # both sources read the same all-ones kernel: a twin of the constant column
+        assert kernels.first_copies.tolist() == [0, 1, 0]
+        gram, cross = kernels.gram(kernel.upper_triangle(kernels[1]))
+        assert (gram[2] == gram[0]).all() and gram[2, 2] == 100.0 and cross[2] == cross[0]
+
+    def test_underflowing_distances_raise(self):
+        # not constant, but every squared difference underflows to 0
+        values = np.column_stack([np.arange(6.0), np.tile([0.0, 1e-200], 3)])
+        X = ExpressionMatrix(values, tuple("abcdef"), ("ramp", "tiny"))
+        with pytest.raises(NumericalError, match="feature 1"):
+            feature_kernels(X)
+
     def test_unit_diagonals(self, small_fixture):
         X, _ = small_fixture
         kernels = feature_kernels(X)
@@ -238,15 +260,20 @@ def matrix_of(values):
 
 
 def assert_rows_match_dense(stacked, X, sigma_of):
-    """Every stacked row is the upper triangle of the dense per-column kernel."""
+    """Every stacked row is the upper triangle of the dense per-column kernel,
+    or all ones for a constant column or one with a zero median distance."""
     iu = np.triu_indices(X.n, 1)
     for j in range(X.d):
         col = X.values[:, j]
-        if col.max() == col.min():
+        try:
+            sigma = None if col.max() == col.min() else sigma_of(col)
+        except DataValidationError:  # median pairwise distance 0
+            sigma = None
+        if sigma is None:
             assert stacked.degenerate[j] and math.isnan(stacked.bandwidths[j])
             np.testing.assert_array_equal(stacked.row(j), 1.0)
             continue
-        dense = gaussian_kernel(col, sigma_of(col))
+        dense = gaussian_kernel(col, sigma)
         assert not stacked.degenerate[j]
         assert stacked.bandwidths[j] == dense.bandwidth
         np.testing.assert_array_equal(stacked.row(j), dense.entries[iu])
@@ -287,9 +314,10 @@ class TestStackedKernels:
         try:
             for col in X.values.T:
                 if col.max() != col.min():
-                    gaussian_kernel(col, median_bandwidth(col))
-        except (ConfigError, DataValidationError, NumericalError) as exc:
-            # a zero median distance or all-zero distances: the stack fails the same way
+                    with contextlib.suppress(DataValidationError):  # zero median: flagged
+                        gaussian_kernel(col, median_bandwidth(col))
+        except (ConfigError, NumericalError) as exc:
+            # all-zero distances: the stack fails the same way
             with pytest.raises(type(exc)):
                 feature_kernels(X)
             return
@@ -355,6 +383,7 @@ class TestStackedKernels:
 def blocked_feature_kernels(X, bandwidth_mode):
     """The stack as built before each kernel was built in its own row: columns
     of a transposed copy in 1 MB blocks, with a blockwise partition median.
+    Columns whose median pairwise distance is 0 are flagged degenerate.
     Returns (upper, bandwidths, degenerate)."""
     global_sigma = median_bandwidth(X.values) if bandwidth_mode == "global" else None
     cols = np.ascontiguousarray(X.values.T)
@@ -376,18 +405,16 @@ def blocked_feature_kernels(X, bandwidth_mode):
         else:
             sigma = np.full(sq.shape[0], global_sigma)
         sigma[degenerate[rows]] = 1.0
-        bad = np.flatnonzero(sigma <= 0)
-        if bad.size:
-            j = bad[0]
-            if global_sigma is None and not sq[j].any():
+        for j in np.flatnonzero(sigma <= 0):
+            if not sq[j].any():
                 raise NumericalError(
                     f"feature {start + j}: all pairwise distances are zero; "
                     "kernel would be degenerate"
                 )
-            raise DataValidationError(
-                f"feature {X.feature_names[start + j]!r}: median pairwise distance is 0 "
-                "(more than half of the sample pairs hold equal values)"
-            )
+            # a zero median: flagged as a constant column is, all-ones kernel
+            degenerate[start + j] = True
+            sq[j] = 0.0
+            sigma[j] = 1.0
         np.negative(sq, out=sq)
         sq /= (2.0 * sigma * sigma)[:, None]
         np.exp(sq, out=upper[rows])
@@ -494,18 +521,28 @@ class TestGram:
         for j, c in enumerate(copies):
             assert (gram[d0 + j] == gram[c % d0]).all()
 
-    def test_selection_memory_is_two_gram_matrices_and_a_block(self, rng):
-        # the stack of triangles alone would take 4 d n (n - 1) = 61 MB here;
-        # at 12 features per step the greedy reads the Gram matrix instead
+    @staticmethod
+    def selection_peak(rng, n, d, p):
+        """Traced peak bytes of ``feature_kernels`` + ``greedy_select``."""
         from lkfs.mkl import MklConfig, greedy_select
 
-        n, d = 160, 600
         X = matrix_of(rng.random((n, d)))
         target = gaussian_kernel(rng.standard_normal((n, 2)), sigma=1.0)
         tracemalloc.start()
         try:
-            greedy_select(feature_kernels(X), target, MklConfig(p=50))
-            peak = tracemalloc.get_traced_memory()[1]
+            greedy_select(feature_kernels(X), target, MklConfig(p=p))
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 8 * d * d + 4 * 2**20
+
+    def test_selection_memory_is_two_gram_matrices_and_a_block(self, rng):
+        # the stack of triangles alone would take 4 d n (n - 1) = 61 MB here;
+        # at 12 features per step the greedy reads the Gram matrix instead
+        d = 600
+        assert self.selection_peak(rng, 160, d, p=50) <= 2 * 8 * d * d + 4 * 2**20
+
+    def test_deep_latent_shape_selects_from_the_gram(self, rng):
+        # at 50 features per step the Gram is a little slower than the stack
+        # of triangles (4 d n (n - 1) = 51 MB here), and many times smaller
+        d = 500
+        assert self.selection_peak(rng, 160, d, p=10) <= 2 * 8 * d * d + 4 * 2**20

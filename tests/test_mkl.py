@@ -303,27 +303,42 @@ class TestInnerProducts:
     @pytest.mark.parametrize(
         ("n", "d", "p", "way"),
         [
-            (160, 600, 50, "gram"),  # wide_select's shape: 12 features per step
-            (160, 500, 10, "stack"),  # deep_latent's shape: 50 features per step
-            (10, 18, 5, "gram"),  # 5 d <= 2 n(n-1)/2 = 90
+            (160, 600, 50, "gram"),  # wide_select's shape: no slower, no larger
+            (160, 500, 10, "gram"),  # deep_latent's shape: 50 per step, 5 MB against 51 MB
+            (160, 1500, 50, "gram"),  # 30 per step: no slower
+            (160, 2400, 10, "stack"),  # 240 per step: several times slower
+            (160, 10000, 50, "stack"),  # 200 per step, and the Gram is larger
+            (400, 2500, 50, "gram"),  # 50 per step, 125 MB against 1.6 GB
+            (10, 18, 5, "gram"),  # 20 d^2 = 4 d n(n-1): no larger than the stack
             (10, 19, 5, "stack"),  # the Gram would take more memory than the stack
         ],
     )
-    def test_takes_the_gram_only_where_no_slower_and_no_larger(self, monkeypatch, n, d, p, way):
-        calls = []
+    def test_source_rule_fixed_points(self, monkeypatch, n, d, p, way):
+        # the Gram where it is no slower and no larger, or at most about 15%
+        # slower and at least 4 times smaller; the choice is made from the
+        # shape alone, so both sources are stubbed and neither is allocated
+        class Taken(Exception):
+            pass
+
+        def taking(name):
+            def method(self, *args):
+                raise Taken(name)
+
+            return method
+
         for name in ("gram", "triangles"):
-            method = getattr(StackedKernels, name)
-            monkeypatch.setattr(
-                StackedKernels,
-                name,
-                lambda self, *args, _m=method, _n=name: calls.append(_n) or _m(self, *args),
-            )
-        rng = np.random.default_rng(n + d)
-        X = ExpressionMatrix(
-            rng.random((n, d)), tuple(f"s{i}" for i in range(n)), tuple(f"g{j}" for j in range(d))
+            monkeypatch.setattr(StackedKernels, name, taking(name))
+        stack = StackedKernels(
+            n=n,
+            bandwidths=np.ones(d),
+            degenerate=np.zeros(d, dtype=bool),
+            sources=tuple(f"feature:{j}" for j in range(d)),
+            points=np.broadcast_to(0.0, (n, d)),
         )
-        greedy_select(feature_kernels(X), random_kernel(rng, n=n), MklConfig(p=p))
-        assert calls == [{"gram": "gram", "stack": "triangles"}[way]]
+        with pytest.raises(Taken) as taken:
+            greedy_select(stack, KernelMatrix(np.eye(n), 1.0), MklConfig(p=p))
+        assert str(taken.value) == {"gram": "gram", "stack": "triangles"}[way]
+        assert mkl._takes_gram(n, d, p) == (way == "gram")
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -342,11 +357,9 @@ class TestInnerProducts:
         stacked = feature_kernels(X)
         tz = upper_triangle(random_kernel(rng, n=n))
         ways = {}
-        for name, ratio in (("gram", 10**9), ("stack", 0)):
-            if name == "gram" and 5 * X.d > n * (n - 1):
-                continue  # the Gram is never taken here
+        for name in ("gram", "stack"):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(mkl, "_GRAM_FEATURES_PER_STEP", ratio)
+                patch.setattr(mkl, "_takes_gram", lambda n, d, steps: name == "gram")
                 cz, ss, column = _inner_products(stacked, tz, 1)
             ways[name] = cz, ss, np.array([column(j) for j in range(X.d)])
         # the stack way is one matrix-vector product per column, as the
@@ -363,21 +376,27 @@ class TestInnerProducts:
                 i = first[j]
                 assert cz[j] == cz[i] and ss[j] == ss[i] and columns[j][j] == columns[i][i]
                 assert (columns[:, j] == columns[:, i]).all()
-        if "gram" in ways:
-            for got, want in zip(ways["gram"], ways["stack"]):
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        for got, want in zip(ways["gram"], ways["stack"]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_both_ways_select_the_same_features(self, monkeypatch):
-        _, candidates, kz = informative_target_fixture(seed=5, n=80, d=60)
-        solutions = []
-        for ratio in (10**9, 0):
-            monkeypatch.setattr(mkl, "_GRAM_FEATURES_PER_STEP", ratio)
-            solutions.append(greedy_select(candidates, kz, MklConfig(p=8)))
-        gram, stack = solutions
-        assert gram.selected == stack.selected and gram.stop_reason == stack.stop_reason
-        np.testing.assert_allclose(
-            gram.alignment_trajectory, stack.alignment_trajectory, rtol=0, atol=1e-14
-        )
+        for n, d, p in (
+            (80, 60, 8),  # no slower and no larger
+            (80, 200, 5),  # 40 features per step, taken because it is smaller
+            (160, 500, 10),  # deep_latent's shape: 50 features per step
+        ):
+            assert mkl._takes_gram(n, d, p)
+            _, candidates, kz = informative_target_fixture(seed=5, n=n, d=d)
+            solutions = []
+            for way in ("gram", "stack"):
+                monkeypatch.setattr(mkl, "_takes_gram", lambda n, d, steps: way == "gram")
+                solutions.append(greedy_select(candidates, kz, MklConfig(p=p)))
+            monkeypatch.undo()
+            gram, stack = solutions
+            assert gram.selected == stack.selected and gram.stop_reason == stack.stop_reason
+            np.testing.assert_allclose(
+                gram.alignment_trajectory, stack.alignment_trajectory, rtol=0, atol=1e-14
+            )
 
 
 class TestCombinedKernel:
