@@ -65,7 +65,6 @@ class AeHyperparams:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -525,10 +524,10 @@ def _adam_step(
         p -= t1
 
 
-def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams) -> AeModel:
+def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams, seed: int) -> AeModel:
     """Mini-batch Adam over shuffled batches for ``hp.epochs`` passes.
 
-    Deterministic given ``hp.seed`` (initialization and shuffling both derive
+    Deterministic given ``seed`` (initialization and shuffling both derive
     from it); records the mean regularized loss per epoch. Each batch runs one
     forward pass, one backward pass and one Adam step. The trainable arrays of
     the returned model are views of one flat buffer; gradients, Adam moments,
@@ -538,8 +537,8 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams) -> AeMod
         raise ConfigError(f"architecture input size {arch.input_dim} != matrix width {X.d}")
     if X.n < hp.batch_size:
         raise DataValidationError(f"need n >= batch_size, got n={X.n}, batch_size={hp.batch_size}")
-    model = init_model(arch, hp.seed)
-    shuffle_rng = np.random.default_rng([hp.seed, 1])
+    model = init_model(arch, seed)
+    shuffle_rng = np.random.default_rng([seed, 1])
     params = _flatten_parameters(model)
     rows = hp.batch_size + 1  # a trailing singleton joins the last batch
     ws = _Workspace(model, rows)

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -199,28 +197,22 @@ def select_top_p(result: SkmResult | SpecResult, p: int) -> tuple[int, ...]:
     raise ConfigError(f"unsupported result type: {type(result).__name__}")
 
 
-def save_baseline_solution(
-    result: SkmResult | SpecResult,
-    feature_names: Sequence[str],
-    p: int,
-    path: str | Path,
-) -> None:
-    """Same dump layout as the MKL solution, with a method tag."""
+def solution_to_dict(
+    result: SkmResult | SpecResult, feature_names: Sequence[str], p: int
+) -> dict:
+    """The top-p selection in the layout of ``mkl.solution_to_dict``, with a
+    method tag: weights (SKM) or scores (SPEC) as ``mu``."""
     selected = select_top_p(result, p)
     if isinstance(result, SkmResult):
-        method = "skm"
-        mu = {feature_names[j]: float(result.weights[j]) for j in selected}
+        method, values = "skm", result.weights
         trajectory = [float(v) for v in result.objective_history]
     else:
-        method = "spec"
-        mu = {feature_names[j]: float(result.scores[j]) for j in selected}
-        trajectory = []
-    doc = {
+        method, values, trajectory = "spec", result.scores, []
+    return {
         "method": method,
         "selected": [feature_names[j] for j in selected],
-        "mu": mu,
+        "mu": {feature_names[j]: float(values[j]) for j in selected},
         "trajectory": trajectory,
         "target_alignment": None,
         "stop_reason": "reached_p",
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

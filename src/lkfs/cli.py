@@ -191,9 +191,10 @@ def _cmd_select(args) -> int:
     X = dataio.load_matrix(args.input, _orient(args.orientation))
     [(p, _, result)] = pipeline.select_features(args.method, X, config, rep=0)
     if isinstance(result, mkl.MklSolution):
-        mkl.save_solution(result, X.feature_names, args.out)
+        doc = mkl.solution_to_dict(result, X.feature_names)
     else:
-        baselines.save_baseline_solution(result, X.feature_names, p, args.out)
+        doc = baselines.solution_to_dict(result, X.feature_names, p)
+    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
 
@@ -207,8 +208,14 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
+def _read_text(path: str, what: str) -> str:
+    if not Path(path).is_file():
+        raise DataValidationError(f"{what} not found: {path}")
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _read_selection(path: str, feature_names: tuple[str, ...]) -> list[int]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path, "selection file")
     try:
         doc = json.loads(text)
         names = doc["selected"]
@@ -244,6 +251,7 @@ def _cmd_run(args) -> int:
         return 0
     if config.input is None:
         raise ConfigError("run needs an input matrix (--input or config file)")
+    pipeline.check_output_dir(config.output_dir, force=args.force)
     progress = _progress_printer(args.log_json)
     result = pipeline.run_experiment(config, progress=progress)
     written = pipeline.emit_outputs(result, config.output_dir, force=args.force)
@@ -252,7 +260,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    doc = json.loads(Path(args.path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(_read_text(args.path, "file"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataValidationError(f"{args.path} is not valid JSON: {exc}") from None
     if "aggregates" in doc:
         print(f"report: method={doc.get('method')} dataset={doc.get('dataset_id')}")
         print(f"repetition records: {len(doc.get('repetitions', []))}")

@@ -95,7 +95,6 @@ class PreprocessConfig:
     variance_keep_fraction: float = 0.5
     subsample_fraction: float = 0.8
     repetitions: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.variance_keep_fraction <= 1.0:

@@ -13,8 +13,6 @@ import numpy as np
 from .dataio import ExpressionMatrix
 from .errors import ConfigError, DataValidationError, NumericalError
 
-BANDWIDTH_MODES = ("per-feature", "global")
-
 
 @dataclass(frozen=True)
 class KernelMatrix:
@@ -285,43 +283,36 @@ def _median_distance(sq: np.ndarray) -> float:
     return (np.sqrt(part[:half].max()) + upper) / 2.0
 
 
-def feature_kernels(X: ExpressionMatrix, bandwidth_mode: str = "per-feature") -> StackedKernels:
+def feature_kernels(X: ExpressionMatrix) -> StackedKernels:
     """One Gaussian kernel per feature column, stacked.
 
-    Kernel j is bit for bit ``gaussian_kernel(col_j, median_bandwidth(col_j))``
-    with the default ``bandwidth_mode="per-feature"``; "global" applies a single
-    bandwidth computed on the full matrix. Constant columns, and per feature
-    columns whose median pairwise distance is 0 (one value in about 71% or
-    more of the samples), have no bandwidth and yield flagged degenerate
-    all-ones kernels. Only the bandwidths are computed here, column
-    by column in one row of pairs; the kernels are read from the columns of
-    ``X`` on demand (see ``StackedKernels``).
+    Kernel j is bit for bit ``gaussian_kernel(col_j, median_bandwidth(col_j))``.
+    Constant columns, and columns whose median pairwise distance is 0 (one
+    value in about 71% or more of the samples), have no bandwidth and yield
+    flagged degenerate all-ones kernels. Only the bandwidths are computed
+    here, column by column in one row of pairs; the kernels are read from the
+    columns of ``X`` on demand (see ``StackedKernels``).
     """
-    if bandwidth_mode not in BANDWIDTH_MODES:
-        raise ConfigError(f"bandwidth_mode must be one of {BANDWIDTH_MODES}")
     if X.n < 2:
         raise DataValidationError("feature kernels need at least 2 samples")
     degenerate = X.values.max(axis=0) == X.values.min(axis=0)
     bandwidths = np.full(X.d, np.nan)
-    if bandwidth_mode == "global":
-        bandwidths[~degenerate] = median_bandwidth(X.values)
-    else:
-        iu, ju = _triu_indices(X.n)
-        row = np.empty(iu.size)
-        for j in np.flatnonzero(~degenerate):
-            col = X.values[:, j]
-            np.take(col, ju, out=row)
-            row -= col[iu]
-            row *= row
-            sigma = _median_distance(row)
-            if sigma > 0:
-                bandwidths[j] = sigma
-            elif row.any():  # more than half of the sample pairs hold equal values
-                degenerate[j] = True
-            else:  # distances underflow to zero
-                raise NumericalError(
-                    f"feature {j}: all pairwise distances are zero; kernel would be degenerate"
-                )
+    iu, ju = _triu_indices(X.n)
+    row = np.empty(iu.size)
+    for j in np.flatnonzero(~degenerate):
+        col = X.values[:, j]
+        np.take(col, ju, out=row)
+        row -= col[iu]
+        row *= row
+        sigma = _median_distance(row)
+        if sigma > 0:
+            bandwidths[j] = sigma
+        elif row.any():  # more than half of the sample pairs hold equal values
+            degenerate[j] = True
+        else:  # distances underflow to zero
+            raise NumericalError(
+                f"feature {j}: all pairwise distances are zero; kernel would be degenerate"
+            )
     return StackedKernels(
         n=X.n,
         bandwidths=bandwidths,

@@ -9,10 +9,8 @@ alignment is accepted while the gain exceeds the improvement tolerance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,16 +35,12 @@ _GRAM_SHRINK = 4
 class MklConfig:
     p: int
     improvement_tolerance: float = 1e-6
-    candidate_subsample: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.p < 1:
             raise ConfigError("p must be >= 1")
         if self.improvement_tolerance < 0:
             raise ConfigError("improvement_tolerance must be >= 0")
-        if self.candidate_subsample is not None and self.candidate_subsample < 1:
-            raise ConfigError("candidate_subsample must be >= 1 when set")
 
 
 @dataclass(frozen=True)
@@ -209,9 +203,6 @@ def greedy_select(candidates: StackedKernels, Kz: KernelMatrix, config: MklConfi
     m = column(first)
     mz, mm = float(cz[first]), float(ss[first])
     trajectory = [mz / math.sqrt(mm * zz)]
-    subsample_rng = (
-        np.random.default_rng([config.seed, 7]) if config.candidate_subsample else None
-    )
 
     stop_reason = "reached_p"
     while len(selected) < config.p:
@@ -219,11 +210,6 @@ def greedy_select(candidates: StackedKernels, Kz: KernelMatrix, config: MklConfi
         if not pool.size:
             stop_reason = "no_candidates"
             break
-        if subsample_rng is not None and config.candidate_subsample < pool.size:
-            pool_idx = subsample_rng.choice(
-                pool.size, size=config.candidate_subsample, replace=False
-            )
-            pool = pool[np.sort(pool_idx)]
         w1s, w2s, achieved = _pair_weights_batch(mm, ss[pool], m[pool], mz, cz[pool], zz)
         best = int(np.argmax(achieved))  # the first maximum: lowest feature index
         j, w1, w2 = int(pool[best]), float(w1s[best]), float(w2s[best])
@@ -274,12 +260,3 @@ def solution_to_dict(
         "stop_reason": solution.stop_reason,
     }
 
-
-def save_solution(
-    solution: MklSolution, feature_names: Sequence[str], path: str | Path, method: str = "lkfs"
-) -> None:
-    Path(path).write_text(
-        json.dumps(solution_to_dict(solution, feature_names, method), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )

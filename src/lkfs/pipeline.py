@@ -53,8 +53,6 @@ class RunConfig:
     ae_latent: int = 50
     ae: AeHyperparams = field(default_factory=AeHyperparams)
     mkl_tolerance: float = 1e-6
-    mkl_candidate_subsample: int | None = None
-    kernel_bandwidth_mode: str = "per-feature"
     methods: tuple[str, ...] = METHODS
     p_grid: tuple[int, ...] = (10, 20, 30, 40, 50)
     k_grid: tuple[int, ...] = (2, 3, 4, 5)
@@ -148,7 +146,7 @@ def _train_latent(
     X: ExpressionMatrix, config: RunConfig, seed: int
 ) -> LatentRepresentation:
     arch = AeArchitecture.default(X.d, hidden=config.ae_hidden, latent_dim=config.ae_latent)
-    model = train(X, arch, dataclasses.replace(config.ae, seed=seed))
+    model = train(X, arch, config.ae, seed)
     return encode(model, X)
 
 
@@ -157,24 +155,20 @@ def run_lkfs_once(
 ) -> tuple[mkl.MklSolution, LatentRepresentation]:
     """Train the autoencoder, build the latent target kernel and greedily select.
 
-    ``X`` is expected to be preprocessed already. ``seed`` seeds both the
-    autoencoder and the candidate subsample, and ``p`` defaults to
-    ``max(config.p_grid)``. For one seed, the selection at a smaller p is a
-    prefix of the selection at a larger one.
+    ``X`` is expected to be preprocessed already. ``seed`` seeds the
+    autoencoder, and ``p`` defaults to ``max(config.p_grid)``. For one seed,
+    the selection at a smaller p is a prefix of the selection at a larger one.
     """
     latent = _train_latent(X, config, seed)
     kz = kernel.gaussian_kernel(
         latent.z_values, kernel.median_bandwidth(latent.z_values), source="latent"
     )
-    candidates = kernel.feature_kernels(X, bandwidth_mode=config.kernel_bandwidth_mode)
     solution = mkl.greedy_select(
-        candidates,
+        kernel.feature_kernels(X),
         kz,
         mkl.MklConfig(
             p=p if p is not None else max(config.p_grid),
             improvement_tolerance=config.mkl_tolerance,
-            candidate_subsample=config.mkl_candidate_subsample,
-            seed=seed,
         ),
     )
     return solution, latent
@@ -391,14 +385,24 @@ def _projection_svg(coords: np.ndarray, cluster_ids: Sequence[int]) -> str:
     )
 
 
-def emit_outputs(result: RunResult, output_dir: str | Path, force: bool = False) -> list[Path]:
-    """Write reports, selection lists, cluster assignments, projections and an
-    index with checksums. Refuses a non-empty target directory unless forced."""
+def check_output_dir(output_dir: str | Path, force: bool = False) -> None:
+    """Raise ``DataValidationError`` unless ``output_dir`` is absent, an empty
+    directory, or (with ``force``) any directory."""
     out = Path(output_dir)
+    if out.exists() and not out.is_dir():
+        raise DataValidationError(f"output path {out} exists and is not a directory")
     if out.exists() and any(out.iterdir()) and not force:
         raise DataValidationError(
             f"output directory {out} is not empty; pass force=True (--force) to overwrite"
         )
+
+
+def emit_outputs(result: RunResult, output_dir: str | Path, force: bool = False) -> list[Path]:
+    """Write reports, selection lists, cluster assignments, projections and an
+    index with checksums. Refuses a non-empty target directory unless forced
+    (``check_output_dir``)."""
+    check_output_dir(output_dir, force)
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries: dict[Path, dict] = {}  # index entry of every file written, in write order
 

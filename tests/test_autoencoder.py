@@ -152,8 +152,7 @@ class TestGradients:
         # check at a non-initial parameter point as well
         X, _ = generate_synthetic(n=24, d=6, informative=2, separation=3.0, seed=0)
         Xs = minmax_scale(X)
-        hp = AeHyperparams(epochs=3, batch_size=8, seed=0)
-        model = train(Xs, TINY, hp)
+        model = train(Xs, TINY, AeHyperparams(epochs=3, batch_size=8), seed=0)
         assert gradient_check(model, Xs.values[:4], tolerance=1e-4, beta_l2=1e-4)
 
 
@@ -162,8 +161,8 @@ def trained_pair():
     X, _ = generate_synthetic(n=200, d=100, informative=10, separation=4.0, seed=1)
     Xs = minmax_scale(X)
     arch = AeArchitecture.default(100, hidden=(32, 16), latent_dim=8)
-    hp = AeHyperparams(epochs=30, batch_size=64, seed=5)
-    return Xs, arch, hp, train(Xs, arch, hp)
+    hp = AeHyperparams(epochs=30, batch_size=64)
+    return Xs, arch, hp, train(Xs, arch, hp, seed=5)
 
 
 class TestTrain:
@@ -182,22 +181,22 @@ class TestTrain:
         X, _ = generate_synthetic(n=40, d=12, informative=3, separation=3.0, seed=2)
         Xs = minmax_scale(X)
         arch = AeArchitecture.default(12, hidden=(8,), latent_dim=4)
-        hp = AeHyperparams(epochs=4, batch_size=10, seed=9)
-        h1 = train(Xs, arch, hp).loss_history
-        h2 = train(Xs, arch, hp).loss_history
+        hp = AeHyperparams(epochs=4, batch_size=10)
+        h1 = train(Xs, arch, hp, seed=9).loss_history
+        h2 = train(Xs, arch, hp, seed=9).loss_history
         assert h1 == h2
 
     def test_needs_enough_samples(self):
         X, _ = generate_synthetic(n=10, d=6, informative=2, separation=2.0, seed=0)
         with pytest.raises(DataValidationError):
-            train(minmax_scale(X), TINY, AeHyperparams(epochs=1, batch_size=64))
+            train(minmax_scale(X), TINY, AeHyperparams(epochs=1, batch_size=64), seed=0)
 
     def test_large_beta_shrinks_weights(self):
         X, _ = generate_synthetic(n=60, d=10, informative=2, separation=3.0, seed=3)
         Xs = minmax_scale(X)
         arch = AeArchitecture.default(10, hidden=(8,), latent_dim=4)
-        free = train(Xs, arch, AeHyperparams(epochs=25, batch_size=20, seed=4, beta_l2=0.0))
-        tight = train(Xs, arch, AeHyperparams(epochs=25, batch_size=20, seed=4, beta_l2=1e3))
+        free = train(Xs, arch, AeHyperparams(epochs=25, batch_size=20, beta_l2=0.0), seed=4)
+        tight = train(Xs, arch, AeHyperparams(epochs=25, batch_size=20, beta_l2=1e3), seed=4)
         norm = lambda m: sum(float(np.linalg.norm(w)) for w in m.weight_matrices())
         assert norm(tight) < norm(free)
 
@@ -294,11 +293,11 @@ def _reference_gradients(model, batch, beta_l2):
     return [g for idx in range(len(layers)) for g in grads[idx]]
 
 
-def _reference_train(X, arch, hp):
+def _reference_train(X, arch, hp, seed):
     """Training before the single pass: two forward passes per batch and an
     Adam step per parameter array with fresh temporaries."""
-    model = init_model(arch, hp.seed)
-    shuffle_rng = np.random.default_rng([hp.seed, 1])
+    model = init_model(arch, seed)
+    shuffle_rng = np.random.default_rng([seed, 1])
     params = [array for _, array in model.parameters()]
     adam_m = [np.zeros_like(p) for p in params]
     adam_v = [np.zeros_like(p) for p in params]
@@ -331,8 +330,8 @@ def _assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _assert_same_training(X, arch, hp):
-    got, want = train(X, arch, hp), _reference_train(X, arch, hp)
+def _assert_same_training(X, arch, hp, seed):
+    got, want = train(X, arch, hp, seed), _reference_train(X, arch, hp, seed)
     for (name, a), (_, b) in zip(got.parameters(), want.parameters()):
         _assert_same_bits(a, b)
     for layer, ref in zip(got.layers(), want.layers()):
@@ -366,9 +365,9 @@ def training_cases(draw):
         epochs=draw(st.integers(1, 4)),
         batch_size=batch_size,
         beta_l2=draw(st.sampled_from([0.0, 1e-4, 0.5])),
-        seed=draw(st.integers(0, 2**16)),
     )
-    return _uniform_matrix(n, d, hp.seed), arch, hp
+    seed = draw(st.integers(0, 2**16))
+    return _uniform_matrix(n, d, seed), arch, hp, seed
 
 
 class TestTrainingBitIdentity:
@@ -383,8 +382,8 @@ class TestTrainingBitIdentity:
     def test_matches_two_pass_loop_on_a_wider_network(self):
         # several BLAS-sized layers and a trailing single row (65 = 2 * 32 + 1)
         arch = AeArchitecture.default(60, hidden=(32, 16), latent_dim=8)
-        hp = AeHyperparams(epochs=3, batch_size=32, seed=11)
-        _assert_same_training(_uniform_matrix(65, 60, 11), arch, hp)
+        hp = AeHyperparams(epochs=3, batch_size=32)
+        _assert_same_training(_uniform_matrix(65, 60, 11), arch, hp, seed=11)
 
     def test_buffered_pass_writes_the_fresh_bits_into_its_buffers(self):
         model = init_model(AeArchitecture.default(12, hidden=(9, 5), latent_dim=3), seed=4)
@@ -400,7 +399,7 @@ class TestTrainingBitIdentity:
 
     def test_parameter_gradients_are_fresh_arrays(self):
         X, _ = generate_synthetic(n=24, d=6, informative=2, separation=3.0, seed=0)
-        model = train(minmax_scale(X), TINY, AeHyperparams(epochs=2, batch_size=8, seed=0))
+        model = train(minmax_scale(X), TINY, AeHyperparams(epochs=2, batch_size=8), seed=0)
         batch = tiny_batch()
         first = parameter_gradients(model, batch, 1e-3)
         second = parameter_gradients(model, batch, 1e-3)

@@ -6,8 +6,8 @@ from lkfs.baselines import (
     SpecResult,
     _l1_bounded_weights,
     graph_consistency_scores,
-    save_baseline_solution,
     select_top_p,
+    solution_to_dict,
     soft_threshold,
     sparse_kmeans,
     spec_scores,
@@ -177,14 +177,10 @@ class TestSelectTopP:
             select_top_p(result, 2)
 
 
-def test_baseline_solution_dump(tmp_path, small_fixture):
+def test_baseline_solution_dump(small_fixture):
     X, _ = small_fixture
     result = spec_scores(minmax_scale(X))
-    path = tmp_path / "spec.json"
-    save_baseline_solution(result, X.feature_names, p=4, path=path)
-    import json
-
-    doc = json.loads(path.read_text())
+    doc = solution_to_dict(result, X.feature_names, p=4)
     assert doc["method"] == "spec"
     assert len(doc["selected"]) == 4
     assert set(doc) == {"method", "selected", "mu", "trajectory", "target_alignment", "stop_reason"}

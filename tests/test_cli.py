@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lkfs import pipeline
 from lkfs.cli import main
 from lkfs.dataio import ExpressionMatrix, load_matrix, save_matrix, subsample
 from lkfs.pipeline import RunConfig, derive_seed, preprocess_matrix
@@ -187,6 +188,25 @@ class TestRun:
         assert main(run_args(fixture_dir, out)) == 2
         assert main(run_args(fixture_dir, out, extra=["--force"])) == 0
 
+    def test_non_empty_out_is_refused_before_the_run(self, fixture_dir, tmp_path, monkeypatch,
+                                                     capsys):
+        out = tmp_path / "exp"
+        out.mkdir()
+        (out / "keep.txt").write_text("x")
+        calls = []
+        monkeypatch.setattr(pipeline, "run_experiment", lambda *a, **k: calls.append(a))
+        assert main(run_args(fixture_dir, out)) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("data error: output directory") and err.count("\n") == 1
+
+    def test_out_naming_a_file_is_2(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "file.txt"
+        out.write_text("x")
+        assert main(run_args(fixture_dir, out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: output path {out} exists and is not a directory\n"
+
     def test_byte_identical_reports(self, fixture_dir, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(run_args(fixture_dir, out1)) == 0
@@ -315,9 +335,14 @@ class TestExitCodes:
             ({"preprocess": {"bogus": 1}}, "unknown config keys: ['preprocess.bogus']"),
             ({"kmeans_restarts": "3"}, "config key 'kmeans_restarts' must be int, got '3'"),
             ({"kmeans_restarts": True}, "config key 'kmeans_restarts' must be int, got True"),
+            ({"mkl_candidate_subsample": 3}, "unknown config keys: ['mkl_candidate_subsample']"),
+            ({"kernel_bandwidth_mode": "global"}, "unknown config keys: ['kernel_bandwidth_mode']"),
+            ({"preprocess": {"seed": 1}}, "unknown config keys: ['preprocess.seed']"),
+            ({"ae": {"seed": 1}}, "unknown config keys: ['ae.seed']"),
         ],
         ids=["nested-string", "scalar-for-list", "top-level-list", "nested-unknown", "string",
-             "bool-for-int"],
+             "bool-for-int", "removed-candidate-subsample", "removed-bandwidth-mode",
+             "removed-preprocess-seed", "removed-ae-seed"],
     )
     def test_config_value_of_wrong_type_is_1(self, fixture_dir, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"
@@ -333,6 +358,27 @@ class TestExitCodes:
         bad = tmp_path / "bad.tsv"
         bad.write_text("id\tg1\ns1\tNA\ns2\t1\n")
         assert main(["cluster", "--input", str(bad), "--k", "2", "--out", str(tmp_path / "c")]) == 2
+
+    def test_missing_selection_is_2(self, fixture_dir, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        code = main(
+            ["evaluate", "--input", str(fixture_dir / "matrix.tsv"), "--selection", str(missing)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: selection file not found: {missing}\n"
+
+    def test_inspect_missing_file_is_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main(["inspect", "--path", str(missing)]) == 2
+        assert capsys.readouterr().err == f"data error: file not found: {missing}\n"
+
+    @pytest.mark.parametrize("content", [b"not json\n", b"\xff\xfe binary"], ids=["text", "binary"])
+    def test_inspect_non_json_is_2(self, tmp_path, capsys, content):
+        path = tmp_path / "notes.txt"
+        path.write_bytes(content)
+        assert main(["inspect", "--path", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path} is not valid JSON") and err.count("\n") == 1
 
 
 def test_inspect_solution(fixture_dir, tmp_path, capsys):

@@ -208,12 +208,6 @@ class TestFeatureKernels:
         for j in range(5):
             np.testing.assert_array_equal(np.diag(kernels[j].entries), 1.0)
 
-    def test_global_bandwidth_mode(self, small_fixture):
-        X, _ = small_fixture
-        sigma = median_bandwidth(X.values)
-        kernels = feature_kernels(X, bandwidth_mode="global")
-        assert all(K.bandwidth == sigma for K in kernels if not K.degenerate)
-
 
 class TestFrobeniusAndAlignment:
     def test_identity_vs_ones(self):
@@ -293,11 +287,6 @@ class TestStackedKernels:
         # rows are computed from the columns when read; no stack is held
         assert stacked.points is with_constant.values
         assert_rows_match_dense(stacked, with_constant, median_bandwidth)
-
-    def test_global_mode_bit_identical(self, with_constant):
-        sigma = median_bandwidth(with_constant.values)
-        stacked = feature_kernels(with_constant, bandwidth_mode="global")
-        assert_rows_match_dense(stacked, with_constant, lambda col: sigma)
 
     # a subnormal bandwidth overflows the exponent to -inf in both paths
     @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
@@ -380,12 +369,11 @@ class TestStackedKernels:
             greedy_select(stacked, gaussian_kernel(np.arange(4.0), sigma=1.0), MklConfig(p=1))
 
 
-def blocked_feature_kernels(X, bandwidth_mode):
+def blocked_feature_kernels(X):
     """The stack as built before each kernel was built in its own row: columns
     of a transposed copy in 1 MB blocks, with a blockwise partition median.
     Columns whose median pairwise distance is 0 are flagged degenerate.
     Returns (upper, bandwidths, degenerate)."""
-    global_sigma = median_bandwidth(X.values) if bandwidth_mode == "global" else None
     cols = np.ascontiguousarray(X.values.T)
     degenerate = cols.max(axis=1) == cols.min(axis=1)
     iu, ju = np.triu_indices(X.n, 1)
@@ -396,14 +384,11 @@ def blocked_feature_kernels(X, bandwidth_mode):
         rows = slice(start, start + step)
         sq = cols[rows][:, ju] - cols[rows][:, iu]
         sq *= sq
-        if global_sigma is None:
-            half = sq.shape[1] // 2
-            part = np.partition(sq, half, axis=1)
-            sigma = np.sqrt(part[:, half])
-            if sq.shape[1] % 2 == 0:
-                sigma = (np.sqrt(part[:, :half].max(axis=1)) + sigma) / 2.0
-        else:
-            sigma = np.full(sq.shape[0], global_sigma)
+        half = sq.shape[1] // 2
+        part = np.partition(sq, half, axis=1)
+        sigma = np.sqrt(part[:, half])
+        if sq.shape[1] % 2 == 0:
+            sigma = (np.sqrt(part[:, :half].max(axis=1)) + sigma) / 2.0
         sigma[degenerate[rows]] = 1.0
         for j in np.flatnonzero(sigma <= 0):
             if not sq[j].any():
@@ -439,18 +424,17 @@ class TestInPlaceBuild:
                 st.floats(min_value=-5, max_value=5, allow_nan=False),
             ),
         ),
-        st.sampled_from(kernel.BANDWIDTH_MODES),
     )
-    def test_matches_blocked_build(self, values, mode):
+    def test_matches_blocked_build(self, values):
         X = matrix_of(values)
         try:
-            upper, bandwidths, degenerate = blocked_feature_kernels(X, mode)
-        except (DataValidationError, NumericalError) as exc:
-            with pytest.raises(type(exc)) as raised:
-                feature_kernels(X, bandwidth_mode=mode)
+            upper, bandwidths, degenerate = blocked_feature_kernels(X)
+        except NumericalError as exc:
+            with pytest.raises(NumericalError) as raised:
+                feature_kernels(X)
             assert str(raised.value) == str(exc)
             return
-        stacked = feature_kernels(X, bandwidth_mode=mode)
+        stacked = feature_kernels(X)
         assert np.array([stacked.row(j) for j in range(X.d)]).tobytes() == upper.tobytes()
         assert stacked.triangles().tobytes() == upper.tobytes()
         assert stacked.bandwidths.tobytes() == bandwidths.tobytes()
@@ -492,17 +476,16 @@ class TestGram:
                 st.floats(min_value=-5, max_value=5, allow_nan=False),
             ),
         ),
-        st.sampled_from(kernel.BANDWIDTH_MODES),
         st.lists(st.integers(0, 9), max_size=4),
         st.integers(0, 2**32 - 1),
     )
-    def test_matches_frobenius_products(self, values, mode, copies, seed):
+    def test_matches_frobenius_products(self, values, copies, seed):
         # copies of earlier columns are twins: bit-identical kernels
         values = np.column_stack([values, values[:, [c % values.shape[1] for c in copies]]])
         X = matrix_of(values)
         try:
-            stacked = feature_kernels(X, bandwidth_mode=mode)
-        except (DataValidationError, NumericalError):
+            stacked = feature_kernels(X)
+        except NumericalError:
             return
         rng = np.random.default_rng(seed)
         target = gaussian_kernel(rng.standard_normal((X.n, 2)), sigma=1.0)

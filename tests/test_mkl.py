@@ -87,18 +87,13 @@ def dense_reference_greedy(candidates, Kz, config):
     mz, mm = cz[first], ss[first]
     trajectory = [mz / math.sqrt(mm * zz)]
     remaining = [j for j in active if j != first]
-    rng = np.random.default_rng([config.seed, 7]) if config.candidate_subsample else None
     stop_reason = "reached_p"
     while len(selected) < config.p:
         if not remaining:
             stop_reason = "no_candidates"
             break
-        pool = remaining
-        if rng is not None and config.candidate_subsample < len(remaining):
-            idx = rng.choice(len(remaining), size=config.candidate_subsample, replace=False)
-            pool = [remaining[i] for i in sorted(idx)]
         best = None
-        for j in pool:
+        for j in remaining:
             mj = inner(k_mu, candidates[j].entries)
             w1, w2, achieved = _pair_weights_from_scalars(mm, ss[j], mj, mz, cz[j], zz)
             if best is None or (achieved, -j) > best[0]:
@@ -215,15 +210,6 @@ class TestGreedySelect:
         with pytest.raises(DataValidationError, match="non-degenerate"):
             greedy_select(candidates, KernelMatrix(np.eye(4), 1.0), MklConfig(p=1))
 
-    def test_candidate_subsample_deterministic(self, rng):
-        candidates = column_kernels(rng.standard_normal((14, 12)))
-        Kz = random_kernel(rng, n=14)
-        config = MklConfig(p=4, candidate_subsample=5, seed=3)
-        a = greedy_select(candidates, Kz, config)
-        b = greedy_select(candidates, Kz, config)
-        assert a.selected == b.selected
-        assert np.all(np.diff(a.alignment_trajectory) > 0)
-
     def test_recovers_informative_features(self):
         # target built from the informative block: selection should find it
         hits = []
@@ -248,13 +234,12 @@ class TestIncrementalGreedy:
         n=st.integers(4, 24),
         d=st.integers(2, 16),
         p=st.integers(1, 10),
-        subsample=st.sampled_from([None, 1, 3]),
     )
-    def test_matches_dense_reference(self, seed, n, d, p, subsample):
+    def test_matches_dense_reference(self, seed, n, d, p):
         rng = np.random.default_rng(seed)
         candidates = column_kernels(rng.standard_normal((n, d)))
         Kz = random_kernel(rng, n=n, m=2)
-        config = MklConfig(p=p, candidate_subsample=subsample, seed=seed % 97)
+        config = MklConfig(p=p)
         selected, trajectory, mu, stop_reason = dense_reference_greedy(list(candidates), Kz, config)
         solution = greedy_select(candidates, Kz, config)
         assert solution.selected == selected

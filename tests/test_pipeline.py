@@ -16,7 +16,7 @@ FAST_AE = AeHyperparams(epochs=15, batch_size=32)
 
 def fast_config(**overrides):
     base = dict(
-        preprocess=PreprocessConfig(repetitions=2, seed=0),
+        preprocess=PreprocessConfig(repetitions=2),
         ae_hidden=(8,),
         ae_latent=2,
         ae=FAST_AE,
@@ -128,8 +128,8 @@ class TestRunExperiment:
 
     def test_earlier_repetitions_stable_when_reps_grow(self, fixture_data):
         X, labels = fixture_data
-        config2 = fast_config(methods=("spec",), preprocess=PreprocessConfig(repetitions=2, seed=0))
-        config3 = fast_config(methods=("spec",), preprocess=PreprocessConfig(repetitions=3, seed=0))
+        config2 = fast_config(methods=("spec",), preprocess=PreprocessConfig(repetitions=2))
+        config3 = fast_config(methods=("spec",), preprocess=PreprocessConfig(repetitions=3))
         r2 = run_experiment(config2, X=X, labels=labels)
         r3 = run_experiment(config3, X=X, labels=labels)
         for rec2 in r2.reports["spec"].records:
@@ -154,12 +154,9 @@ class TestRunExperiment:
 
 
 class TestOncePerRepetition:
-    @pytest.mark.parametrize("subsample", [None, 3])
-    def test_lkfs_selections_are_prefixes_of_max_p(self, fixture_data, subsample):
+    def test_lkfs_selections_are_prefixes_of_max_p(self, fixture_data):
         X, labels = fixture_data
-        config = fast_config(
-            methods=("lkfs",), p_grid=(2, 4, 6), k_grid=(2,), mkl_candidate_subsample=subsample
-        )
+        config = fast_config(methods=("lkfs",), p_grid=(2, 4, 6), k_grid=(2,))
         report = run_experiment(config, X=X, labels=labels).reports["lkfs"]
         for rep in range(config.preprocess.repetitions):
             by_p = {r.p: r.selected_features for r in report.records if r.repetition == rep}
