@@ -24,6 +24,7 @@ from .dataio import (
     ExpressionMatrix,
     LabelVector,
     PreprocessConfig,
+    derive_seed,
     generate_synthetic,
     load_labels,
     load_matrix,
@@ -43,6 +44,6 @@ from .kernel import (
     median_bandwidth,
 )
 from .mkl import MklConfig, MklSolution, combined_kernel, greedy_select, solve_pair_weights
-from .pipeline import RunConfig, derive_seed, emit_outputs, run_experiment, run_lkfs_once
+from .pipeline import RunConfig, emit_outputs, run_experiment, run_lkfs_once
 
 __version__ = "0.1.0"

@@ -222,40 +222,17 @@ def _layer_forward(
 
 
 def _forward_cached(
-    model: AeModel, batch: np.ndarray, training: bool, buffers: list[dict] | None = None
-) -> tuple[list[dict], np.ndarray, np.ndarray]:
+    model: AeModel, batch: np.ndarray, buffers: list[dict] | None = None
+) -> tuple[list[dict], np.ndarray]:
+    """Train-mode pass, with batch statistics: (per-layer caches, reconstruction)."""
     h = batch
     caches = []
-    z = None
     for i, layer in enumerate(model.layers()):
-        cache = _layer_forward(layer, h, training, None if buffers is None else buffers[i])
+        layer_buffers = None if buffers is None else buffers[i]
+        cache = _layer_forward(layer, h, training=True, buffers=layer_buffers)
         caches.append(cache)
         h = cache["out"]
-        if i == len(model.encoder) - 1:
-            z = h
-    return caches, z, h
-
-
-def forward(model: AeModel, batch: np.ndarray, mode: str = "inference") -> tuple[np.ndarray, np.ndarray]:
-    """Full pass returning (latent, reconstruction).
-
-    Train mode normalizes with per-batch statistics and updates the running
-    statistics; inference mode uses the stored running statistics.
-    """
-    if mode not in ("train", "inference"):
-        raise ConfigError(f"mode must be 'train' or 'inference', got {mode!r}")
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != model.arch.input_dim:
-        raise DataValidationError(
-            f"batch shape {batch.shape} incompatible with input dimension {model.arch.input_dim}"
-        )
-    training = mode == "train"
-    if training and batch.shape[0] < 2:
-        raise DataValidationError("train-mode forward needs at least 2 rows")
-    caches, z, recon = _forward_cached(model, batch, training)
-    if training:
-        _update_running_stats(model, caches, batch.shape[0])
-    return z, recon
+    return caches, h
 
 
 def _update_running_stats(model: AeModel, caches: list[dict], m: int) -> None:
@@ -269,7 +246,9 @@ def _update_running_stats(model: AeModel, caches: list[dict], m: int) -> None:
 
 
 def encode(model: AeModel, X: ExpressionMatrix) -> "LatentRepresentation":
-    """Inference-mode pass through the encoder only."""
+    """Inference-mode pass through the encoder only: batch norm uses the
+    running statistics that training stored, so each row's latent code does
+    not depend on the other rows."""
     values = X.values
     if values.shape[1] != model.arch.input_dim:
         raise DataValidationError(
@@ -316,7 +295,7 @@ def weight_penalty(model: AeModel, scratch: np.ndarray | None = None) -> float:
 
 
 def _training_loss(model: AeModel, batch: np.ndarray, beta_l2: float) -> float:
-    _, _, recon = _forward_cached(model, batch, training=True)
+    _, recon = _forward_cached(model, batch)
     return loss_mse(batch, recon) + beta_l2 * weight_penalty(model)
 
 
@@ -442,7 +421,7 @@ def _backward(
 def parameter_gradients(model: AeModel, batch: np.ndarray, beta_l2: float) -> list[np.ndarray]:
     """Analytic gradients of the regularized loss, aligned with ``model.parameters()``."""
     batch = np.asarray(batch, dtype=np.float64)
-    caches, _, recon = _forward_cached(model, batch, training=True)
+    caches, recon = _forward_cached(model, batch)
     return _backward(model, caches, batch, recon, beta_l2)
 
 
@@ -554,7 +533,7 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams, seed: in
         for batch_no, rows in enumerate(_batch_slices(X.n, hp.batch_size, order)):
             batch = values[rows]
             m = batch.shape[0]
-            caches, _, recon = _forward_cached(model, batch, training=True, buffers=buffers)
+            caches, recon = _forward_cached(model, batch, buffers=buffers)
             # loss_mse and weight_penalty, squaring into reused scratch
             diff = _view(ws.rows_tmp, batch.shape)
             np.subtract(batch, recon, out=diff)

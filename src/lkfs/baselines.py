@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import ClusterAssignment, kmeans
-from .dataio import ExpressionMatrix
+from .dataio import ExpressionMatrix, derive_seed
 from .errors import ConfigError, DataValidationError
 from .kernel import gaussian_kernel, median_bandwidth
 
@@ -113,7 +113,7 @@ def sparse_kmeans(
     history: list[float] = []
     for round_no in range(_MAX_ROUNDS):
         scaled = values * np.sqrt(w)
-        candidate = kmeans(scaled, k, restarts=restarts, seed=_round_seed(seed, round_no))
+        candidate = kmeans(scaled, k, restarts=restarts, seed=derive_seed(seed, round_no))
         b = _between_cluster_ss(values, candidate.labels, k)
         # k-means restarts are heuristic; keep the previous partition if it
         # scored better under the current weights
@@ -134,10 +134,6 @@ def sparse_kmeans(
         s=float(s),
         objective_history=tuple(history),
     )
-
-
-def _round_seed(seed: int, round_no: int) -> int:
-    return int(np.random.SeedSequence([seed, round_no]).generate_state(1, np.uint64)[0])
 
 
 def spec_scores(X: ExpressionMatrix | np.ndarray, sigma: float | None = None) -> SpecResult:

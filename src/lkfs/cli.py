@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -60,22 +59,22 @@ def build_parser() -> _Parser:
 
     pre = sub.add_parser("preprocess", help="min-max scale then variance-filter a matrix")
     pre.add_argument("--input", required=True)
-    pre.add_argument("--orientation", choices=("rows", "cols"), default="rows")
+    pre.add_argument("--orientation", choices=dataio.ORIENTATIONS, default="rows")
     pre.add_argument("--keep-fraction", type=float, default=0.5)
     pre.add_argument("--out", required=True, help="output matrix file")
 
     sel = sub.add_parser("select", help="run one selection method on a preprocessed matrix")
     sel.add_argument("--input", required=True)
-    sel.add_argument("--orientation", choices=("rows", "cols"), default="rows")
+    sel.add_argument("--orientation", choices=dataio.ORIENTATIONS, default="rows")
     sel.add_argument("--method", choices=pipeline.METHODS, default="lkfs")
     sel.add_argument("--p", type=int, required=True)
-    sel.add_argument("--seed", type=int, default=0)
+    sel.add_argument("--seed", type=int, help="overrides the config file's seed (default 0)")
     sel.add_argument("--config", help="JSON run configuration")
     sel.add_argument("--out", required=True, help="solution JSON path")
 
     clus = sub.add_parser("cluster", help="k-means a matrix and dump assignments")
     clus.add_argument("--input", required=True)
-    clus.add_argument("--orientation", choices=("rows", "cols"), default="rows")
+    clus.add_argument("--orientation", choices=dataio.ORIENTATIONS, default="rows")
     clus.add_argument("--k", type=int, required=True)
     clus.add_argument("--restarts", type=int, default=10)
     clus.add_argument("--seed", type=int, default=0)
@@ -83,7 +82,7 @@ def build_parser() -> _Parser:
 
     ev = sub.add_parser("evaluate", help="score a feature selection against a matrix")
     ev.add_argument("--input", required=True)
-    ev.add_argument("--orientation", choices=("rows", "cols"), default="rows")
+    ev.add_argument("--orientation", choices=dataio.ORIENTATIONS, default="rows")
     ev.add_argument("--labels")
     ev.add_argument("--selection", required=True, help="solution JSON or one feature name per line")
     ev.add_argument("--k", type=_int_list, default=(2, 3, 4, 5))
@@ -95,7 +94,7 @@ def build_parser() -> _Parser:
     run.add_argument("--config", help="JSON run configuration")
     run.add_argument("--input")
     run.add_argument("--labels")
-    run.add_argument("--orientation", choices=("rows", "cols"))
+    run.add_argument("--orientation", choices=dataio.ORIENTATIONS)
     run.add_argument("--methods", help="comma list from {lkfs,skm,spec}")
     run.add_argument("--p", type=_int_list, help="comma list of p values")
     run.add_argument("--k", type=_int_list, help="comma list of k values")
@@ -103,7 +102,6 @@ def build_parser() -> _Parser:
     run.add_argument("--seed", type=int)
     run.add_argument("--out", help="output directory")
     run.add_argument("--force", action="store_true")
-    run.add_argument("--threads", type=int)
     run.add_argument("--log-json", action="store_true")
     run.add_argument("--svg", action="store_true", help="also write SVG scatter plots")
     run.add_argument("--print-config", action="store_true", help="dump effective config and exit")
@@ -150,15 +148,6 @@ def _load_config(args) -> RunConfig:
         overrides["preprocess"] = dataclasses.replace(
             config.preprocess, repetitions=args.reps
         )
-    if args.command == "run":  # the only subcommand that runs repetitions
-        threads = args.threads
-        if threads is None and os.environ.get("LKFS_THREADS"):
-            try:
-                threads = int(os.environ["LKFS_THREADS"])
-            except ValueError:
-                raise ConfigError("LKFS_THREADS must be an integer") from None
-        if threads is not None:
-            overrides["threads"] = threads
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
@@ -174,12 +163,8 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _orient(name: str) -> str:
-    return "samples-as-rows" if name == "rows" else "features-as-rows"
-
-
 def _cmd_preprocess(args) -> int:
-    X = dataio.load_matrix(args.input, _orient(args.orientation))
+    X = dataio.load_matrix(args.input, args.orientation)
     Xp = dataio.variance_filter(dataio.minmax_scale(X), args.keep_fraction)
     dataio.save_matrix(Xp, args.out)
     print(f"wrote {args.out} ({Xp.n} x {Xp.d})")
@@ -188,7 +173,7 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_select(args) -> int:
     config = dataclasses.replace(_load_config(args), p_grid=(args.p,))
-    X = dataio.load_matrix(args.input, _orient(args.orientation))
+    X = dataio.load_matrix(args.input, args.orientation)
     [(p, _, result)] = pipeline.select_features(args.method, X, config, rep=0)
     if isinstance(result, mkl.MklSolution):
         doc = mkl.solution_to_dict(result, X.feature_names)
@@ -200,7 +185,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    X = dataio.load_matrix(args.input, _orient(args.orientation))
+    X = dataio.load_matrix(args.input, args.orientation)
     assignment = clustering.kmeans(X.values, args.k, restarts=args.restarts, seed=args.seed)
     lines = [f"{sid}\t{c}" for sid, c in zip(X.sample_ids, assignment.labels)]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -229,7 +214,7 @@ def _read_selection(path: str, feature_names: tuple[str, ...]) -> list[int]:
 
 
 def _cmd_evaluate(args) -> int:
-    X = dataio.load_matrix(args.input, _orient(args.orientation))
+    X = dataio.load_matrix(args.input, args.orientation)
     selected = _read_selection(args.selection, X.feature_names)
     labels = dataio.load_labels(args.labels) if args.labels else None
     config = RunConfig(k_grid=args.k, kmeans_restarts=args.restarts, seed=args.seed)
@@ -259,34 +244,57 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _report_lines(doc: dict) -> list[str]:
+    lines = [
+        f"report: method={doc.get('method')} dataset={doc.get('dataset_id')}",
+        f"repetition records: {len(doc.get('repetitions', []))}",
+        f"{'p':>4} {'k':>3} {'RED':>8} {'Rand':>8} {'ARI':>8} {'inertia':>10}",
+    ]
+    for cell in doc["aggregates"]:
+        rand = cell.get("rand_index_mean")
+        ari = cell.get("adjusted_rand_index_mean")
+        lines.append(
+            f"{cell['p']:>4} {cell['k']:>3} {cell['red_mean']:>8.4f} "
+            f"{rand if rand is None else format(rand, '.4f'):>8} "
+            f"{ari if ari is None else format(ari, '.4f'):>8} "
+            f"{cell['inertia_mean']:>10.4g}"
+        )
+    return lines
+
+
+def _solution_lines(doc: dict) -> list[str]:
+    lines = [
+        f"solution: method={doc.get('method')} stop={doc.get('stop_reason')}",
+        f"selected ({len(doc['selected'])}): {', '.join(doc['selected'])}",
+    ]
+    if doc.get("target_alignment") is not None:
+        lines.append(f"target alignment: {doc['target_alignment']:.6f}")
+    if doc.get("trajectory"):
+        lines.append("trajectory: " + ", ".join(f"{a:.6f}" for a in doc["trajectory"]))
+    return lines
+
+
 def _cmd_inspect(args) -> int:
     try:
         doc = json.loads(_read_text(args.path, "file"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataValidationError(f"{args.path} is not valid JSON: {exc}") from None
-    if "aggregates" in doc:
-        print(f"report: method={doc.get('method')} dataset={doc.get('dataset_id')}")
-        print(f"repetition records: {len(doc.get('repetitions', []))}")
-        header = f"{'p':>4} {'k':>3} {'RED':>8} {'Rand':>8} {'ARI':>8} {'inertia':>10}"
-        print(header)
-        for cell in doc["aggregates"]:
-            rand = cell.get("rand_index_mean")
-            ari = cell.get("adjusted_rand_index_mean")
-            print(
-                f"{cell['p']:>4} {cell['k']:>3} {cell['red_mean']:>8.4f} "
-                f"{rand if rand is None else format(rand, '.4f'):>8} "
-                f"{ari if ari is None else format(ari, '.4f'):>8} "
-                f"{cell['inertia_mean']:>10.4g}"
-            )
-    elif "selected" in doc:
-        print(f"solution: method={doc.get('method')} stop={doc.get('stop_reason')}")
-        print(f"selected ({len(doc['selected'])}): {', '.join(doc['selected'])}")
-        if doc.get("target_alignment") is not None:
-            print(f"target alignment: {doc['target_alignment']:.6f}")
-        if doc.get("trajectory"):
-            print("trajectory: " + ", ".join(f"{a:.6f}" for a in doc["trajectory"]))
-    else:
+    if isinstance(doc, dict) and "aggregates" in doc:
+        what, describe = "report", _report_lines
+    elif isinstance(doc, dict) and "selected" in doc:
+        what, describe = "solution", _solution_lines
+    elif isinstance(doc, (dict, list)):
         print(json.dumps(doc, indent=2, sort_keys=True))
+        return 0
+    else:
+        raise DataValidationError(f"{args.path} holds neither a JSON object nor a list")
+    try:
+        lines = describe(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataValidationError(
+            f"{args.path} is not a well-formed {what} ({type(exc).__name__}: {exc})"
+        ) from None
+    print("\n".join(lines))
     return 0
 
 

@@ -2,8 +2,9 @@
 
 The on-disk matrix format is UTF-8 delimited text (tab or comma, auto-detected
 from the header line). The first row is a header whose first cell is ignored;
-the first column holds sample identifiers. With ``orientation="features-as-rows"``
-the file is transposed on load so that samples are always rows in memory.
+the first column holds sample identifiers. With ``orientation="cols"`` (file
+rows are features) the file is transposed on load so that samples are always
+rows in memory.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import numpy as np
 
 from .errors import ConfigError, DataValidationError
 
-ORIENTATIONS = ("samples-as-rows", "features-as-rows")
+ORIENTATIONS = ("rows", "cols")  # file rows are samples, or features
+
+
+def derive_seed(master: int, *tags: int) -> int:
+    """Stable child seed from a master seed and integer path tags."""
+    seq = np.random.SeedSequence([int(master), *[int(t) for t in tags]])
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -149,13 +156,14 @@ def _parse_row(cells: list[str], line_no: int, col_names: Sequence[str]) -> np.n
     )
 
 
-def load_matrix(path: str | Path, orientation: str = "samples-as-rows") -> ExpressionMatrix:
+def load_matrix(path: str | Path, orientation: str = "rows") -> ExpressionMatrix:
     """Parse a delimited text matrix into a validated :class:`ExpressionMatrix`.
 
-    ``orientation`` selects whether file rows are samples or features; in the
-    latter case the result is transposed so samples are rows. The file is read
-    one line at a time, with the line boundaries of ``str.splitlines``; blank
-    lines are skipped but counted, so errors name the physical line.
+    ``orientation`` says whether file rows are samples ("rows") or features
+    ("cols"); in the latter case the result is transposed so samples are rows.
+    The file is read one line at a time, with the line boundaries of
+    ``str.splitlines``; blank lines are skipped but counted, so errors name
+    the physical line.
     """
     if orientation not in ORIENTATIONS:
         raise ConfigError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
@@ -187,7 +195,7 @@ def load_matrix(path: str | Path, orientation: str = "samples-as-rows") -> Expre
 
     values = np.array(rows, dtype=np.float64)
     del rows  # free the row copies before validation, or the transpose, copies again
-    if orientation == "features-as-rows":
+    if orientation == "cols":
         return ExpressionMatrix(values.T, sample_ids=col_names, feature_names=row_ids)
     return ExpressionMatrix(values, sample_ids=row_ids, feature_names=col_names)
 

@@ -70,10 +70,10 @@ def median_bandwidth(points: np.ndarray) -> float:
         pts = pts[:, None]
     if pts.shape[0] < 2:
         raise DataValidationError("median_bandwidth needs at least 2 points")
-    dists = np.sqrt(pairwise_sqdist(pts)[np.triu_indices(pts.shape[0], 1)])
-    if dists.max() == 0.0:
+    sq = pairwise_sqdist(pts)[_triu_indices(pts.shape[0])]
+    if sq.max() == 0.0:
         raise NumericalError("all pairwise distances are zero; kernel would be degenerate")
-    sigma = float(np.median(dists))
+    sigma = float(_median_distance(sq))
     if sigma == 0.0:
         raise DataValidationError(
             "median pairwise distance is 0 (more than half of the point pairs coincide)"
@@ -272,9 +272,9 @@ class StackedKernels:
 
 def _median_distance(sq: np.ndarray) -> float:
     """Median of ``np.sqrt(sq)`` for a non-negative 1-D ``sq``, bit for bit as
-    ``np.median``, from one single-kth partition of a copy of ``sq``: the square
-    root is monotonic, and the lower middle value is the largest entry left of
-    the kth."""
+    ``numpy.median``, from one single-kth partition of a copy of ``sq``: the
+    square root is monotonic, and the lower middle value is the largest entry
+    left of the kth."""
     half = sq.size // 2
     part = np.partition(sq, half)
     upper = np.sqrt(part[half])

@@ -15,7 +15,6 @@ import json
 import types
 import typing
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import baselines, clustering, dataio, evaluation, kernel, mkl
 from .autoencoder import AeArchitecture, AeHyperparams, LatentRepresentation, encode, train
-from .dataio import ExpressionMatrix, LabelVector, PreprocessConfig
+from .dataio import ExpressionMatrix, LabelVector, PreprocessConfig, derive_seed
 from .errors import ConfigError, DataValidationError
 from .evaluation import ClusteringMetrics, EvaluationReport, RepetitionRecord
 
@@ -37,17 +36,11 @@ _SEED_KMEANS = 2
 _SEED_SKM = 3
 
 
-def derive_seed(master: int, *tags: int) -> int:
-    """Stable child seed from a master seed and integer path tags."""
-    seq = np.random.SeedSequence([int(master), *[int(t) for t in tags]])
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 @dataclass(frozen=True)
 class RunConfig:
     input: str | None = None
     labels: str | None = None
-    orientation: str = "rows"  # "rows" = samples as rows, "cols" = features as rows
+    orientation: str = "rows"  # one of dataio.ORIENTATIONS
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     ae_hidden: tuple[int, ...] = (200, 100)
     ae_latent: int = 50
@@ -60,7 +53,7 @@ class RunConfig:
     skm_s: float | None = None  # default sqrt(p)
     output_dir: str = "lkfs-out"
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # repetitions run one after another; only 1 is accepted
     write_svg: bool = False
     dataset_id: str | None = None
 
@@ -78,10 +71,13 @@ class RunConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ConfigError(f"unknown methods: {sorted(unknown)}; choose from {METHODS}")
-        if self.orientation not in ("rows", "cols"):
-            raise ConfigError("orientation must be 'rows' or 'cols'")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if self.orientation not in dataio.ORIENTATIONS:
+            raise ConfigError(f"orientation must be one of {dataio.ORIENTATIONS}")
+        if self.threads != 1:
+            raise ConfigError(
+                "config key 'threads' must be 1 (repetitions run one after another), "
+                f"got {self.threads!r}"
+            )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -312,8 +308,7 @@ def run_experiment(
     if X is None:
         if config.input is None:
             raise ConfigError("run_experiment needs a matrix: set config.input or pass X")
-        orientation = "samples-as-rows" if config.orientation == "rows" else "features-as-rows"
-        X = dataio.load_matrix(config.input, orientation)
+        X = dataio.load_matrix(config.input, config.orientation)
     if labels is None and config.labels is not None:
         labels = dataio.load_labels(config.labels)
     if labels is None:
@@ -327,20 +322,12 @@ def run_experiment(
     if max(config.k_grid) > int(np.floor(config.preprocess.subsample_fraction * X.n)):
         raise ConfigError("max k exceeds the subsampled sample count")
 
-    reps = range(config.preprocess.repetitions)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(
-                pool.map(lambda r: _run_repetition(r, X, labels, config, progress), reps)
-            )
-    else:
-        results = [_run_repetition(r, X, labels, config, progress) for r in reps]
-
     per_method: dict[str, list[RepetitionRecord]] = {m: [] for m in config.methods}
     sample_ids_by_rep: dict[int, tuple[str, ...]] = {}
     true_labels_by_rep: dict[int, tuple[str, ...] | None] = {}
     projections: dict[tuple[str, int, int], np.ndarray] = {}
-    for rep_index, (records, sids, truth_row, projs) in enumerate(results):
+    for rep_index in range(config.preprocess.repetitions):
+        records, sids, truth_row, projs = _run_repetition(rep_index, X, labels, config, progress)
         for method, recs in records.items():
             per_method[method].extend(recs)
         sample_ids_by_rep[rep_index] = sids

@@ -11,7 +11,6 @@ from lkfs.autoencoder import (
     _forward_cached,
     _update_running_stats,
     encode,
-    forward,
     gradient_check,
     init_model,
     loss_mse,
@@ -30,6 +29,11 @@ TINY = AeArchitecture(encoder_layers=(6, 4, 2), decoder_layers=(2, 4, 6), latent
 def tiny_batch(seed=0, rows=4):
     rng = np.random.default_rng(seed)
     return rng.uniform(0.05, 0.95, size=(rows, 6))
+
+
+def as_matrix(values, first_row=0):
+    ids = tuple(f"s{first_row + i}" for i in range(values.shape[0]))
+    return ExpressionMatrix(values, ids, tuple(f"g{j}" for j in range(values.shape[1])))
 
 
 class TestArchitecture:
@@ -78,34 +82,42 @@ class TestInit:
 
 
 class TestForward:
+    """The train-mode pass of training and the inference-mode pass of ``encode``."""
+
     def test_shapes(self):
         model = init_model(TINY, seed=0)
-        z, rec = forward(model, tiny_batch(), mode="train")
-        assert z.shape == (4, 2) and rec.shape == (4, 6)
+        caches, rec = _forward_cached(model, tiny_batch())
+        assert caches[len(model.encoder) - 1]["out"].shape == (4, 2) and rec.shape == (4, 6)
 
     def test_single_sample_inference(self):
         model = init_model(TINY, seed=0)
-        z, rec = forward(model, tiny_batch(rows=1)[:1], mode="inference")
-        assert z.shape == (1, 2) and np.isfinite(rec).all()
+        z = encode(model, as_matrix(tiny_batch(rows=1))).z_values
+        assert z.shape == (1, 2) and np.isfinite(z).all()
 
     def test_untrained_outputs_finite(self):
         model = init_model(TINY, seed=4)
-        _, rec = forward(model, tiny_batch(seed=5), mode="inference")
-        assert np.isfinite(rec).all()
+        assert np.isfinite(encode(model, as_matrix(tiny_batch(seed=5))).z_values).all()
+        assert np.isfinite(_forward_cached(model, tiny_batch(seed=5))[1]).all()
 
     def test_train_mode_needs_two_rows(self):
-        model = init_model(TINY, seed=0)
-        with pytest.raises(DataValidationError):
-            forward(model, tiny_batch(rows=1)[:1], mode="train")
+        # batch norm needs per-batch statistics: no training batch has one row
+        with pytest.raises(ConfigError):
+            AeHyperparams(batch_size=1)
+        for n, batch_size in [(9, 4), (5, 2), (2, 2), (17, 8), (3, 2)]:
+            order = np.arange(n)
+            batches = _batch_slices(n, batch_size, order)
+            assert min(b.size for b in batches) >= 2
+            np.testing.assert_array_equal(np.concatenate(batches), order)
 
     def test_inference_batch_equals_per_sample(self):
-        # running statistics make inference independent of batch composition
-        model = init_model(TINY, seed=2)
-        forward(model, tiny_batch(seed=8, rows=16), mode="train")  # move running stats
+        # running statistics make inference independent of batch composition;
+        # a one-row product may round its last bit differently from a batched one
+        X, _ = generate_synthetic(n=24, d=6, informative=2, separation=3.0, seed=0)
+        model = train(minmax_scale(X), TINY, AeHyperparams(epochs=2, batch_size=8), seed=2)
         batch = tiny_batch(seed=9, rows=5)
-        _, rec_all = forward(model, batch, mode="inference")
-        rec_rows = [forward(model, batch[i : i + 1], mode="inference")[1] for i in range(5)]
-        np.testing.assert_allclose(rec_all, np.vstack(rec_rows), rtol=0, atol=0)
+        z_all = encode(model, as_matrix(batch)).z_values
+        z_rows = [encode(model, as_matrix(batch[i : i + 1], i)).z_values for i in range(5)]
+        np.testing.assert_allclose(z_all, np.vstack(z_rows), rtol=1e-12, atol=1e-14)
 
 
 class TestLosses:
@@ -389,7 +401,7 @@ class TestTrainingBitIdentity:
         model = init_model(AeArchitecture.default(12, hidden=(9, 5), latent_dim=3), seed=4)
         batch = _uniform_matrix(9, 12, 4).values
         buffers = _forward_buffers(model, rows=10)
-        got, _, _ = _forward_cached(model, batch, training=True, buffers=buffers)
+        got, _ = _forward_cached(model, batch, buffers=buffers)
         want, _ = _reference_forward(model, batch)
         for cache, ref, layer_buffers in zip(got, want, buffers):
             for key in ref:

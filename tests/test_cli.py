@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +103,24 @@ class TestSelectClusterEvaluate:
         assert code == 0
         entry = json.loads(metrics.read_text())["clusterings"][0]
         assert entry["rand_index"] is None and entry["adjusted_rand_index"] is None
+
+    def test_select_takes_the_config_seed_unless_flagged(self, fixture_dir, tmp_path):
+        ae = {"ae_hidden": [4], "ae_latent": 2, "ae": {"epochs": 5, "batch_size": 16}}
+
+        def select(name, doc, *flags):
+            config, out = tmp_path / f"{name}.json", tmp_path / f"{name}_solution.json"
+            config.write_text(json.dumps(doc))
+            code = main(
+                ["select", "--config", str(config), "--input", str(fixture_dir / "matrix.tsv"),
+                 "--method", "lkfs", "--p", "4", "--out", str(out), *flags]
+            )
+            assert code == 0
+            return out.read_bytes()
+
+        seven = select("file-seed", {**ae, "seed": 7})
+        assert seven == select("flag-seed", ae, "--seed", "7")
+        assert seven == select("flag-wins", {**ae, "seed": 0}, "--seed", "7")
+        assert seven != select("default-seed", ae)
 
     def test_cluster_assignment_dump(self, fixture_dir, tmp_path):
         out = tmp_path / "clusters.tsv"
@@ -233,11 +254,27 @@ class TestRun:
         assert doc["p_grid"] == [5]  # flag overrides file
         assert doc["methods"] == ["spec"]  # file overrides default
 
-    def test_threads_env_fallback(self, fixture_dir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LKFS_THREADS", "3")
-        code = main(["run", "--input", str(fixture_dir / "matrix.tsv"), "--print-config"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["threads"] == 3
+    def test_run_imports_no_thread_pool_and_no_masked_arrays(self, fixture_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "ae_hidden": [4], "ae_latent": 2, "ae": {"epochs": 2, "batch_size": 16},
+            "methods": ["lkfs", "skm", "spec"], "p_grid": [3], "k_grid": [2],
+        }))
+        argv = ["run", "--config", str(config), "--input", str(fixture_dir / "matrix.tsv"),
+                "--labels", str(fixture_dir / "labels.tsv"), "--reps", "1",
+                "--out", str(tmp_path / "out")]
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "from lkfs.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print([m for m in ('concurrent.futures', 'numpy.ma') if m in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_select_ignores_threads_env(self, fixture_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("LKFS_THREADS", "x")
@@ -339,10 +376,12 @@ class TestExitCodes:
             ({"kernel_bandwidth_mode": "global"}, "unknown config keys: ['kernel_bandwidth_mode']"),
             ({"preprocess": {"seed": 1}}, "unknown config keys: ['preprocess.seed']"),
             ({"ae": {"seed": 1}}, "unknown config keys: ['ae.seed']"),
+            ({"threads": 2}, "config key 'threads' must be 1 (repetitions run one after another), "
+                             "got 2"),
         ],
         ids=["nested-string", "scalar-for-list", "top-level-list", "nested-unknown", "string",
              "bool-for-int", "removed-candidate-subsample", "removed-bandwidth-mode",
-             "removed-preprocess-seed", "removed-ae-seed"],
+             "removed-preprocess-seed", "removed-ae-seed", "threads-other-than-1"],
     )
     def test_config_value_of_wrong_type_is_1(self, fixture_dir, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"
@@ -353,6 +392,11 @@ class TestExitCodes:
         )
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_threads_flag_is_1(self, fixture_dir, capsys):
+        assert main(run_args(fixture_dir, "unused", extra=["--threads", "2"])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: --threads") and err.count("\n") == 1
 
     def test_bad_cell_is_2(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -379,6 +423,30 @@ class TestExitCodes:
         assert main(["inspect", "--path", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path} is not valid JSON") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (5, "holds neither a JSON object nor a list"),
+            ({"aggregates": 1}, "is not a well-formed report (TypeError: "),
+            ({"aggregates": [{"p": 3}]}, "is not a well-formed report (KeyError: "),
+            ({"selected": 3}, "is not a well-formed solution (TypeError: "),
+        ],
+        ids=["number", "aggregates-not-a-list", "cell-without-k", "selected-not-a-list"],
+    )
+    def test_inspect_malformed_json_is_2(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["inspect", "--path", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"data error: {path} {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_inspect_list_is_printed(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text('[1, "aggregates"]')
+        assert main(["inspect", "--path", str(path)]) == 0
+        assert capsys.readouterr().out == '[\n  1,\n  "aggregates"\n]\n'
 
 
 def test_inspect_solution(fixture_dir, tmp_path, capsys):

@@ -59,7 +59,7 @@ class TestLoadMatrix:
         for j in range(4):
             lines.append(f"g{j}\t{j}\t{j + 10}\t{j + 20}")
         path = write(tmp_path, "m.tsv", "\n".join(lines) + "\n")
-        X = load_matrix(path, orientation="features-as-rows")
+        X = load_matrix(path, orientation="cols")
         assert X.n == 3 and X.d == 4
         assert X.sample_ids == ("s1", "s2", "s3")
         assert X.values[1, 2] == 12.0
@@ -108,7 +108,7 @@ class TestLoadMatrix:
         assert back.sample_ids == X.sample_ids
 
 
-def cell_by_cell_load_matrix(path, orientation="samples-as-rows"):
+def cell_by_cell_load_matrix(path, orientation="rows"):
     """The loader that read the whole text and parsed cell by cell, kept as
     the reference; it numbers lines as ``str.splitlines`` does, blank ones
     included, where it used to count only the non-blank ones."""
@@ -153,7 +153,7 @@ def cell_by_cell_load_matrix(path, orientation="samples-as-rows"):
         rows.append([parse_cell(c, line_no, col_names[j]) for j, c in enumerate(cells[1:])])
 
     values = np.array(rows, dtype=np.float64)
-    if orientation == "features-as-rows":
+    if orientation == "cols":
         return ExpressionMatrix(values.T, sample_ids=col_names, feature_names=row_ids)
     return ExpressionMatrix(values, sample_ids=row_ids, feature_names=col_names)
 

@@ -98,11 +98,25 @@ class TestMedianBandwidth:
         with pytest.raises(DataValidationError, match="median pairwise distance is 0"):
             median_bandwidth(np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_sort_oracle_exactly(self, seed):
+    # n(n-1)/2 pairs: an odd count for n = 6, 7, 10, 11, an even one for n = 4, 5, 8, 9
+    TIE_HEAVY = [(seed, n) for seed in range(3) for n in (6, 7, 10, 11, 4, 5, 8, 9)]
+
+    @pytest.mark.parametrize(
+        "seed, tie_heavy_n",
+        [(seed, None) for seed in range(8)] + TIE_HEAVY,
+        ids=[str(seed) for seed in range(8)]
+        + [f"ties-n{n}-{'odd' if n * (n - 1) // 2 % 2 else 'even'}-pairs-{seed}"
+           for seed, n in TIE_HEAVY],
+    )
+    def test_matches_sort_oracle_exactly(self, seed, tie_heavy_n):
         rng = np.random.default_rng(seed)
-        pts = rng.standard_normal((rng.integers(2, 15), rng.integers(1, 5)))
-        assert median_bandwidth(pts) == brute_force_median_distance(pts)
+        if tie_heavy_n is None:
+            pts = rng.standard_normal((rng.integers(2, 15), rng.integers(1, 5)))
+        else:  # small integers: many pairs share a distance, so the middle values tie
+            pts = rng.integers(0, 3, size=(tie_heavy_n, 1 + seed % 2)).astype(float)
+        want = brute_force_median_distance(pts)
+        assert want > 0
+        assert median_bandwidth(pts) == want
 
 
 class TestGaussianKernel:

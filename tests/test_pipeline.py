@@ -140,13 +140,6 @@ class TestRunExperiment:
             )
             assert rec3 == rec2
 
-    def test_threads_do_not_change_results(self, fixture_data):
-        X, labels = fixture_data
-        config = fast_config(methods=("spec",))
-        serial = run_experiment(config, X=X, labels=labels)
-        threaded = run_experiment(fast_config(methods=("spec",), threads=2), X=X, labels=labels)
-        assert serial.reports["spec"] == threaded.reports["spec"]
-
     def test_p_beyond_post_filter_width_rejected(self, fixture_data):
         X, labels = fixture_data
         with pytest.raises(ConfigError, match="post-filter"):
