@@ -19,6 +19,11 @@ from .dataio import ExpressionMatrix
 from .errors import ConfigError, DataValidationError, NumericalError
 
 _BN_EPS = 1e-5
+_BN_MOMENTUM = 0.9  # weight of the old running statistics per batch
+_LEARNING_RATE = 1e-3
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPSILON = 1e-8
 _ADAM_BLOCK = 1 << 15  # entries per block of the Adam step (256 KB of float64)
 
 
@@ -58,25 +63,17 @@ class AeArchitecture:
 
 @dataclass(frozen=True)
 class AeHyperparams:
-    learning_rate: float = 1e-3
     beta_l2: float = 1e-4
     epochs: int = 200
     batch_size: int = 64
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
         if self.beta_l2 < 0:
             raise ConfigError("beta_l2 must be >= 0")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (batch norm needs per-batch statistics)")
-        if not 0 < self.adam_beta1 < 1 or not 0 < self.adam_beta2 < 1:
-            raise ConfigError("adam betas must lie in (0, 1)")
 
 
 @dataclass
@@ -85,7 +82,6 @@ class BatchNormState:
     shift: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.9
 
 
 @dataclass
@@ -241,8 +237,8 @@ def _update_running_stats(model: AeModel, caches: list[dict], m: int) -> None:
         if bn is None:
             continue
         unbiased = cache["batch_var"] * (m / (m - 1)) if m > 1 else cache["batch_var"]
-        bn.running_mean = bn.momentum * bn.running_mean + (1 - bn.momentum) * cache["batch_mean"]
-        bn.running_var = bn.momentum * bn.running_var + (1 - bn.momentum) * unbiased
+        bn.running_mean = _BN_MOMENTUM * bn.running_mean + (1 - _BN_MOMENTUM) * cache["batch_mean"]
+        bn.running_var = _BN_MOMENTUM * bn.running_var + (1 - _BN_MOMENTUM) * unbiased
 
 
 def encode(model: AeModel, X: ExpressionMatrix) -> "LatentRepresentation":
@@ -476,29 +472,28 @@ def _adam_step(
     adam_m: np.ndarray,
     adam_v: np.ndarray,
     step: int,
-    hp: AeHyperparams,
     scratch: np.ndarray,
 ) -> None:
     """One Adam update of flat ``params`` in place, ``_ADAM_BLOCK`` entries at a
     time so that the operands of every ufunc stay in cache."""
-    bias1 = 1.0 - hp.adam_beta1**step
-    bias2 = 1.0 - hp.adam_beta2**step
+    bias1 = 1.0 - _ADAM_BETA1**step
+    bias2 = 1.0 - _ADAM_BETA2**step
     for start in range(0, params.size, _ADAM_BLOCK):
         block = slice(start, start + _ADAM_BLOCK)
         p, g, m_state, v_state = params[block], grads[block], adam_m[block], adam_v[block]
         t1, t2 = scratch[:, : p.size]
-        m_state *= hp.adam_beta1
-        np.multiply(1 - hp.adam_beta1, g, out=t1)
+        m_state *= _ADAM_BETA1
+        np.multiply(1 - _ADAM_BETA1, g, out=t1)
         m_state += t1
-        v_state *= hp.adam_beta2
-        np.multiply(1 - hp.adam_beta2, g, out=t1)
+        v_state *= _ADAM_BETA2
+        np.multiply(1 - _ADAM_BETA2, g, out=t1)
         t1 *= g
         v_state += t1
         np.divide(m_state, bias1, out=t1)
-        np.multiply(hp.learning_rate, t1, out=t1)
+        np.multiply(_LEARNING_RATE, t1, out=t1)
         np.divide(v_state, bias2, out=t2)
         np.sqrt(t2, out=t2)
-        t2 += hp.adam_epsilon
+        t2 += _ADAM_EPSILON
         t1 /= t2
         p -= t1
 
@@ -546,7 +541,7 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams, seed: in
             epoch_loss += batch_loss * m
             _backward(model, caches, batch, recon, hp.beta_l2, out=ws)
             step += 1
-            _adam_step(params, ws.grad_flat, adam_m, adam_v, step, hp, adam_scratch)
+            _adam_step(params, ws.grad_flat, adam_m, adam_v, step, adam_scratch)
             _update_running_stats(model, caches, m)
         model.loss_history.append(epoch_loss / X.n)
     return model

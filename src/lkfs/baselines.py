@@ -136,8 +136,9 @@ def sparse_kmeans(
     )
 
 
-def spec_scores(X: ExpressionMatrix | np.ndarray, sigma: float | None = None) -> SpecResult:
-    """Rank features by smoothness on the dense Gaussian sample-similarity graph.
+def spec_scores(X: ExpressionMatrix | np.ndarray) -> SpecResult:
+    """Rank features by smoothness on the dense Gaussian sample-similarity graph
+    at the median-distance bandwidth.
 
     Each feature f is degree-normalized and scored by the normalized-Laplacian
     quadratic form; zero-norm (all-zero) features score +inf and rank last.
@@ -145,11 +146,7 @@ def spec_scores(X: ExpressionMatrix | np.ndarray, sigma: float | None = None) ->
     values = X.values if isinstance(X, ExpressionMatrix) else np.asarray(X, dtype=np.float64)
     if values.shape[0] < 2:
         raise DataValidationError("spec_scores needs at least 2 samples")
-    if sigma is None:
-        sigma = median_bandwidth(values)
-    elif sigma <= 0:
-        raise ConfigError("sigma must be > 0")
-    similarity = gaussian_kernel(values, sigma).entries
+    similarity = gaussian_kernel(values, median_bandwidth(values)).entries
     scores = graph_consistency_scores(values, similarity)
     ranking = tuple(int(j) for j in np.argsort(scores, kind="stable"))
     return SpecResult(scores=scores, ranking=ranking)

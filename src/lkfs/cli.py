@@ -65,7 +65,10 @@ def build_parser() -> _Parser:
 
     sel = sub.add_parser("select", help="run one selection method on a preprocessed matrix")
     sel.add_argument("--input", required=True)
-    sel.add_argument("--orientation", choices=dataio.ORIENTATIONS, default="rows")
+    sel.add_argument(
+        "--orientation", choices=dataio.ORIENTATIONS,
+        help="overrides the config file's orientation (default rows)",
+    )
     sel.add_argument("--method", choices=pipeline.METHODS, default="lkfs")
     sel.add_argument("--p", type=int, required=True)
     sel.add_argument("--seed", type=int, help="overrides the config file's seed (default 0)")
@@ -103,7 +106,6 @@ def build_parser() -> _Parser:
     run.add_argument("--out", help="output directory")
     run.add_argument("--force", action="store_true")
     run.add_argument("--log-json", action="store_true")
-    run.add_argument("--svg", action="store_true", help="also write SVG scatter plots")
     run.add_argument("--print-config", action="store_true", help="dump effective config and exit")
 
     insp = sub.add_parser("inspect", help="pretty-print a solution or report JSON")
@@ -142,8 +144,6 @@ def _load_config(args) -> RunConfig:
         overrides["seed"] = args.seed
     if getattr(args, "out", None):
         overrides["output_dir"] = args.out
-    if getattr(args, "svg", False):
-        overrides["write_svg"] = True
     if getattr(args, "reps", None) is not None:
         overrides["preprocess"] = dataclasses.replace(
             config.preprocess, repetitions=args.reps
@@ -173,7 +173,7 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_select(args) -> int:
     config = dataclasses.replace(_load_config(args), p_grid=(args.p,))
-    X = dataio.load_matrix(args.input, args.orientation)
+    X = dataio.load_matrix(config.input, config.orientation)
     [(p, _, result)] = pipeline.select_features(args.method, X, config, rep=0)
     if isinstance(result, mkl.MklSolution):
         doc = mkl.solution_to_dict(result, X.feature_names)

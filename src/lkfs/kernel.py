@@ -121,16 +121,16 @@ class StackedKernels:
     Kernel j is the Gaussian kernel of column j of ``points`` (n, d) at
     ``bandwidths[j]`` (all ones where ``degenerate[j]``). A triangle is computed
     when it is read (``row``), so the ``(d, n(n-1)/2)`` stack of triangles is
-    held only when asked for (``triangles``). Indexing and iteration give back
-    dense ``KernelMatrix`` objects. The greedy selection reads its inner
-    products from ``gram`` (at most 20 d^2 bytes) or from ``triangles``
-    (4 d n(n-1) bytes); ``mkl._takes_gram`` picks one from time and bytes.
+    held only when asked for (``triangles``). Indexing, and iteration through
+    it, give back dense ``KernelMatrix`` objects named ``feature:j``. The
+    greedy selection reads its inner products from ``gram`` (at most 20 d^2
+    bytes) or from ``triangles`` (4 d n(n-1) bytes); ``mkl._takes_gram`` picks
+    one from time and bytes.
     """
 
     n: int
     bandwidths: np.ndarray
     degenerate: np.ndarray
-    sources: tuple[str, ...]
     points: np.ndarray
 
     def __len__(self) -> int:
@@ -144,12 +144,9 @@ class StackedKernels:
         return KernelMatrix(
             entries,
             bandwidth=float(self.bandwidths[j]),
-            source=self.sources[j],
+            source=f"feature:{j}",
             degenerate=bool(self.degenerate[j]),
         )
-
-    def __iter__(self):
-        return (self[j] for j in range(len(self)))
 
     @property
     def nbytes(self) -> int:
@@ -317,7 +314,6 @@ def feature_kernels(X: ExpressionMatrix) -> StackedKernels:
         n=X.n,
         bandwidths=bandwidths,
         degenerate=degenerate,
-        sources=tuple(f"feature:{j}" for j in range(X.d)),
         points=X.values,
     )
 

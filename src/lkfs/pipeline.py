@@ -45,16 +45,13 @@ class RunConfig:
     ae_hidden: tuple[int, ...] = (200, 100)
     ae_latent: int = 50
     ae: AeHyperparams = field(default_factory=AeHyperparams)
-    mkl_tolerance: float = 1e-6
     methods: tuple[str, ...] = METHODS
     p_grid: tuple[int, ...] = (10, 20, 30, 40, 50)
     k_grid: tuple[int, ...] = (2, 3, 4, 5)
     kmeans_restarts: int = 10
-    skm_s: float | None = None  # default sqrt(p)
     output_dir: str = "lkfs-out"
     seed: int = 0
     threads: int = 1  # repetitions run one after another; only 1 is accepted
-    write_svg: bool = False
     dataset_id: str | None = None
 
     def __post_init__(self):
@@ -162,10 +159,7 @@ def run_lkfs_once(
     solution = mkl.greedy_select(
         kernel.feature_kernels(X),
         kz,
-        mkl.MklConfig(
-            p=p if p is not None else max(config.p_grid),
-            improvement_tolerance=config.mkl_tolerance,
-        ),
+        mkl.MklConfig(p=p if p is not None else max(config.p_grid)),
     )
     return solution, latent
 
@@ -205,7 +199,7 @@ def select_features(
             result = baselines.sparse_kmeans(
                 X,
                 k=config.k_grid[0],
-                s=config.skm_s if config.skm_s is not None else float(np.sqrt(p)),
+                s=float(np.sqrt(p)),
                 seed=derive_seed(config.seed, rep, _SEED_SKM, p),
                 restarts=config.kmeans_restarts,
             )
@@ -319,8 +313,13 @@ def run_experiment(
         raise ConfigError(
             f"max p={max(config.p_grid)} exceeds post-filter feature count {post_filter_d}"
         )
-    if max(config.k_grid) > int(np.floor(config.preprocess.subsample_fraction * X.n)):
+    subsampled_n = int(np.floor(config.preprocess.subsample_fraction * X.n))
+    if max(config.k_grid) > subsampled_n:
         raise ConfigError("max k exceeds the subsampled sample count")
+    if "lkfs" in config.methods and subsampled_n < config.ae.batch_size:
+        raise DataValidationError(
+            f"need n >= batch_size, got n={subsampled_n}, batch_size={config.ae.batch_size}"
+        )
 
     per_method: dict[str, list[RepetitionRecord]] = {m: [] for m in config.methods}
     sample_ids_by_rep: dict[int, tuple[str, ...]] = {}
@@ -350,26 +349,6 @@ def run_experiment(
 
 def _report_json(report: EvaluationReport) -> str:
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-
-_SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
-
-
-def _projection_svg(coords: np.ndarray, cluster_ids: Sequence[int]) -> str:
-    span = coords.max(axis=0) - coords.min(axis=0)
-    span[span == 0] = 1.0
-    unit = (coords - coords.min(axis=0)) / span
-    points = []
-    for (x, y), c in zip(unit, cluster_ids):
-        color = _SVG_COLORS[int(c) % len(_SVG_COLORS)]
-        points.append(
-            f'<circle cx="{20 + 360 * x:.1f}" cy="{380 - 360 * y:.1f}" r="3" fill="{color}"/>'
-        )
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" width="400" height="400">\n'
-        + "\n".join(points)
-        + "\n</svg>\n"
-    )
 
 
 def check_output_dir(output_dir: str | Path, force: bool = False) -> None:
@@ -430,11 +409,6 @@ def emit_outputs(result: RunResult, output_dir: str | Path, force: bool = False)
                 out / f"proj_{method}_p{rec.p}_rep{rec.repetition}.txt",
                 "\n".join(proj_lines) + "\n",
             )
-            if result.config.write_svg:
-                emit(
-                    out / f"proj_{method}_p{rec.p}_rep{rec.repetition}.svg",
-                    _projection_svg(coords, first_k.cluster_labels),
-                )
 
     index = {"files": [entries[p] for p in sorted(entries)]}
     index_path = out / "index.json"

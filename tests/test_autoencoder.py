@@ -307,7 +307,8 @@ def _reference_gradients(model, batch, beta_l2):
 
 def _reference_train(X, arch, hp, seed):
     """Training before the single pass: two forward passes per batch and an
-    Adam step per parameter array with fresh temporaries."""
+    Adam step (learning rate 1e-3, betas 0.9 and 0.999, epsilon 1e-8) per
+    parameter array with fresh temporaries."""
     model = init_model(arch, seed)
     shuffle_rng = np.random.default_rng([seed, 1])
     params = [array for _, array in model.parameters()]
@@ -324,14 +325,14 @@ def _reference_train(X, arch, hp, seed):
             epoch_loss += (loss_mse(batch, recon) + hp.beta_l2 * penalty) * batch.shape[0]
             grads = _reference_gradients(model, batch, hp.beta_l2)
             step += 1
-            bias1 = 1.0 - hp.adam_beta1**step
-            bias2 = 1.0 - hp.adam_beta2**step
+            bias1 = 1.0 - 0.9**step
+            bias2 = 1.0 - 0.999**step
             for p, g, m_state, v_state in zip(params, grads, adam_m, adam_v):
-                m_state *= hp.adam_beta1
-                m_state += (1 - hp.adam_beta1) * g
-                v_state *= hp.adam_beta2
-                v_state += (1 - hp.adam_beta2) * g * g
-                p -= hp.learning_rate * (m_state / bias1) / (np.sqrt(v_state / bias2) + hp.adam_epsilon)
+                m_state *= 0.9
+                m_state += (1 - 0.9) * g
+                v_state *= 0.999
+                v_state += (1 - 0.999) * g * g
+                p -= 1e-3 * (m_state / bias1) / (np.sqrt(v_state / bias2) + 1e-8)
             _update_running_stats(model, caches, batch.shape[0])
         model.loss_history.append(epoch_loss / X.n)
     return model

@@ -134,9 +134,8 @@ class TestSpecScores:
 
     def test_matches_quadratic_form_oracle(self, rng):
         values = rng.standard_normal((20, 5))
-        sigma = median_bandwidth(values)
-        result = spec_scores(values, sigma=sigma)
-        oracle = spec_score_oracle(values, sigma)
+        result = spec_scores(values)
+        oracle = spec_score_oracle(values, median_bandwidth(values))
         np.testing.assert_allclose(result.scores, oracle, rtol=0, atol=1e-10)
 
     def test_scale_invariance_on_fixed_graph(self, rng):

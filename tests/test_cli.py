@@ -122,6 +122,28 @@ class TestSelectClusterEvaluate:
         assert seven == select("flag-wins", {**ae, "seed": 0}, "--seed", "7")
         assert seven != select("default-seed", ae)
 
+    def test_select_takes_the_config_orientation_unless_flagged(self, tmp_path):
+        assert main(["synth", "--n", "40", "--d", "12", "--out", str(tmp_path)]) == 0
+        X = load_matrix(tmp_path / "matrix.tsv")
+        features_as_rows = tmp_path / "features_as_rows.tsv"
+        save_matrix(ExpressionMatrix(X.values.T, X.feature_names, X.sample_ids), features_as_rows)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"orientation": "cols"}))
+
+        def select(name, *flags):
+            out = tmp_path / f"{name}.json"
+            code = main(
+                ["select", "--input", str(features_as_rows), "--method", "spec", "--p", "3",
+                 "--out", str(out), *flags]
+            )
+            assert code == 0
+            return json.loads(out.read_text())["selected"]
+
+        from_file = select("file", "--config", str(config))
+        assert from_file == select("flag", "--orientation", "cols")
+        assert all(name.startswith("f") for name in from_file)
+        assert select("flag-wins", "--config", str(config), "--orientation", "rows")[0][0] == "s"
+
     def test_cluster_assignment_dump(self, fixture_dir, tmp_path):
         out = tmp_path / "clusters.tsv"
         code = main(
@@ -378,10 +400,20 @@ class TestExitCodes:
             ({"ae": {"seed": 1}}, "unknown config keys: ['ae.seed']"),
             ({"threads": 2}, "config key 'threads' must be 1 (repetitions run one after another), "
                              "got 2"),
+            ({"write_svg": True}, "unknown config keys: ['write_svg']"),
+            ({"skm_s": 2.0}, "unknown config keys: ['skm_s']"),
+            ({"mkl_tolerance": 1e-6}, "unknown config keys: ['mkl_tolerance']"),
+            ({"ae": {"learning_rate": 1e-3}}, "unknown config keys: ['ae.learning_rate']"),
+            ({"ae": {"adam_beta1": 0.9}}, "unknown config keys: ['ae.adam_beta1']"),
+            ({"ae": {"adam_beta2": 0.999}}, "unknown config keys: ['ae.adam_beta2']"),
+            ({"ae": {"adam_epsilon": 1e-8}}, "unknown config keys: ['ae.adam_epsilon']"),
         ],
         ids=["nested-string", "scalar-for-list", "top-level-list", "nested-unknown", "string",
              "bool-for-int", "removed-candidate-subsample", "removed-bandwidth-mode",
-             "removed-preprocess-seed", "removed-ae-seed", "threads-other-than-1"],
+             "removed-preprocess-seed", "removed-ae-seed", "threads-other-than-1",
+             "removed-write-svg", "removed-skm-s", "removed-mkl-tolerance",
+             "removed-learning-rate", "removed-adam-beta1", "removed-adam-beta2",
+             "removed-adam-epsilon"],
     )
     def test_config_value_of_wrong_type_is_1(self, fixture_dir, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"
@@ -393,10 +425,24 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_threads_flag_is_1(self, fixture_dir, capsys):
-        assert main(run_args(fixture_dir, "unused", extra=["--threads", "2"])) == 1
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--svg"]], ids=["threads", "svg"])
+    def test_removed_flag_is_1(self, fixture_dir, capsys, flag):
+        assert main(run_args(fixture_dir, "unused", extra=flag)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: unrecognized arguments: --threads") and err.count("\n") == 1
+        assert err.startswith(f"error: unrecognized arguments: {flag[0]}") and err.count("\n") == 1
+
+    def test_batch_larger_than_the_resample_is_2_before_any_work(self, tmp_path, capsys):
+        # 60 samples subsample to 48, fewer than the default batch of 64
+        assert main(["synth", "--n", "60", "--d", "24", "--out", str(tmp_path)]) == 0
+        argv = ["run", "--input", str(tmp_path / "matrix.tsv"),
+                "--labels", str(tmp_path / "labels.tsv"), "--p", "5", "--k", "2", "--reps", "1"]
+        capsys.readouterr()
+        code = main([*argv, "--methods", "spec,lkfs", "--out", str(tmp_path / "both")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: need n >= batch_size, got n=48, batch_size=64\n"
+        )
+        assert main([*argv, "--methods", "spec", "--out", str(tmp_path / "spec")]) == 0
 
     def test_bad_cell_is_2(self, tmp_path):
         bad = tmp_path / "bad.tsv"

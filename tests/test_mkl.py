@@ -317,7 +317,6 @@ class TestInnerProducts:
             n=n,
             bandwidths=np.ones(d),
             degenerate=np.zeros(d, dtype=bool),
-            sources=tuple(f"feature:{j}" for j in range(d)),
             points=np.broadcast_to(0.0, (n, d)),
         )
         with pytest.raises(Taken) as taken:
