@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ class SkmResult:
 
     weights: np.ndarray
     assignment: ClusterAssignment
-    s: float
     objective_history: tuple[float, ...]
 
 
@@ -128,12 +126,7 @@ def sparse_kmeans(
         w = w_new
         if change < _WEIGHT_CHANGE_TOL:
             break
-    return SkmResult(
-        weights=w,
-        assignment=assignment,
-        s=float(s),
-        objective_history=tuple(history),
-    )
+    return SkmResult(weights=w, assignment=assignment, objective_history=tuple(history))
 
 
 def spec_scores(X: ExpressionMatrix | np.ndarray) -> SpecResult:
@@ -189,23 +182,3 @@ def select_top_p(result: SkmResult | SpecResult, p: int) -> tuple[int, ...]:
         return tuple(result.ranking[:p])
     raise ConfigError(f"unsupported result type: {type(result).__name__}")
 
-
-def solution_to_dict(
-    result: SkmResult | SpecResult, feature_names: Sequence[str], p: int
-) -> dict:
-    """The top-p selection in the layout of ``mkl.solution_to_dict``, with a
-    method tag: weights (SKM) or scores (SPEC) as ``mu``."""
-    selected = select_top_p(result, p)
-    if isinstance(result, SkmResult):
-        method, values = "skm", result.weights
-        trajectory = [float(v) for v in result.objective_history]
-    else:
-        method, values, trajectory = "spec", result.scores, []
-    return {
-        "method": method,
-        "selected": [feature_names[j] for j in selected],
-        "mu": {feature_names[j]: float(values[j]) for j in selected},
-        "trajectory": trajectory,
-        "target_alignment": None,
-        "stop_reason": "reached_p",
-    }

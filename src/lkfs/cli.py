@@ -11,9 +11,10 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
-from . import baselines, clustering, dataio, mkl, pipeline
+from . import clustering, dataio, pipeline
 from .errors import ConfigError, DataValidationError, NumericalError
 from .pipeline import RunConfig
 
@@ -171,14 +172,33 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
+def _solution_doc(method: str, selected, result, names) -> dict:
+    """The `select` document: ``mu`` maps each selected feature to its lkfs
+    weight, SKM weight or SPEC score; ``trajectory`` holds the lkfs alignments,
+    the SKM objectives, or nothing. Only lkfs has a target alignment."""
+    target, stop_reason = None, "reached_p"
+    if method == "lkfs":
+        values, trajectory = result.mu, result.alignment_trajectory
+        target, stop_reason = float(result.target_alignment), result.stop_reason
+    elif method == "skm":
+        values, trajectory = result.weights, result.objective_history
+    else:
+        values, trajectory = result.scores, ()
+    return {
+        "method": method,
+        "selected": [names[j] for j in selected],
+        "mu": {names[j]: float(values[j]) for j in selected},
+        "trajectory": [float(a) for a in trajectory],
+        "target_alignment": target,
+        "stop_reason": stop_reason,
+    }
+
+
 def _cmd_select(args) -> int:
     config = dataclasses.replace(_load_config(args), p_grid=(args.p,))
     X = dataio.load_matrix(config.input, config.orientation)
-    [(p, _, result)] = pipeline.select_features(args.method, X, config, rep=0)
-    if isinstance(result, mkl.MklSolution):
-        doc = mkl.solution_to_dict(result, X.feature_names)
-    else:
-        doc = baselines.solution_to_dict(result, X.feature_names, p)
+    [(_, selected, result)] = pipeline.select_features(args.method, X, config, rep=0)
+    doc = _solution_doc(args.method, selected, result, X.feature_names)
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
@@ -210,6 +230,11 @@ def _read_selection(path: str, feature_names: tuple[str, ...]) -> list[int]:
     missing = [n for n in names if n not in index]
     if missing:
         raise DataValidationError(f"selection names not in matrix: {missing[:5]}")
+    repeated = sorted(n for n, count in Counter(names).items() if count > 1)
+    if repeated:
+        raise DataValidationError(f"selection repeats features: {repeated[:5]}")
+    if len(names) < 2:
+        raise DataValidationError(f"selection needs at least 2 features to score RED, got {names}")
     return [index[n] for n in names]
 
 

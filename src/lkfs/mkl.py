@@ -29,18 +29,17 @@ _GRAM_NO_SLOWER_PER_STEP = 30
 _GRAM_SLOWER_PER_STEP = 50
 # the Gram may be slower only where the stack takes this many times its bytes
 _GRAM_SHRINK = 4
+# a feature after the first is accepted only if it raises the alignment by more
+_IMPROVEMENT_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
 class MklConfig:
     p: int
-    improvement_tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.p < 1:
             raise ConfigError("p must be >= 1")
-        if self.improvement_tolerance < 0:
-            raise ConfigError("improvement_tolerance must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -172,11 +171,12 @@ def _inner_products(
 def greedy_select(candidates: StackedKernels, Kz: KernelMatrix, config: MklConfig) -> MklSolution:
     """Iteratively build the aligned combination, one candidate kernel at a time.
 
-    Iteration 0 takes the single best-aligned candidate; afterwards the running
-    combination K_mu is re-weighted against each remaining candidate with the
-    two-kernel closed form, accumulated weights rescaling by the kept share.
-    Ties break toward the lowest feature index. Stops at ``config.p`` features
-    or when the best gain falls to ``config.improvement_tolerance`` or below.
+    Each step re-weights the running combination K_mu against every remaining
+    candidate with the two-kernel closed form, accumulated weights rescaling
+    by the kept share. The combination starts empty, so the first step takes
+    the single best-aligned candidate. Ties break toward the lowest feature
+    index. Stops at ``config.p`` features, or when the best gain of a later
+    feature falls to ``_IMPROVEMENT_TOLERANCE`` or below.
 
     The state is m_j = <K_mu, K_j> for every candidate j; accepting feature j
     updates it to ``w1 * m + w2 * G[j]`` with G[a, b] = <K_a, K_b>, and
@@ -194,26 +194,20 @@ def greedy_select(candidates: StackedKernels, Kz: KernelMatrix, config: MklConfi
     zz = candidates.n + 2.0 * float(tz @ tz)
     cz, ss, column = _inner_products(candidates, tz, config.p)
 
-    active = np.flatnonzero(open_)
-    first = int(active[np.argmax(cz[active] / np.sqrt(ss[active] * zz))])
-    mu = np.zeros(len(candidates))
-    mu[first] = 1.0
-    selected = [first]
-    open_[first] = False
-    m = column(first)
-    mz, mm = float(cz[first]), float(ss[first])
-    trajectory = [mz / math.sqrt(mm * zz)]
-
+    mu, m = np.zeros(len(candidates)), np.zeros(len(candidates))
+    mz = mm = 0.0
+    selected, trajectory = [], []
     stop_reason = "reached_p"
     while len(selected) < config.p:
         pool = np.flatnonzero(open_)
         if not pool.size:
             stop_reason = "no_candidates"
             break
+        # with mm = 0 every candidate is taken alone, at cz / sqrt(ss * zz)
         w1s, w2s, achieved = _pair_weights_batch(mm, ss[pool], m[pool], mz, cz[pool], zz)
         best = int(np.argmax(achieved))  # the first maximum: lowest feature index
         j, w1, w2 = int(pool[best]), float(w1s[best]), float(w2s[best])
-        if float(achieved[best]) - trajectory[-1] <= config.improvement_tolerance:
+        if trajectory and float(achieved[best]) - trajectory[-1] <= _IMPROVEMENT_TOLERANCE:
             stop_reason = "no_improvement"
             break
         mu *= w1
@@ -246,17 +240,4 @@ def combined_kernel(
     for j in solution.selected:
         entries += solution.mu[j] * candidates[j].entries
     return KernelMatrix(entries, bandwidth=float("nan"), source="combined")
-
-
-def solution_to_dict(
-    solution: MklSolution, feature_names: Sequence[str], method: str = "lkfs"
-) -> dict:
-    return {
-        "method": method,
-        "selected": [feature_names[j] for j in solution.selected],
-        "mu": {feature_names[j]: float(solution.mu[j]) for j in solution.selected},
-        "trajectory": [float(a) for a in solution.alignment_trajectory],
-        "target_alignment": float(solution.target_alignment),
-        "stop_reason": solution.stop_reason,
-    }
 

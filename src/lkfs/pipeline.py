@@ -65,6 +65,9 @@ class RunConfig:
             raise ConfigError("every k must be >= 2")
         if any(p < 1 for p in self.p_grid):
             raise ConfigError("every p must be >= 1")
+        for name, grid in (("p_grid", self.p_grid), ("k_grid", self.k_grid)):
+            if len(set(grid)) < len(grid):
+                raise ConfigError(f"{name} repeats a value: {list(grid)}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ConfigError(f"unknown methods: {sorted(unknown)}; choose from {METHODS}")
@@ -308,6 +311,8 @@ def run_experiment(
     if labels is None:
         warnings.warn("no ground-truth labels: Rand metrics will be null", RuntimeWarning)
 
+    if min(config.p_grid) < 2:
+        raise ConfigError(f"every p must be >= 2 to score RED, got p={min(config.p_grid)}")
     post_filter_d = int(np.floor(config.preprocess.variance_keep_fraction * X.d))
     if max(config.p_grid) > post_filter_d:
         raise ConfigError(

@@ -7,7 +7,6 @@ from lkfs.baselines import (
     _l1_bounded_weights,
     graph_consistency_scores,
     select_top_p,
-    solution_to_dict,
     soft_threshold,
     sparse_kmeans,
     spec_scores,
@@ -160,7 +159,6 @@ class TestSelectTopP:
         result = SkmResult(
             weights=np.array([0.9, 0.0, 0.1]),
             assignment=ClusterAssignment(labels=np.array([0, 1]), k=2, inertia=0.0, iterations_run=1),
-            s=1.5,
             objective_history=(1.0,),
         )
         assert select_top_p(result, 2) == (0, 2)
@@ -175,11 +173,3 @@ class TestSelectTopP:
         with pytest.raises(ConfigError):
             select_top_p(result, 2)
 
-
-def test_baseline_solution_dump(small_fixture):
-    X, _ = small_fixture
-    result = spec_scores(minmax_scale(X))
-    doc = solution_to_dict(result, X.feature_names, p=4)
-    assert doc["method"] == "spec"
-    assert len(doc["selected"]) == 4
-    assert set(doc) == {"method", "selected", "mu", "trajectory", "target_alignment", "stop_reason"}

@@ -188,6 +188,31 @@ def stepwise(fixture_dir, tmp_path_factory):
     return work
 
 
+def solution_fields(method, matrix, p):
+    """The `select` document built field by field from the result that
+    `select_features` gives for repetition 0 of the stepwise run."""
+    X = load_matrix(matrix)
+    config = RunConfig.from_dict({**STEP_CONFIG, "p_grid": [p], "seed": STEP_SEED})
+    [(_, selected, result)] = pipeline.select_features(method, X, config, rep=0)
+    names = [X.feature_names[j] for j in selected]
+    if method == "lkfs":
+        values, trajectory = result.mu, list(result.alignment_trajectory)
+        target, stop_reason = result.target_alignment, result.stop_reason
+    elif method == "skm":
+        values, trajectory = result.weights, list(result.objective_history)
+        target, stop_reason = None, "reached_p"
+    else:
+        values, trajectory, target, stop_reason = result.scores, [], None, "reached_p"
+    return {
+        "method": method,
+        "selected": names,
+        "mu": {name: float(values[j]) for name, j in zip(names, selected)},
+        "trajectory": trajectory,
+        "target_alignment": target,
+        "stop_reason": stop_reason,
+    }
+
+
 class TestStepsReproduceRun:
     @pytest.mark.parametrize("method", ["lkfs", "skm", "spec"])
     def test_select_then_evaluate_equals_repetition_0(self, fixture_dir, stepwise, method):
@@ -203,7 +228,11 @@ class TestStepsReproduceRun:
              "--seed", str(STEP_SEED), "--out", str(solution)]
         )
         assert code == 0
-        assert json.loads(solution.read_text())["selected"] == record["selected_features"]
+        doc = json.loads(solution.read_text())
+        assert doc["selected"] == record["selected_features"]
+        assert doc == solution_fields(method, stepwise / "rep0.tsv", p)
+        assert (doc["target_alignment"] is None) == (method != "lkfs")
+        assert bool(doc["trajectory"]) == (method != "spec")
 
         metrics = stepwise / f"{method}_metrics.json"
         code = main(
@@ -443,6 +472,63 @@ class TestExitCodes:
             "data error: need n >= batch_size, got n=48, batch_size=64\n"
         )
         assert main([*argv, "--methods", "spec", "--out", str(tmp_path / "spec")]) == 0
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("run", ["--p", "3,3", "--k", "2"], "p_grid repeats a value: [3, 3]"),
+            ("run", ["--p", "3", "--k", "2,2"], "k_grid repeats a value: [2, 2]"),
+            ("evaluate", ["--k", "2,2"], "k_grid repeats a value: [2, 2]"),
+        ],
+        ids=["run-p", "run-k", "evaluate-k"],
+    )
+    def test_repeated_grid_value_is_1_before_any_work(self, fixture_dir, tmp_path, capsys,
+                                                      command, flags, message):
+        selection = tmp_path / "selection.txt"
+        selection.write_text("f0000\nf0001\n")
+        inputs = {
+            "run": ["--methods", "spec", "--reps", "1", "--out", str(tmp_path / "out")],
+            "evaluate": ["--selection", str(selection)],
+        }[command]
+        argv = [command, "--input", str(fixture_dir / "matrix.tsv"), *inputs, *flags]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("methods", ["spec", "lkfs,spec"])
+    def test_p_below_2_is_1_before_any_work(self, fixture_dir, tmp_path, capsys, monkeypatch,
+                                            methods):
+        trained, train = [], pipeline.train
+        monkeypatch.setattr(pipeline, "train", lambda *args: trained.append(args) or train(*args))
+        argv = ["run", "--input", str(fixture_dir / "matrix.tsv"),
+                "--labels", str(fixture_dir / "labels.tsv"), "--methods", methods,
+                "--p", "3,1", "--k", "2", "--reps", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: every p must be >= 2 to score RED, got p=1\n"
+        assert trained == []
+        solution = tmp_path / "solution.json"
+        code = main(["select", "--input", str(fixture_dir / "matrix.tsv"), "--method", "spec",
+                     "--p", "1", "--out", str(solution)])
+        assert code == 0 and len(json.loads(solution.read_text())["selected"]) == 1
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["f0000", "f0000", "f0001"], "selection repeats features: ['f0000']"),
+            (["f0000"], "selection needs at least 2 features to score RED, got ['f0000']"),
+        ],
+        ids=["repeated", "one-feature"],
+    )
+    def test_selection_that_repeats_or_holds_one_feature_is_2(self, fixture_dir, tmp_path,
+                                                              capsys, names, message):
+        selection = tmp_path / "selection.txt"
+        selection.write_text("\n".join(names) + "\n")
+        code = main(["evaluate", "--input", str(fixture_dir / "matrix.tsv"),
+                     "--selection", str(selection), "--k", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: {message}\n" and captured.out == ""
 
     def test_bad_cell_is_2(self, tmp_path):
         bad = tmp_path / "bad.tsv"

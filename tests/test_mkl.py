@@ -26,7 +26,6 @@ from lkfs.mkl import (
     _pair_weights_from_scalars,
     combined_kernel,
     greedy_select,
-    solution_to_dict,
     solve_pair_weights,
 )
 
@@ -99,7 +98,7 @@ def dense_reference_greedy(candidates, Kz, config):
             if best is None or (achieved, -j) > best[0]:
                 best = ((achieved, -j), j, w1, w2)
         (achieved, _), j, w1, w2 = best
-        if achieved - trajectory[-1] <= config.improvement_tolerance:
+        if achieved - trajectory[-1] <= mkl._IMPROVEMENT_TOLERANCE:
             stop_reason = "no_improvement"
             break
         k_mu = w1 * k_mu + w2 * candidates[j].entries
@@ -414,12 +413,3 @@ class TestCombinedKernel:
         with pytest.raises(DataValidationError):
             combined_kernel(solution, [random_kernel(rng)])
 
-
-def test_solution_dump_fields(rng):
-    candidates = column_kernels(rng.standard_normal((8, 5)))
-    Kz = random_kernel(rng, n=8)
-    solution = greedy_select(candidates, Kz, MklConfig(p=3))
-    doc = solution_to_dict(solution, [f"g{j}" for j in range(5)])
-    assert set(doc) == {"method", "selected", "mu", "trajectory", "target_alignment", "stop_reason"}
-    assert doc["method"] == "lkfs"
-    assert len(doc["selected"]) == len(solution.selected)
