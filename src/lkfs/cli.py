@@ -220,11 +220,20 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _read_selection(path: str, feature_names: tuple[str, ...]) -> list[int]:
+    """Column indices of a `select` document's `selected` list, or of a text
+    file's feature names, one per line."""
     text = _read_text(path, "selection file")
     try:
         doc = json.loads(text)
-        names = doc["selected"]
-    except (json.JSONDecodeError, TypeError, KeyError):
+    except json.JSONDecodeError:
+        doc = None
+    if isinstance(doc, dict):
+        names = doc.get("selected")
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise DataValidationError(
+                f"{path}: 'selected' must be a list of feature names, got {names!r:.80}"
+            )
+    else:
         names = [ln.strip() for ln in text.splitlines() if ln.strip()]
     index = {name: j for j, name in enumerate(feature_names)}
     missing = [n for n in names if n not in index]

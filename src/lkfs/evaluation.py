@@ -1,4 +1,4 @@
-"""Selection-quality metrics, 2-D projections and report aggregation."""
+"""Selection-quality metrics, the 2-D PCA projection and report aggregation."""
 
 from __future__ import annotations
 
@@ -85,6 +85,9 @@ class RepetitionRecord:
     selected_features: tuple[str, ...]
     red: float
     clusterings: tuple[ClusteringMetrics, ...]
+    # the resample's sample ids, in the row order of cluster_labels and projection
+    sample_ids: tuple[str, ...] = field(repr=False, default=())
+    projection: np.ndarray | None = field(repr=False, compare=False, default=None)  # n x 2
 
     def to_json_dict(self) -> dict:
         return {

@@ -169,11 +169,8 @@ def run_lkfs_once(
 
 @dataclass
 class RunResult:
-    config: RunConfig
     reports: dict[str, EvaluationReport]
-    sample_ids_by_rep: dict[int, tuple[str, ...]]
-    true_labels_by_rep: dict[int, tuple[str, ...] | None]
-    projections: dict[tuple[str, int, int], np.ndarray]  # (method, p, rep) -> n x 2
+    labels: LabelVector | None
 
 
 def select_features(
@@ -264,13 +261,12 @@ def _run_repetition(
     labels: LabelVector | None,
     config: RunConfig,
     progress: Callable[[dict], None] | None,
-) -> tuple[dict[str, list[RepetitionRecord]], tuple[str, ...], tuple[str, ...] | None, dict]:
+) -> dict[str, list[RepetitionRecord]]:
     rep_seed = derive_seed(config.seed, rep_index, _SEED_SUBSAMPLE)
     Xs = dataio.subsample(X_raw, config.preprocess.subsample_fraction, seed=rep_seed)
     Xp = preprocess_matrix(Xs, config.preprocess)
 
     records: dict[str, list[RepetitionRecord]] = {m: [] for m in config.methods}
-    projections: dict[tuple[str, int, int], np.ndarray] = {}
     for method in config.methods:
         for p, selected, _ in select_features(method, Xp, config, rep_index):
             red, metrics = score_selection(Xp, selected, labels, config, rep_index, p)
@@ -282,17 +278,13 @@ def _run_repetition(
                     selected_features=tuple(Xp.feature_names[j] for j in selected),
                     red=red,
                     clusterings=metrics,
+                    sample_ids=Xp.sample_ids,
+                    projection=evaluation.pca_2d(Xp.values[:, selected]),
                 )
             )
-            projections[(method, p, rep_index)] = evaluation.pca_2d(Xp.values[:, selected])
             if progress is not None:
                 progress({"repetition": rep_index, "method": method, "p": p, "red": red})
-    truth_row = (
-        tuple(labels.labels.get(sid, "") for sid in Xp.sample_ids)
-        if labels is not None and labels.covered(Xp.sample_ids)
-        else None
-    )
-    return records, Xp.sample_ids, truth_row, projections
+    return records
 
 
 def run_experiment(
@@ -321,35 +313,27 @@ def run_experiment(
     subsampled_n = int(np.floor(config.preprocess.subsample_fraction * X.n))
     if max(config.k_grid) > subsampled_n:
         raise ConfigError("max k exceeds the subsampled sample count")
+    if subsampled_n < 3:
+        raise DataValidationError(
+            f"a resample of {subsampled_n} samples is too small: "
+            "the 2-D projection needs at least 3"
+        )
     if "lkfs" in config.methods and subsampled_n < config.ae.batch_size:
         raise DataValidationError(
             f"need n >= batch_size, got n={subsampled_n}, batch_size={config.ae.batch_size}"
         )
 
     per_method: dict[str, list[RepetitionRecord]] = {m: [] for m in config.methods}
-    sample_ids_by_rep: dict[int, tuple[str, ...]] = {}
-    true_labels_by_rep: dict[int, tuple[str, ...] | None] = {}
-    projections: dict[tuple[str, int, int], np.ndarray] = {}
     for rep_index in range(config.preprocess.repetitions):
-        records, sids, truth_row, projs = _run_repetition(rep_index, X, labels, config, progress)
-        for method, recs in records.items():
+        for method, recs in _run_repetition(rep_index, X, labels, config, progress).items():
             per_method[method].extend(recs)
-        sample_ids_by_rep[rep_index] = sids
-        true_labels_by_rep[rep_index] = truth_row
-        projections.update(projs)
 
     dataset_id = config.dataset_id or (Path(config.input).stem if config.input else "in-memory")
     reports = {
         method: evaluation.aggregate(recs, method=method, dataset_id=dataset_id)
         for method, recs in per_method.items()
     }
-    return RunResult(
-        config=config,
-        reports=reports,
-        sample_ids_by_rep=sample_ids_by_rep,
-        true_labels_by_rep=true_labels_by_rep,
-        projections=projections,
-    )
+    return RunResult(reports=reports, labels=labels)
 
 
 def _report_json(report: EvaluationReport) -> str:
@@ -369,8 +353,10 @@ def check_output_dir(output_dir: str | Path, force: bool = False) -> None:
 
 
 def emit_outputs(result: RunResult, output_dir: str | Path, force: bool = False) -> list[Path]:
-    """Write reports, selection lists, cluster assignments, projections and an
-    index with checksums. Refuses a non-empty target directory unless forced
+    """Write reports, selection lists, cluster assignments, each record's 2-D
+    projection and an index with checksums. A projection row holds a label only
+    when ``result.labels`` cover some sample of its resample ("" for an
+    unlabelled one). Refuses a non-empty target directory unless forced
     (``check_output_dir``)."""
     check_output_dir(output_dir, force)
     out = Path(output_dir)
@@ -386,6 +372,7 @@ def emit_outputs(result: RunResult, output_dir: str | Path, force: bool = False)
             "sha256": hashlib.sha256(data).hexdigest(),
         }
 
+    truth = result.labels.labels if result.labels is not None else {}
     for method, report in result.reports.items():
         emit(out / f"report_{method}.json", _report_json(report))
         for rec in report.records:
@@ -393,22 +380,20 @@ def emit_outputs(result: RunResult, output_dir: str | Path, force: bool = False)
                 out / f"selected_{method}_p{rec.p}_rep{rec.repetition}.txt",
                 "\n".join(rec.selected_features) + "\n",
             )
-            sids = result.sample_ids_by_rep[rec.repetition]
             for cm in rec.clusterings:
-                lines = [f"{sid}\t{c}" for sid, c in zip(sids, cm.cluster_labels)]
+                lines = [f"{sid}\t{c}" for sid, c in zip(rec.sample_ids, cm.cluster_labels)]
                 emit(
                     out / f"clusters_{method}_p{rec.p}_k{cm.k}_rep{rec.repetition}.txt",
                     "\n".join(lines) + "\n",
                 )
-            coords = result.projections[(method, rec.p, rec.repetition)]
-            truth = result.true_labels_by_rep[rec.repetition]
+            has_truth = any(sid in truth for sid in rec.sample_ids)
             first_k = rec.clusterings[0]
             proj_lines = []
-            for i, sid in enumerate(sids):
-                cells = [sid, repr(float(coords[i, 0])), repr(float(coords[i, 1]))]
-                if truth is not None:
-                    cells.append(truth[i])
-                cells.append(str(first_k.cluster_labels[i]))
+            for sid, (x, y), c in zip(rec.sample_ids, rec.projection, first_k.cluster_labels):
+                cells = [sid, repr(float(x)), repr(float(y))]
+                if has_truth:
+                    cells.append(truth.get(sid, ""))
+                cells.append(str(c))
                 proj_lines.append("\t".join(cells))
             emit(
                 out / f"proj_{method}_p{rec.p}_rep{rec.repetition}.txt",

@@ -530,6 +530,55 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == f"data error: {message}\n" and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"selected": 3}, {"selected": "f0000"}, {"other": 1}, {"selected": ["f0000", 1]}],
+        ids=["number", "string", "no-selected", "non-string-name"],
+    )
+    def test_json_selection_without_a_list_of_names_is_2(self, fixture_dir, tmp_path, capsys,
+                                                          doc):
+        selection = tmp_path / "selection.json"
+        selection.write_text(json.dumps(doc))
+        code = main(["evaluate", "--input", str(fixture_dir / "matrix.tsv"),
+                     "--selection", str(selection), "--k", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"data error: {selection}: 'selected' must be a list of feature names, got "
+        )
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_numeric_feature_names_are_read_one_per_line(self, tmp_path, capsys):
+        values = np.random.default_rng(0).standard_normal((20, 3))
+        matrix = tmp_path / "matrix.tsv"
+        save_matrix(ExpressionMatrix(values, [f"s{i}" for i in range(20)], ["7", "8", "9"]), matrix)
+        selection = tmp_path / "selection.txt"
+        argv = ["evaluate", "--input", str(matrix), "--selection", str(selection), "--k", "2"]
+        selection.write_text("7\n9\n")
+        assert main(argv) == 0
+        selection.write_text("7\n")  # parses as the JSON number 7, yet names a feature
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: selection needs at least 2 features to score RED, got ['7']\n"
+        )
+
+    def test_resample_below_3_samples_is_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # 3 samples subsample to 2, too few for the 2-D projection of every record
+        monkeypatch.setattr(pipeline, "select_features", lambda *args: pytest.fail("selected"))
+        values = np.arange(9.0).reshape(3, 3) ** 2
+        matrix = tmp_path / "matrix.tsv"
+        save_matrix(ExpressionMatrix(values, ["s0", "s1", "s2"], ["g0", "g1", "g2"]), matrix)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"preprocess": {"variance_keep_fraction": 1.0}}))
+        code = main(["run", "--config", str(config), "--input", str(matrix), "--methods", "spec",
+                     "--p", "2", "--k", "2", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: a resample of 2 samples is too small: "
+            "the 2-D projection needs at least 3\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_bad_cell_is_2(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("id\tg1\ns1\tNA\ns2\t1\n")

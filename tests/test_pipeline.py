@@ -1,13 +1,15 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from lkfs.autoencoder import AeHyperparams
-from lkfs.dataio import PreprocessConfig, generate_synthetic
+from lkfs.dataio import LabelVector, PreprocessConfig, generate_synthetic, subsample
 from lkfs.errors import ConfigError, DataValidationError
+from lkfs.evaluation import pca_2d
 from lkfs.pipeline import RunConfig, derive_seed, emit_outputs, run_experiment, run_lkfs_once
 from lkfs.pipeline import preprocess_matrix
 
@@ -213,6 +215,48 @@ class TestEmitOutputs:
         assert doc["method"] == "spec"
         assert len(doc["repetitions"]) == 2
         assert doc["repetitions"][0]["clusterings"][0]["k"] == 2
+
+    @pytest.mark.parametrize("coverage", ["full", "partial", "none", "disjoint"])
+    def test_projection_rows(self, fixture_data, tmp_path, coverage):
+        """Each proj file row is: sample id, the two PCA coordinates of the
+        selected columns, the sample's label (only when the labels cover some
+        sample of the resample; "" for an unlabelled one) and its cluster at
+        the first k, in the resample's row order."""
+        X, labels = fixture_data
+        given = {
+            "full": labels,
+            "partial": LabelVector(dict(list(labels.labels.items())[::2])),
+            "none": None,
+            "disjoint": LabelVector({"elsewhere0": "a", "elsewhere1": "b"}),
+        }[coverage]
+        config = fast_config(methods=("spec",), p_grid=(4,), k_grid=(3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = run_experiment(config, X=X, labels=given)
+        emit_outputs(result, tmp_path)
+        truth_cells = []
+        for rec in result.reports["spec"].records:
+            seed = derive_seed(config.seed, rec.repetition, 0)
+            Xp = preprocess_matrix(
+                subsample(X, config.preprocess.subsample_fraction, seed), config.preprocess
+            )
+            columns = [Xp.feature_names.index(f) for f in rec.selected_features]
+            coords = [[repr(float(x)), repr(float(y))] for x, y in pca_2d(Xp.values[:, columns])]
+            text = (tmp_path / f"proj_spec_p4_rep{rec.repetition}.txt").read_text()
+            rows = [line.split("\t") for line in text.splitlines()]
+            assert [row[0] for row in rows] == list(Xp.sample_ids)
+            assert [row[1:3] for row in rows] == coords
+            first_k = rec.clusterings[0]
+            assert first_k.k == 3
+            assert [row[-1] for row in rows] == [str(c) for c in first_k.cluster_labels]
+            assert {len(row) for row in rows} == {5 if coverage in ("full", "partial") else 4}
+            if len(rows[0]) == 5:
+                assert [row[3] for row in rows] == [given.labels.get(s, "") for s in Xp.sample_ids]
+                truth_cells += [row[3] for row in rows]
+        if coverage == "full":
+            assert "" not in truth_cells and set(truth_cells) == set(labels.classes())
+        if coverage == "partial":
+            assert "" in truth_cells and set(truth_cells) - {""} == set(labels.classes())
 
 
 class TestRunConfig:

@@ -25,10 +25,17 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
              "--reps", "1", "--epochs", "2"],
             "method    p   k     RED",
         ),
+        (
+            "run_synthetic_experiment.py",
+            ["--n", "100", "--d", "20", "--informative", "4", "--p", "3", "--k", "2",
+             "--reps", "1", "--epochs", "2", "--out", "artifacts"],
+            "wrote 13 files to artifacts",
+        ),
         ("redundancy_benchmark.py", ["--seeds", "1", "--reps", "1", "--p", "5"], "mean RED"),
         ("selection_sources.py", ["20x40:4", "--repeats", "1"], "20x40, 4"),
     ],
-    ids=["run_synthetic_experiment", "redundancy_benchmark", "selection_sources"],
+    ids=["run_synthetic_experiment", "run_synthetic_experiment-out", "redundancy_benchmark",
+         "selection_sources"],
 )
 def test_script_runs(tmp_path, script, args, expected):
     proc = subprocess.run(
