@@ -324,11 +324,13 @@ def _flatten_parameters(model: AeModel) -> np.ndarray:
 
 
 class _Workspace:
-    """Gradient arrays and backward scratch for one model, reused across batches.
+    """Gradient arrays and scratch for one model, reused across batches.
 
     The gradients are views of one flat array aligned with
     ``model.parameters()``; the row buffers hold up to ``rows`` rows of the
-    widest layer.
+    widest layer. ``scratch`` serves the weight decay, the weight penalty and
+    the Adam blocks in turn, so it holds the largest weight matrix or two
+    Adam blocks, whichever is larger.
     """
 
     def __init__(self, model: AeModel, rows: int):
@@ -346,7 +348,8 @@ class _Workspace:
         self.rows_tmp = np.empty(rows * width)
         self.mask = np.empty(rows * width, dtype=bool)
         self.col_sums = np.empty((2, width))
-        self.weights_tmp = np.empty(max(w.size for w in model.weight_matrices()))
+        adam_blocks = 2 * min(_ADAM_BLOCK, self.grad_flat.size)
+        self.scratch = np.empty(max(adam_blocks, *(w.size for w in model.weight_matrices())))
 
 
 def _backward(
@@ -402,7 +405,7 @@ def _backward(
             np.divide(cache["inv_std"], m, out=col_sum)
             np.multiply(col_sum, d_out, out=d_out)
         np.matmul(d_out.T, cache["h_in"], out=d_weights)
-        decay = _view(ws.weights_tmp, layer.weights.shape)
+        decay = _view(ws.scratch, layer.weights.shape)
         np.multiply(2.0 * beta_l2, layer.weights, out=decay)
         np.add(d_weights, decay, out=d_weights)
         np.sum(d_out, axis=0, out=d_bias)
@@ -475,13 +478,14 @@ def _adam_step(
     scratch: np.ndarray,
 ) -> None:
     """One Adam update of flat ``params`` in place, ``_ADAM_BLOCK`` entries at a
-    time so that the operands of every ufunc stay in cache."""
+    time so that the operands of every ufunc stay in cache. ``scratch`` is a
+    flat array of at least two blocks."""
     bias1 = 1.0 - _ADAM_BETA1**step
     bias2 = 1.0 - _ADAM_BETA2**step
     for start in range(0, params.size, _ADAM_BLOCK):
         block = slice(start, start + _ADAM_BLOCK)
         p, g, m_state, v_state = params[block], grads[block], adam_m[block], adam_v[block]
-        t1, t2 = scratch[:, : p.size]
+        t1, t2 = scratch[: 2 * p.size].reshape(2, p.size)
         m_state *= _ADAM_BETA1
         np.multiply(1 - _ADAM_BETA1, g, out=t1)
         m_state += t1
@@ -519,7 +523,6 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams, seed: in
     buffers = _forward_buffers(model, rows)
     adam_m = np.zeros_like(params)
     adam_v = np.zeros_like(params)
-    adam_scratch = np.empty((2, min(_ADAM_BLOCK, params.size)))
     step = 0
     values = X.values
     for epoch in range(hp.epochs):
@@ -533,7 +536,7 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams, seed: in
             diff = _view(ws.rows_tmp, batch.shape)
             np.subtract(batch, recon, out=diff)
             np.multiply(diff, diff, out=diff)
-            batch_loss = float(diff.sum() / m) + hp.beta_l2 * weight_penalty(model, ws.weights_tmp)
+            batch_loss = float(diff.sum() / m) + hp.beta_l2 * weight_penalty(model, ws.scratch)
             if not np.isfinite(batch_loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
@@ -541,7 +544,7 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams, seed: in
             epoch_loss += batch_loss * m
             _backward(model, caches, batch, recon, hp.beta_l2, out=ws)
             step += 1
-            _adam_step(params, ws.grad_flat, adam_m, adam_v, step, adam_scratch)
+            _adam_step(params, ws.grad_flat, adam_m, adam_v, step, ws.scratch)
             _update_running_stats(model, caches, m)
         model.loss_history.append(epoch_loss / X.n)
     return model

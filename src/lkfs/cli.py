@@ -35,6 +35,13 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise _UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds its generators only from integers >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _progress_printer(log_json: bool):
     def emit(event: dict) -> None:
         if log_json:
@@ -55,7 +62,7 @@ def build_parser() -> _Parser:
     synth.add_argument("--d", type=int, default=100)
     synth.add_argument("--informative", type=int, default=10)
     synth.add_argument("--separation", type=float, default=4.0)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_seed, default=0)
     synth.add_argument("--out", required=True, help="output directory")
 
     pre = sub.add_parser("preprocess", help="min-max scale then variance-filter a matrix")
@@ -72,7 +79,7 @@ def build_parser() -> _Parser:
     )
     sel.add_argument("--method", choices=pipeline.METHODS, default="lkfs")
     sel.add_argument("--p", type=int, required=True)
-    sel.add_argument("--seed", type=int, help="overrides the config file's seed (default 0)")
+    sel.add_argument("--seed", type=_seed, help="overrides the config file's seed (default 0)")
     sel.add_argument("--config", help="JSON run configuration")
     sel.add_argument("--out", required=True, help="solution JSON path")
 
@@ -81,7 +88,7 @@ def build_parser() -> _Parser:
     clus.add_argument("--orientation", choices=dataio.ORIENTATIONS, default="rows")
     clus.add_argument("--k", type=int, required=True)
     clus.add_argument("--restarts", type=int, default=10)
-    clus.add_argument("--seed", type=int, default=0)
+    clus.add_argument("--seed", type=_seed, default=0)
     clus.add_argument("--out", required=True)
 
     ev = sub.add_parser("evaluate", help="score a feature selection against a matrix")
@@ -91,7 +98,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--selection", required=True, help="solution JSON or one feature name per line")
     ev.add_argument("--k", type=_int_list, default=(2, 3, 4, 5))
     ev.add_argument("--restarts", type=int, default=10)
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=_seed, default=0)
     ev.add_argument("--out", help="metrics JSON path (default stdout)")
 
     run = sub.add_parser("run", help="full repeated-resample experiment")
@@ -103,7 +110,7 @@ def build_parser() -> _Parser:
     run.add_argument("--p", type=_int_list, help="comma list of p values")
     run.add_argument("--k", type=_int_list, help="comma list of k values")
     run.add_argument("--reps", type=int)
-    run.add_argument("--seed", type=int)
+    run.add_argument("--seed", type=_seed)
     run.add_argument("--out", help="output directory")
     run.add_argument("--force", action="store_true")
     run.add_argument("--log-json", action="store_true")
@@ -195,8 +202,16 @@ def _solution_doc(method: str, selected, result, names) -> dict:
 
 
 def _cmd_select(args) -> int:
-    config = dataclasses.replace(_load_config(args), p_grid=(args.p,))
+    config = _load_config(args)
     X = dataio.load_matrix(config.input, config.orientation)
+    # skm's sparsity bound s = sqrt(p) must exceed 1
+    lowest = 2 if args.method == "skm" else 1
+    if not lowest <= args.p <= X.d:
+        raise ConfigError(
+            f"--p must be between {lowest} and the matrix width {X.d} for {args.method}, "
+            f"got {args.p}"
+        )
+    config = dataclasses.replace(config, p_grid=(args.p,))
     [(_, selected, result)] = pipeline.select_features(args.method, X, config, rep=0)
     doc = _solution_doc(args.method, selected, result, X.feature_names)
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

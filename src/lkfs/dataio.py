@@ -52,7 +52,8 @@ class ExpressionMatrix:
             raise DataValidationError(
                 f"{values.shape[1]} columns but {len(self.feature_names)} feature names"
             )
-        if not np.isfinite(values).all():
+        # min and max propagate NaN and reach any infinity, without an n×d mask
+        if values.size and not np.isfinite([values.min(), values.max()]).all():
             i, j = np.argwhere(~np.isfinite(values))[0]
             raise DataValidationError(
                 f"non-finite value at sample {self.sample_ids[i]!r}, "
@@ -251,8 +252,8 @@ def minmax_scale(X: ExpressionMatrix) -> ExpressionMatrix:
     hi = X.values.max(axis=0)
     span = hi - lo
     constant = span == 0.0
-    safe_span = np.where(constant, 1.0, span)
-    scaled = (X.values - lo) / safe_span
+    scaled = X.values - lo
+    scaled /= np.where(constant, 1.0, span)  # in place: one n×d array, not two
     scaled[:, constant] = 0.0
     return ExpressionMatrix(scaled, X.sample_ids, X.feature_names)
 

@@ -59,6 +59,8 @@ class RunConfig:
         object.__setattr__(self, "p_grid", tuple(int(p) for p in self.p_grid))
         object.__setattr__(self, "k_grid", tuple(int(k) for k in self.k_grid))
         object.__setattr__(self, "ae_hidden", tuple(int(h) for h in self.ae_hidden))
+        if not self.methods:
+            raise ConfigError(f"config key 'methods' must name at least one of {METHODS}")
         if not self.p_grid or not self.k_grid:
             raise ConfigError("p_grid and k_grid must be non-empty")
         if any(k < 2 for k in self.k_grid):
@@ -68,6 +70,15 @@ class RunConfig:
         for name, grid in (("p_grid", self.p_grid), ("k_grid", self.k_grid)):
             if len(set(grid)) < len(grid):
                 raise ConfigError(f"{name} repeats a value: {list(grid)}")
+        for key, lowest in (("kmeans_restarts", 1), ("ae_latent", 1), ("seed", 0)):
+            if getattr(self, key) < lowest:
+                raise ConfigError(
+                    f"config key {key!r} must be >= {lowest}, got {getattr(self, key)}"
+                )
+        if any(h < 1 for h in self.ae_hidden):
+            raise ConfigError(
+                f"config key 'ae_hidden' needs sizes >= 1, got {list(self.ae_hidden)}"
+            )
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ConfigError(f"unknown methods: {sorted(unknown)}; choose from {METHODS}")
@@ -263,8 +274,11 @@ def _run_repetition(
     progress: Callable[[dict], None] | None,
 ) -> dict[str, list[RepetitionRecord]]:
     rep_seed = derive_seed(config.seed, rep_index, _SEED_SUBSAMPLE)
-    Xs = dataio.subsample(X_raw, config.preprocess.subsample_fraction, seed=rep_seed)
-    Xp = preprocess_matrix(Xs, config.preprocess)
+    # the unscaled resample is freed as soon as it is scaled: nothing after reads it
+    Xp = preprocess_matrix(
+        dataio.subsample(X_raw, config.preprocess.subsample_fraction, seed=rep_seed),
+        config.preprocess,
+    )
 
     records: dict[str, list[RepetitionRecord]] = {m: [] for m in config.methods}
     for method in config.methods:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lkfs.autoencoder import (
+    _ADAM_BLOCK,
     AeArchitecture,
     AeHyperparams,
     _batch_slices,
@@ -422,3 +425,31 @@ class TestTrainingBitIdentity:
         for i, a in enumerate(first):
             assert not any(np.shares_memory(a, other) for other in second + params)
             assert not any(np.shares_memory(a, other) for other in first[i + 1 :])
+
+
+class TestTrainingMemory:
+    def test_one_epoch_holds_the_arrays_it_needs_and_one_scratch(self):
+        n, d = 160, 500
+        X = _uniform_matrix(n, d, 0)
+        arch = AeArchitecture.default(d)
+        hp = AeHyperparams(epochs=1)
+        model = init_model(arch, 0)
+        P = sum(array.size for _, array in model.parameters())
+        largest = max(w.size for w in model.weight_matrices())
+        rows = hp.batch_size + 1  # a trailing singleton joins the last batch
+        width = max(arch.encoder_layers)
+        moments = 4 * 8 * P  # parameters, gradients and both Adam moments
+        scratch = 8 * max(largest, 2 * _ADAM_BLOCK)
+        forward = sum(
+            flat.nbytes for layer in _forward_buffers(model, rows) for flat in layer.values()
+        )
+        workspace = 3 * 8 * rows * width + rows * width + 2 * 8 * width  # deltas, rows, mask, sums
+        # the next batch is gathered while the last one is alive; per-batch vectors
+        slack = 2 * 8 * rows * d + 256 * 1024
+        tracemalloc.start()
+        try:
+            train(X, arch, hp, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= moments + scratch + forward + workspace + slack

@@ -30,6 +30,13 @@ def fixture_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def small_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small")
+    assert main(["synth", "--n", "40", "--d", "12", "--seed", "5", "--out", str(out)]) == 0
+    return out
+
+
 def run_args(fixture_dir, out_dir, extra=()):
     return [
         "run",
@@ -511,6 +518,76 @@ class TestExitCodes:
         code = main(["select", "--input", str(fixture_dir / "matrix.tsv"), "--method", "spec",
                      "--p", "1", "--out", str(solution)])
         assert code == 0 and len(json.loads(solution.read_text())["selected"]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "select", "evaluate", "cluster", "synth"])
+    def test_negative_seed_is_1_before_any_work(self, small_dir, tmp_path, capsys, monkeypatch,
+                                                command):
+        monkeypatch.setattr(pipeline, "select_features", lambda *args: pytest.fail("selected"))
+        matrix, out = str(small_dir / "matrix.tsv"), str(tmp_path / "out")
+        argv = {
+            "run": ["run", "--input", matrix, "--methods", "spec", "--p", "3", "--k", "2",
+                    "--out", out, "--seed", "-1"],
+            "select": ["select", "--input", matrix, "--method", "skm", "--p", "3",
+                       "--out", out, "--seed", "-2"],
+            "evaluate": ["evaluate", "--input", matrix, "--selection", str(tmp_path / "sel"),
+                         "--out", out, "--seed", "-1"],
+            "cluster": ["cluster", "--input", matrix, "--k", "2", "--out", out, "--seed", "-1"],
+            "synth": ["synth", "--n", "40", "--d", "12", "--out", out, "--seed", "-1"],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        seed = argv[-1]
+        assert captured.err == f"error: argument --seed: expected an integer >= 0, got '{seed}'\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "doc, flags, message",
+        [
+            ({"seed": -3}, [], "config key 'seed' must be >= 0, got -3"),
+            ({"methods": []}, [],
+             "config key 'methods' must name at least one of ('lkfs', 'skm', 'spec')"),
+            ({}, ["--methods", ","],
+             "config key 'methods' must name at least one of ('lkfs', 'skm', 'spec')"),
+            ({"kmeans_restarts": 0}, [], "config key 'kmeans_restarts' must be >= 1, got 0"),
+            ({"ae_hidden": [4, 0], "methods": ["spec", "lkfs"]}, [],
+             "config key 'ae_hidden' needs sizes >= 1, got [4, 0]"),
+            ({"ae_latent": 0, "methods": ["spec", "lkfs"]}, [],
+             "config key 'ae_latent' must be >= 1, got 0"),
+        ],
+        ids=["seed", "methods", "methods-flag", "kmeans-restarts", "ae-hidden", "ae-latent"],
+    )
+    def test_config_value_out_of_range_is_1_before_any_work(self, small_dir, tmp_path, capsys,
+                                                            monkeypatch, doc, flags, message):
+        monkeypatch.setattr(pipeline, "select_features", lambda *args: pytest.fail("selected"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ae": {"batch_size": 8}, **doc}))
+        code = main(["run", "--config", str(config), "--input", str(small_dir / "matrix.tsv"),
+                     "--p", "3", "--k", "2", "--reps", "1", "--out", str(tmp_path / "out"),
+                     *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "method, p, lowest",
+        [("lkfs", 200, 1), ("spec", 200, 1), ("skm", 200, 2), ("lkfs", 0, 1), ("spec", 0, 1),
+         ("skm", 1, 2)],
+        ids=["lkfs-wide", "spec-wide", "skm-wide", "lkfs-0", "spec-0", "skm-1"],
+    )
+    def test_select_p_outside_the_matrix_is_1_before_any_method(self, small_dir, tmp_path,
+                                                                  capsys, monkeypatch, method, p,
+                                                                  lowest):
+        monkeypatch.setattr(pipeline, "select_features", lambda *args: pytest.fail("selected"))
+        solution = tmp_path / "solution.json"
+        code = main(["select", "--input", str(small_dir / "matrix.tsv"), "--method", method,
+                     "--p", str(p), "--out", str(solution)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --p must be between {lowest} and the matrix width 12 for {method}, got {p}\n"
+        )
+        assert captured.out == "" and not solution.exists()
 
     @pytest.mark.parametrize(
         "names, message",

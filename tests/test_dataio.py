@@ -345,6 +345,22 @@ class TestMinMaxScale:
         assert once.values.min() >= 0.0 and once.values.max() <= 1.0
 
 
+    def test_scales_into_one_new_array(self):
+        n, d = 200, 1000
+        X = matrix_from(np.random.default_rng(0).standard_normal((n, d)))
+        lo, hi = X.values.min(axis=0), X.values.max(axis=0)
+        tracemalloc.start()
+        try:
+            scaled = minmax_scale(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n×d result; numpy's 64 KiB buffer for the broadcast subtraction
+        # and the result's name sets fit in the rest
+        assert peak <= 8 * n * d + 128 * 1024
+        assert scaled.values.tobytes() == ((X.values - lo) / (hi - lo)).tobytes()
+
+
 class TestVarianceFilter:
     def test_keeps_top_half(self):
         base = np.zeros((4, 4))
@@ -463,3 +479,11 @@ def test_expression_matrix_invariants():
         ExpressionMatrix(np.array([[1.0, np.nan]]), ("a",), ("g1", "g2"))
     with pytest.raises(DataValidationError):
         ExpressionMatrix(np.ones((2, 2)), ("a",), ("g1", "g2"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_expression_matrix_names_the_first_non_finite_cell(bad):
+    values = np.zeros((3, 4))
+    values[1, 2] = values[2, 0] = bad
+    with pytest.raises(DataValidationError, match="sample 's1', feature 'g2'"):
+        matrix_from(values)

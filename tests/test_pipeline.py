@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -182,6 +183,29 @@ class TestOncePerRepetition:
         config = fast_config(p_grid=(2, 4, 6), k_grid=(2,))
         run_experiment(config, X=X, labels=labels)
         assert calls == {"greedy": 2, "spec": 2}  # one each per repetition
+
+
+class TestRepetitionMemory:
+    def test_unscaled_resample_is_freed_before_training(self, fixture_data, monkeypatch):
+        from lkfs import dataio, pipeline
+
+        resamples, alive_at_training = [], []
+        draw, train = dataio.subsample, pipeline.train
+
+        def drawing(*args, **kwargs):
+            resample = draw(*args, **kwargs)
+            resamples.append(weakref.ref(resample))
+            return resample
+
+        def training(*args):
+            alive_at_training.append(resamples[-1]() is not None)
+            return train(*args)
+
+        monkeypatch.setattr(dataio, "subsample", drawing)
+        monkeypatch.setattr(pipeline, "train", training)
+        X, labels = fixture_data
+        run_experiment(fast_config(methods=("lkfs",)), X=X, labels=labels)
+        assert alive_at_training == [False, False]
 
 
 class TestEmitOutputs:
