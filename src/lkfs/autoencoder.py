@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -164,12 +164,12 @@ def _activate(pre: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.n
     return pre
 
 
-def _forward_buffers(model: AeModel, rows: int) -> list[dict[str, np.ndarray]]:
-    """Per layer, flat arrays of ``rows`` rows for what a train-mode pass
-    writes: the affine map, with batch norm the centred values (then xhat) and
-    the pre-activation, and the output of a non-identity activation."""
+def _forward_buffers(layers: Iterable[DenseLayer], rows: int) -> list[dict[str, np.ndarray]]:
+    """Per layer, flat arrays of ``rows`` rows for what a pass writes: the
+    affine map, with batch norm the centred values (then xhat) and the
+    pre-activation, and the output of a non-identity activation."""
     buffers = []
-    for layer in model.layers():
+    for layer in layers:
         names = ["affine"]
         if layer.batch_norm is not None:
             names += ["xhat", "pre"]
@@ -179,16 +179,13 @@ def _forward_buffers(model: AeModel, rows: int) -> list[dict[str, np.ndarray]]:
     return buffers
 
 
-def _layer_forward(
-    layer: DenseLayer, h_in: np.ndarray, training: bool, buffers: dict | None = None
-) -> dict:
-    """One layer's pass and the cache backpropagation reads. With ``buffers``
-    (one layer of ``_forward_buffers``) the (m, width) results are written
-    into them instead of into fresh arrays, with the same bits."""
+def _layer_forward(layer: DenseLayer, h_in: np.ndarray, training: bool, buffers: dict) -> dict:
+    """One layer's pass and the cache backpropagation reads. The (m, width)
+    results are written into ``buffers``, one layer of ``_forward_buffers``."""
     shape = (h_in.shape[0], layer.weights.shape[0])
 
     def into(name: str) -> np.ndarray | None:
-        flat = None if buffers is None else buffers.get(name)
+        flat = buffers.get(name)
         return None if flat is None else _view(flat, shape)
 
     affine = np.matmul(h_in, layer.weights.T, out=into("affine"))
@@ -196,15 +193,13 @@ def _layer_forward(
     bn = layer.batch_norm
     cache: dict = {"h_in": h_in, "affine": affine}
     if bn is not None:
+        # in training, the steps of affine.mean(axis=0) and affine.var(axis=0)
+        mu = np.add.reduce(affine, axis=0) / shape[0] if training else bn.running_mean
+        centred = np.subtract(affine, mu, out=into("xhat"))
         if training:
-            # the steps of affine.mean(axis=0) and affine.var(axis=0)
-            m = shape[0]
-            mu = np.add.reduce(affine, axis=0) / m
-            centred = np.subtract(affine, mu, out=into("xhat"))
-            var = np.add.reduce(np.multiply(centred, centred, out=into("pre")), axis=0) / m
+            var = np.add.reduce(np.multiply(centred, centred, out=into("pre")), axis=0) / shape[0]
         else:
-            mu, var = bn.running_mean, bn.running_var
-            centred = affine - mu
+            var = bn.running_var
         inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         xhat = np.multiply(centred, inv_std, out=centred)
         pre = np.multiply(bn.gamma, xhat, out=into("pre"))
@@ -217,14 +212,11 @@ def _layer_forward(
     return cache
 
 
-def _forward_cached(
-    model: AeModel, batch: np.ndarray, buffers: list[dict] | None = None
-) -> tuple[list[dict], np.ndarray]:
-    """Train-mode pass, with batch statistics: (per-layer caches, reconstruction)."""
+def _forward_cached(model: AeModel, batch: np.ndarray, buffers: list) -> tuple[list, np.ndarray]:
+    """Train-mode pass, with batch statistics, into ``buffers``: (caches, reconstruction)."""
     h = batch
     caches = []
-    for i, layer in enumerate(model.layers()):
-        layer_buffers = None if buffers is None else buffers[i]
+    for layer, layer_buffers in zip(model.layers(), buffers):
         cache = _layer_forward(layer, h, training=True, buffers=layer_buffers)
         caches.append(cache)
         h = cache["out"]
@@ -251,8 +243,8 @@ def encode(model: AeModel, X: ExpressionMatrix) -> "LatentRepresentation":
             f"matrix has {values.shape[1]} features, model expects {model.arch.input_dim}"
         )
     h = values
-    for layer in model.encoder:
-        h = _layer_forward(layer, h, training=False)["out"]
+    for layer, buffers in zip(model.encoder, _forward_buffers(model.encoder, X.n)):
+        h = _layer_forward(layer, h, training=False, buffers=buffers)["out"]
     return LatentRepresentation(z_values=h, sample_ids=X.sample_ids)
 
 
@@ -277,22 +269,16 @@ def loss_mse(x: np.ndarray, x_reconstructed: np.ndarray) -> float:
     return float((diff * diff).sum() / x.shape[0])
 
 
-def weight_penalty(model: AeModel, scratch: np.ndarray | None = None) -> float:
+def weight_penalty(model: AeModel, scratch: np.ndarray) -> float:
     """Sum of squared weight entries over encoder and decoder (biases excluded).
 
     ``scratch``, a flat array at least as large as the largest weight matrix,
-    receives the squares instead of a fresh temporary per matrix.
+    receives the squares of each matrix in turn.
     """
     total = 0
     for w in model.weight_matrices():
-        squares = None if scratch is None else _view(scratch, w.shape)
-        total += np.multiply(w, w, out=squares).sum()
+        total += np.multiply(w, w, out=_view(scratch, w.shape)).sum()
     return float(total)
-
-
-def _training_loss(model: AeModel, batch: np.ndarray, beta_l2: float) -> float:
-    _, recon = _forward_cached(model, batch)
-    return loss_mse(batch, recon) + beta_l2 * weight_penalty(model)
 
 
 def _view(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -324,16 +310,17 @@ def _flatten_parameters(model: AeModel) -> np.ndarray:
 
 
 class _Workspace:
-    """Gradient arrays and scratch for one model, reused across batches.
+    """Forward buffers, gradient arrays and scratch for one model, reused across batches.
 
-    The gradients are views of one flat array aligned with
-    ``model.parameters()``; the row buffers hold up to ``rows`` rows of the
-    widest layer. ``scratch`` serves the weight decay, the weight penalty and
-    the Adam blocks in turn, so it holds the largest weight matrix or two
-    Adam blocks, whichever is larger.
+    ``forward`` holds every layer's ``_forward_buffers`` and the row buffers
+    hold the widest layer, both for up to ``rows`` rows. The gradients are views of
+    one flat array aligned with ``model.parameters()``. ``scratch`` serves the
+    weight decay, the weight penalty and the Adam blocks in turn, so it holds
+    the largest weight matrix or two Adam blocks, whichever is larger.
     """
 
     def __init__(self, model: AeModel, rows: int):
+        self.forward = _forward_buffers(model.layers(), rows)
         shapes = [array.shape for _, array in model.parameters()]
         self.grad_flat = np.empty(sum(math.prod(shape) for shape in shapes))
         self.grads = _views(self.grad_flat, shapes)
@@ -352,22 +339,25 @@ class _Workspace:
         self.scratch = np.empty(max(adam_blocks, *(w.size for w in model.weight_matrices())))
 
 
-def _backward(
-    model: AeModel,
-    caches: list[dict],
-    batch: np.ndarray,
-    recon: np.ndarray,
-    beta_l2: float,
-    out: _Workspace | None = None,
-) -> list[np.ndarray]:
-    """Gradients of the regularized loss from the caches of one train-mode pass.
+def _loss(model: AeModel, batch: np.ndarray, beta_l2: float, ws: _Workspace) -> tuple:
+    """The train-mode pass into ``ws``: the regularized loss (``loss_mse`` plus
+    ``beta_l2`` times ``weight_penalty``), the caches and the reconstruction."""
+    caches, recon = _forward_cached(model, batch, ws.forward)
+    diff = _view(ws.rows_tmp, batch.shape)
+    np.subtract(batch, recon, out=diff)
+    np.multiply(diff, diff, out=diff)
+    loss = float(diff.sum() / batch.shape[0]) + beta_l2 * weight_penalty(model, ws.scratch)
+    return loss, caches, recon
 
-    They are written into the gradient arrays of ``out``, or of a fresh
-    workspace, and returned aligned with ``model.parameters()``. The input
-    gradient of the first layer is not computed: nothing reads it.
-    """
+
+def _backward(
+    model: AeModel, caches: list[dict], batch: np.ndarray, recon: np.ndarray, beta_l2: float,
+    ws: _Workspace,
+) -> None:
+    """Gradients of the regularized loss from the caches of one ``_loss`` pass,
+    written into the gradient arrays of ``ws``. The input gradient of the
+    first layer is not computed: nothing reads it."""
     m = batch.shape[0]
-    ws = _Workspace(model, m) if out is None else out
     delta_buf, below_buf = ws.deltas
     d_out = _view(delta_buf, recon.shape)
     np.subtract(recon, batch, out=d_out)
@@ -414,19 +404,22 @@ def _backward(
             np.matmul(d_out, layer.weights, out=d_in)
             d_out = d_in
             delta_buf, below_buf = below_buf, delta_buf
-    return ws.grads
 
 
 def parameter_gradients(model: AeModel, batch: np.ndarray, beta_l2: float) -> list[np.ndarray]:
-    """Analytic gradients of the regularized loss, aligned with ``model.parameters()``."""
+    """Analytic gradients of the regularized loss, aligned with ``model.parameters()``,
+    in the arrays of a fresh workspace."""
     batch = np.asarray(batch, dtype=np.float64)
-    caches, recon = _forward_cached(model, batch)
-    return _backward(model, caches, batch, recon, beta_l2)
+    ws = _Workspace(model, batch.shape[0])
+    _, caches, recon = _loss(model, batch, beta_l2, ws)
+    _backward(model, caches, batch, recon, beta_l2, ws)
+    return ws.grads
 
 
 def numerical_gradients(model: AeModel, batch: np.ndarray, beta_l2: float, step: float = 1e-5) -> list[np.ndarray]:
-    """Central finite differences of the regularized training loss."""
+    """Central finite differences of the regularized loss of training's own pass."""
     batch = np.asarray(batch, dtype=np.float64)
+    ws = _Workspace(model, batch.shape[0])
     out = []
     for _, array in model.parameters():
         grad = np.empty_like(array)
@@ -435,9 +428,9 @@ def numerical_gradients(model: AeModel, batch: np.ndarray, beta_l2: float, step:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = _training_loss(model, batch, beta_l2)
+            hi = _loss(model, batch, beta_l2, ws)[0]
             flat[i] = orig - step
-            lo = _training_loss(model, batch, beta_l2)
+            lo = _loss(model, batch, beta_l2, ws)[0]
             flat[i] = orig
             gflat[i] = (hi - lo) / (2.0 * step)
         out.append(grad)
@@ -509,7 +502,8 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams, seed: in
     from it); records the mean regularized loss per epoch. Each batch runs one
     forward pass, one backward pass and one Adam step. The trainable arrays of
     the returned model are views of one flat buffer; gradients, Adam moments,
-    forward-pass layer outputs and scratch are allocated once per call.
+    forward-pass layer outputs, scratch and the gathered batch are allocated
+    once per call.
     """
     if arch.input_dim != X.d:
         raise ConfigError(f"architecture input size {arch.input_dim} != matrix width {X.d}")
@@ -518,9 +512,9 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams, seed: in
     model = init_model(arch, seed)
     shuffle_rng = np.random.default_rng([seed, 1])
     params = _flatten_parameters(model)
-    rows = hp.batch_size + 1  # a trailing singleton joins the last batch
-    ws = _Workspace(model, rows)
-    buffers = _forward_buffers(model, rows)
+    most = hp.batch_size + 1  # a trailing singleton joins the last batch
+    ws = _Workspace(model, most)
+    gathered = np.empty((most, X.d))
     adam_m = np.zeros_like(params)
     adam_v = np.zeros_like(params)
     step = 0
@@ -529,20 +523,14 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams, seed: in
         order = shuffle_rng.permutation(X.n)
         epoch_loss = 0.0
         for batch_no, rows in enumerate(_batch_slices(X.n, hp.batch_size, order)):
-            batch = values[rows]
-            m = batch.shape[0]
-            caches, recon = _forward_cached(model, batch, buffers=buffers)
-            # loss_mse and weight_penalty, squaring into reused scratch
-            diff = _view(ws.rows_tmp, batch.shape)
-            np.subtract(batch, recon, out=diff)
-            np.multiply(diff, diff, out=diff)
-            batch_loss = float(diff.sum() / m) + hp.beta_l2 * weight_penalty(model, ws.scratch)
+            m = rows.size
+            # mode="clip" lets numpy write straight into `out` (the default buffers it)
+            batch = np.take(values, rows, axis=0, out=gathered[:m], mode="clip")
+            batch_loss, caches, recon = _loss(model, batch, hp.beta_l2, ws)
             if not np.isfinite(batch_loss):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}"
-                )
+                raise NumericalError(f"non-finite loss at epoch {epoch}, batch {batch_no}")
             epoch_loss += batch_loss * m
-            _backward(model, caches, batch, recon, hp.beta_l2, out=ws)
+            _backward(model, caches, batch, recon, hp.beta_l2, ws)
             step += 1
             _adam_step(params, ws.grad_flat, adam_m, adam_v, step, ws.scratch)
             _update_running_stats(model, caches, m)

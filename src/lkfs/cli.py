@@ -32,14 +32,26 @@ def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError:
-        raise _UsageError(f"expected comma-separated integers, got {text!r}") from None
+        message = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: numpy seeds its generators only from integers >= 0."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+def _int_at_least(lowest: int):
+    """An argparse type for integers >= ``lowest``, so that the error names the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lowest:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lowest}, got {text!r}")
+        return value
+
+    return parse
+
+
+_seed = _int_at_least(0)  # numpy seeds its generators only from integers >= 0
 
 
 def _progress_printer(log_json: bool):
@@ -86,8 +98,8 @@ def build_parser() -> _Parser:
     clus = sub.add_parser("cluster", help="k-means a matrix and dump assignments")
     clus.add_argument("--input", required=True)
     clus.add_argument("--orientation", choices=dataio.ORIENTATIONS, default="rows")
-    clus.add_argument("--k", type=int, required=True)
-    clus.add_argument("--restarts", type=int, default=10)
+    clus.add_argument("--k", type=_int_at_least(2), required=True)
+    clus.add_argument("--restarts", type=_int_at_least(1), default=10)
     clus.add_argument("--seed", type=_seed, default=0)
     clus.add_argument("--out", required=True)
 
@@ -97,7 +109,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--labels")
     ev.add_argument("--selection", required=True, help="solution JSON or one feature name per line")
     ev.add_argument("--k", type=_int_list, default=(2, 3, 4, 5))
-    ev.add_argument("--restarts", type=int, default=10)
+    ev.add_argument("--restarts", type=_int_at_least(1), default=10)
     ev.add_argument("--seed", type=_seed, default=0)
     ev.add_argument("--out", help="metrics JSON path (default stdout)")
 
@@ -109,7 +121,7 @@ def build_parser() -> _Parser:
     run.add_argument("--methods", help="comma list from {lkfs,skm,spec}")
     run.add_argument("--p", type=_int_list, help="comma list of p values")
     run.add_argument("--k", type=_int_list, help="comma list of k values")
-    run.add_argument("--reps", type=int)
+    run.add_argument("--reps", type=_int_at_least(1))
     run.add_argument("--seed", type=_seed)
     run.add_argument("--out", help="output directory")
     run.add_argument("--force", action="store_true")
@@ -300,12 +312,13 @@ def _report_lines(doc: dict) -> list[str]:
         f"{'p':>4} {'k':>3} {'RED':>8} {'Rand':>8} {'ARI':>8} {'inertia':>10}",
     ]
     for cell in doc["aggregates"]:
-        rand = cell.get("rand_index_mean")
-        ari = cell.get("adjusted_rand_index_mean")
+        # Rand and ARI are null in the report of a run without labels
+        rand, ari = (
+            "None" if v is None else format(v, ".4f")
+            for v in (cell.get("rand_index_mean"), cell.get("adjusted_rand_index_mean"))
+        )
         lines.append(
-            f"{cell['p']:>4} {cell['k']:>3} {cell['red_mean']:>8.4f} "
-            f"{rand if rand is None else format(rand, '.4f'):>8} "
-            f"{ari if ari is None else format(ari, '.4f'):>8} "
+            f"{cell['p']:>4} {cell['k']:>3} {cell['red_mean']:>8.4f} {rand:>8} {ari:>8} "
             f"{cell['inertia_mean']:>10.4g}"
         )
     return lines

@@ -89,7 +89,7 @@ class TestForward:
 
     def test_shapes(self):
         model = init_model(TINY, seed=0)
-        caches, rec = _forward_cached(model, tiny_batch())
+        caches, rec = _forward_cached(model, tiny_batch(), _forward_buffers(model.layers(), 4))
         assert caches[len(model.encoder) - 1]["out"].shape == (4, 2) and rec.shape == (4, 6)
 
     def test_single_sample_inference(self):
@@ -100,7 +100,8 @@ class TestForward:
     def test_untrained_outputs_finite(self):
         model = init_model(TINY, seed=4)
         assert np.isfinite(encode(model, as_matrix(tiny_batch(seed=5))).z_values).all()
-        assert np.isfinite(_forward_cached(model, tiny_batch(seed=5))[1]).all()
+        buffers = _forward_buffers(model.layers(), 4)
+        assert np.isfinite(_forward_cached(model, tiny_batch(seed=5), buffers)[1]).all()
 
     def test_train_mode_needs_two_rows(self):
         # batch norm needs per-batch statistics: no training batch has one row
@@ -143,7 +144,8 @@ class TestLosses:
         model = init_model(TINY, seed=0)
         for layer in model.layers():
             layer.weights[:] = 0.0
-        assert weight_penalty(model) == 0.0
+        scratch = np.empty(max(w.size for w in model.weight_matrices()))
+        assert weight_penalty(model, scratch) == 0.0
 
 
 class TestGradients:
@@ -404,7 +406,7 @@ class TestTrainingBitIdentity:
     def test_buffered_pass_writes_the_fresh_bits_into_its_buffers(self):
         model = init_model(AeArchitecture.default(12, hidden=(9, 5), latent_dim=3), seed=4)
         batch = _uniform_matrix(9, 12, 4).values
-        buffers = _forward_buffers(model, rows=10)
+        buffers = _forward_buffers(model.layers(), rows=10)
         got, _ = _forward_cached(model, batch, buffers=buffers)
         want, _ = _reference_forward(model, batch)
         for cache, ref, layer_buffers in zip(got, want, buffers):
@@ -441,11 +443,11 @@ class TestTrainingMemory:
         moments = 4 * 8 * P  # parameters, gradients and both Adam moments
         scratch = 8 * max(largest, 2 * _ADAM_BLOCK)
         forward = sum(
-            flat.nbytes for layer in _forward_buffers(model, rows) for flat in layer.values()
+            flat.nbytes for layer in _forward_buffers(model.layers(), rows) for flat in layer.values()
         )
         workspace = 3 * 8 * rows * width + rows * width + 2 * 8 * width  # deltas, rows, mask, sums
-        # the next batch is gathered while the last one is alive; per-batch vectors
-        slack = 2 * 8 * rows * d + 256 * 1024
+        # one gathered batch; per-batch vectors
+        slack = 8 * rows * d + 256 * 1024
         tracemalloc.start()
         try:
             train(X, arch, hp, seed=0)

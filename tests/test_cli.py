@@ -292,6 +292,28 @@ class TestRun:
         assert main(run_args(fixture_dir, out2)) == 0
         assert (out1 / "report_spec.json").read_bytes() == (out2 / "report_spec.json").read_bytes()
 
+    def test_log_json_prints_one_event_per_record_and_the_same_artifacts(self, fixture_dir,
+                                                                         tmp_path, capsys):
+        plain, logged = tmp_path / "plain", tmp_path / "logged"
+        extra = ["--methods", "spec,skm", "--p", "3,4"]
+        assert main(run_args(fixture_dir, plain, extra)) == 0
+        capsys.readouterr()
+        assert main(run_args(fixture_dir, logged, [*extra, "--log-json"])) == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert all(set(event) == {"method", "p", "red", "repetition"} for event in events)
+        reds = {
+            (record["repetition"], method, record["p"]): record["red"]
+            for method in ("spec", "skm")
+            for record in json.loads((plain / f"report_{method}.json").read_text())["repetitions"]
+        }
+        assert len(reds) == 2 * 2 * 2 and len(events) == len(reds)
+        assert {(e["repetition"], e["method"], e["p"]): e["red"] for e in events} == reds
+        files = sorted(f.relative_to(plain) for f in plain.rglob("*") if f.is_file())
+        assert files == sorted(f.relative_to(logged) for f in logged.rglob("*") if f.is_file())
+        assert Path("index.json") in files
+        for name in files:
+            assert (plain / name).read_bytes() == (logged / name).read_bytes()
+
     def test_print_config(self, fixture_dir, capsys):
         code = main(["run", "--input", str(fixture_dir / "matrix.tsv"), "--print-config"])
         assert code == 0
@@ -541,6 +563,57 @@ class TestExitCodes:
         assert captured.out == "" and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("evaluate", "--restarts", "0", "expected an integer >= 1, got '0'"),
+            ("cluster", "--restarts", "0", "expected an integer >= 1, got '0'"),
+            ("cluster", "--k", "1", "expected an integer >= 2, got '1'"),
+            ("run", "--reps", "0", "expected an integer >= 1, got '0'"),
+            ("run", "--p", "3,x", "expected comma-separated integers, got '3,x'"),
+            ("evaluate", "--k", "2,x", "expected comma-separated integers, got '2,x'"),
+        ],
+        ids=["evaluate-restarts", "cluster-restarts", "cluster-k", "run-reps", "run-p",
+             "evaluate-k"],
+    )
+    def test_integer_flag_error_names_the_flag(self, small_dir, tmp_path, capsys, monkeypatch,
+                                               command, flag, value, message):
+        monkeypatch.setattr(pipeline, "select_features", lambda *args: pytest.fail("selected"))
+        matrix, out = str(small_dir / "matrix.tsv"), str(tmp_path / "out")
+        selection = tmp_path / "selection.txt"
+        selection.write_text("f0000\nf0001\n")
+        argv = {
+            "run": ["run", "--input", matrix, "--methods", "spec", "--p", "3", "--k", "2",
+                    "--out", out],
+            "evaluate": ["evaluate", "--input", matrix, "--selection", str(selection),
+                         "--out", out],
+            "cluster": ["cluster", "--input", matrix, "--k", "2", "--out", out],
+        }[command]
+        assert main([*argv, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: argument {flag}: {message}\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    def test_underflowing_feature_is_3(self, tmp_path, capsys):
+        # g3 is not constant, but every squared difference underflows to 0
+        values = np.random.default_rng(0).uniform(size=(24, 4))
+        values[:, 3] = np.tile([0.0, 1e-200], 12)
+        matrix, config = tmp_path / "matrix.tsv", tmp_path / "config.json"
+        names = [f"g{j}" for j in range(4)]
+        save_matrix(ExpressionMatrix(values, [f"s{i}" for i in range(24)], names), matrix)
+        config.write_text(json.dumps({"ae_hidden": [3], "ae_latent": 2,
+                                      "ae": {"epochs": 2, "batch_size": 8}}))
+        solution = tmp_path / "solution.json"
+        code = main(["select", "--config", str(config), "--input", str(matrix),
+                     "--method", "lkfs", "--p", "2", "--out", str(solution)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "numerical error: feature 3: all pairwise distances are zero; "
+            "kernel would be degenerate\n"
+        )
+        assert captured.out == "" and not solution.exists()
+
+    @pytest.mark.parametrize(
         "doc, flags, message",
         [
             ({"seed": -3}, [], "config key 'seed' must be >= 0, got -3"),
@@ -717,3 +790,55 @@ def test_inspect_solution(fixture_dir, tmp_path, capsys):
     assert main(["inspect", "--path", str(solution)]) == 0
     out = capsys.readouterr().out
     assert "method=spec" in out and "selected (3)" in out
+
+
+def _inspect_lines(path, capsys):
+    capsys.readouterr()
+    assert main(["inspect", "--path", str(path)]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
+def test_inspect_report(fixture_dir, tmp_path, capsys, labelled):
+    out = tmp_path / "run"
+    argv = run_args(fixture_dir, out, extra=["--p", "3,4", "--k", "2,3"])
+    if labelled:
+        assert main(argv) == 0
+    else:
+        at = argv.index("--labels")
+        with pytest.warns(RuntimeWarning, match="no ground-truth labels"):
+            assert main(argv[:at] + argv[at + 2 :]) == 0
+    report = json.loads((out / "report_spec.json").read_text())
+    lines = _inspect_lines(out / "report_spec.json", capsys)
+    assert lines[:3] == [
+        "report: method=spec dataset=matrix",
+        f"repetition records: {len(report['repetitions'])}",
+        "   p   k      RED     Rand      ARI    inertia",
+    ]
+    cells = report["aggregates"]
+    assert len(cells) == 4 and len(lines) == 3 + len(cells)
+    for line, cell in zip(lines[3:], cells):
+        rand, ari = cell["rand_index_mean"], cell["adjusted_rand_index_mean"]
+        assert (rand is None and ari is None) == (not labelled)
+        assert line.split() == [
+            str(cell["p"]), str(cell["k"]), f"{cell['red_mean']:.4f}",
+            "None" if rand is None else f"{rand:.4f}", "None" if ari is None else f"{ari:.4f}",
+            f"{cell['inertia_mean']:.4g}",
+        ]
+
+
+def test_inspect_lkfs_solution(fixture_dir, tmp_path, capsys):
+    pre, config = tmp_path / "pre.tsv", tmp_path / "config.json"
+    main(["preprocess", "--input", str(fixture_dir / "matrix.tsv"), "--out", str(pre)])
+    config.write_text(json.dumps(STEP_CONFIG))
+    solution = tmp_path / "lkfs.json"
+    assert main(["select", "--config", str(config), "--input", str(pre), "--method", "lkfs",
+                 "--p", "4", "--out", str(solution)]) == 0
+    doc = json.loads(solution.read_text())
+    assert doc["target_alignment"] is not None and doc["trajectory"]
+    assert _inspect_lines(solution, capsys) == [
+        f"solution: method=lkfs stop={doc['stop_reason']}",
+        f"selected ({len(doc['selected'])}): {', '.join(doc['selected'])}",
+        f"target alignment: {doc['target_alignment']:.6f}",
+        "trajectory: " + ", ".join(f"{a:.6f}" for a in doc["trajectory"]),
+    ]
