@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Selection time and memory of the greedy's two sources of inner products.
 
-For each shape NxD:P, draws a random n x d matrix and a random target kernel
-and runs ``feature_kernels`` + ``greedy_select`` with p features, once with
-the Gram matrix forced and once with the stack of triangles forced. Prints
-each source's time (the minimum over --repeats runs, BLAS on one thread), its
-``tracemalloc`` peak in one more run, whether both selected the same
-features, and the source that ``mkl._takes_gram`` picks for the shape.
+``StackedKernels.inner_products`` reads the greedy's inner products from the
+Gram matrix or from the stack of triangles, as ``kernel._takes_gram`` picks
+from the shape. For each shape NxD:P, this draws a uniform random n x d
+matrix and a Gaussian target kernel of random 2-D points, and runs
+``feature_kernels`` + ``greedy_select`` with p features twice: once with
+``kernel._takes_gram`` patched to take the Gram matrix, once to take the
+stack. Prints d/p, the source the rule picks, each source's time (the
+minimum over --repeats runs, BLAS on one thread) and its ``tracemalloc``
+peak in one more run, and whether both selected the same features.
 
     python3 scripts/selection_sources.py 160x500:10 320x1000:20 --repeats 3
 """
@@ -27,13 +30,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lkfs import mkl
+from lkfs import kernel, mkl
 from lkfs.dataio import ExpressionMatrix
 from lkfs.kernel import feature_kernels, gaussian_kernel
 
 
 def select(X, target, p, source):
-    with mock.patch.object(mkl, "_takes_gram", lambda n, d, steps: source == "gram"):
+    with mock.patch.object(kernel, "_takes_gram", lambda n, d, steps: source == "gram"):
         return mkl.greedy_select(feature_kernels(X), target, mkl.MklConfig(p=p)).selected
 
 
@@ -69,7 +72,7 @@ def main():
         target = gaussian_kernel(rng.standard_normal((n, 2)), sigma=1.0)
         gram = measure(X, target, p, "gram", args.repeats)
         stack = measure(X, target, p, "stack", args.repeats)
-        rule = "gram" if mkl._takes_gram(n, d, p) else "stack"
+        rule = "gram" if kernel._takes_gram(n, d, p) else "stack"
         print(
             f"{n}x{d}, {p:<4} {d / p:5.1f}  {rule:5}  {gram[0]:7.3f}  {gram[1] / 2**20:8.1f}"
             f"  {stack[0]:7.3f}  {stack[1] / 2**20:9.1f}  {gram[2] == stack[2]}",

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: synth, preprocess, select, cluster, evaluate, run, inspect.
-Exit codes: 0 success, 1 usage/config error, 2 data validation error,
+Exit codes: 0 success, 1 usage/config error, 2 data validation error (an
+empty or whitespace-only feature name or sample id is one) or out of memory,
 3 numerical failure.
 """
 
@@ -70,9 +71,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="generate a synthetic labeled fixture")
-    synth.add_argument("--n", type=int, default=200)
-    synth.add_argument("--d", type=int, default=100)
-    synth.add_argument("--informative", type=int, default=10)
+    synth.add_argument("--n", type=_int_at_least(2), default=200)
+    synth.add_argument("--d", type=_int_at_least(1), default=100)
+    synth.add_argument("--informative", type=_int_at_least(0), default=10)
     synth.add_argument("--separation", type=float, default=4.0)
     synth.add_argument("--seed", type=_seed, default=0)
     synth.add_argument("--out", required=True, help="output directory")
@@ -385,6 +386,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"data error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

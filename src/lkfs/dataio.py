@@ -164,7 +164,8 @@ def load_matrix(path: str | Path, orientation: str = "rows") -> ExpressionMatrix
     ("cols"); in the latter case the result is transposed so samples are rows.
     The file is read one line at a time, with the line boundaries of
     ``str.splitlines``; blank lines are skipped but counted, so errors name
-    the physical line.
+    the physical line. An empty or whitespace-only feature name or sample id
+    is rejected.
     """
     if orientation not in ORIENTATIONS:
         raise ConfigError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
@@ -177,12 +178,20 @@ def load_matrix(path: str | Path, orientation: str = "rows") -> ExpressionMatrix
     with path.open(encoding="utf-8") as f:
         numbered = enumerate((ln for chunk in f for ln in chunk.splitlines()), start=1)
         lines = ((no, ln) for no, ln in numbered if ln.strip())
-        _, header_line = next(lines, (0, ""))
+        header_no, header_line = next(lines, (0, ""))
         delim = _detect_delimiter(header_line)
         header = [c.strip() for c in header_line.split(delim)]
         col_names = header[1:]
         if not col_names and next(lines, None) is not None:
             raise DataValidationError(f"header declares no columns: {path}")
+        col_kind, row_kind = "feature name", "sample id"
+        if orientation == "cols":
+            col_kind, row_kind = row_kind, col_kind
+        if not all(col_names):
+            raise DataValidationError(
+                f"empty {col_kind} in the header at line {header_no}, "
+                f"column {col_names.index('') + 2}"
+            )
         for line_no, line in lines:
             cells = line.split(delim)
             if len(cells) != len(header):
@@ -190,6 +199,8 @@ def load_matrix(path: str | Path, orientation: str = "rows") -> ExpressionMatrix
                     f"ragged row at line {line_no}: expected {len(header)} cells, got {len(cells)}"
                 )
             row_ids.append(cells[0].strip())
+            if not row_ids[-1]:
+                raise DataValidationError(f"empty {row_kind} at line {line_no}")
             rows.append(_parse_row(cells[1:], line_no, col_names))
     if not rows:
         raise DataValidationError(f"matrix file has no data rows: {path}")
@@ -213,6 +224,7 @@ def load_labels(path: str | Path) -> LabelVector:
     """Parse a two-column (sample_id, label) file; header row optional.
 
     Blank lines are skipped but counted, so errors name the physical line.
+    An empty or whitespace-only sample id is rejected.
     """
     path = Path(path)
     if not path.is_file():
@@ -231,6 +243,8 @@ def load_labels(path: str | Path) -> LabelVector:
         if len(cells) < 2:
             raise DataValidationError(f"labels line {line_no} has fewer than two columns")
         sid, label = cells[0], cells[1]
+        if not sid:
+            raise DataValidationError(f"labels line {line_no} has an empty sample id")
         if sid in labels:
             raise DataValidationError(f"duplicate sample id {sid!r} at line {line_no}")
         labels[sid] = label

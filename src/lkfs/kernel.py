@@ -6,7 +6,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -40,25 +40,6 @@ class KernelMatrix:
         return self.entries.shape[0]
 
 
-def pairwise_sqdist(points: np.ndarray) -> np.ndarray:
-    """Exact n x n squared Euclidean distances (row-by-row differences).
-
-    Each unordered pair is computed once and mirrored: ``(a - b)**2`` and
-    ``(b - a)**2`` are the same float, so the result is exactly symmetric.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    n = pts.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        diff = pts[i:] - pts[i]
-        row = (diff * diff).sum(axis=1)
-        out[i, i:] = row
-        out[i:, i] = row
-    return out
-
-
 def median_bandwidth(points: np.ndarray) -> float:
     """Median of the n(n-1)/2 pairwise Euclidean distances.
 
@@ -66,11 +47,9 @@ def median_bandwidth(points: np.ndarray) -> float:
     coincide, so that the median, and with it the bandwidth, is zero.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     if pts.shape[0] < 2:
         raise DataValidationError("median_bandwidth needs at least 2 points")
-    sq = pairwise_sqdist(pts)[_triu_indices(pts.shape[0])]
+    sq = _sq_triangle(pts)
     if sq.max() == 0.0:
         raise NumericalError("all pairwise distances are zero; kernel would be degenerate")
     sigma = float(_median_distance(sq))
@@ -88,9 +67,8 @@ def gaussian_kernel(points: np.ndarray, sigma: float, source: str = "data") -> K
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
         raise DataValidationError("gaussian_kernel input contains non-finite values")
-    entries = np.exp(-pairwise_sqdist(pts) / (2.0 * sigma * sigma))
-    np.fill_diagonal(entries, 1.0)
-    return KernelMatrix(entries, bandwidth=float(sigma), source=source)
+    triangle = _gaussian(_sq_triangle(pts), -(2.0 * sigma * sigma))
+    return KernelMatrix(_dense(triangle, pts.shape[0]), bandwidth=float(sigma), source=source)
 
 
 @lru_cache(maxsize=8)
@@ -99,6 +77,49 @@ def _triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     iu, ju = np.triu_indices(n, 1)
     iu.flags.writeable = ju.flags.writeable = False
     return iu, ju
+
+
+def _sq_triangle(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances of the n(n-1)/2 pairs of rows of ``points``,
+    in ``np.triu_indices(n, 1)`` order, written into ``out`` if given.
+
+    A 1-D column is differenced in one pass. A 2-D ``points`` goes row by
+    row, as ``points[i:] - points[i]`` summed over the columns, with the zero
+    distance of row i to itself dropped: numpy's summation order follows the
+    shape and layout of what it sums, and this form has the bits of the full
+    row-by-row distances on every layout (``points[i + 1:]`` changes them on
+    some).
+    """
+    n = points.shape[0]
+    if out is None:
+        out = np.empty(n * (n - 1) // 2)
+    if points.ndim == 1:
+        iu, ju = _triu_indices(n)
+        np.take(points, ju, out=out)
+        out -= points[iu]
+        return np.multiply(out, out, out=out)
+    lo = 0
+    for i in range(n - 1):
+        diff = points[i:] - points[i]
+        out[lo : lo + n - 1 - i] = (diff * diff).sum(axis=1)[1:]
+        lo += n - 1 - i
+    return out
+
+
+def _gaussian(sq: np.ndarray, scales: np.ndarray | float) -> np.ndarray:
+    """exp(sq / scales) in place, for the negative ``scales`` -2 sigma^2. IEEE
+    division is symmetric in sign, so this gives the bits of
+    exp(-sq / (2 sigma^2)) without a pass to negate."""
+    sq /= scales
+    return np.exp(sq, out=sq)
+
+
+def _dense(triangle: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric unit-diagonal n x n matrix of a strict upper triangle."""
+    entries = np.ones((n, n))
+    iu, ju = _triu_indices(n)
+    entries[iu, ju] = entries[ju, iu] = triangle
+    return entries
 
 
 def upper_triangle(K: KernelMatrix) -> np.ndarray:
@@ -111,6 +132,29 @@ def upper_triangle(K: KernelMatrix) -> np.ndarray:
 
 
 _BLOCK_ENTRIES = 1 << 18  # entries of one block of sample pairs (2 MB of float64)
+# Features per greedy step up to which the Gram matrix selects no slower than
+# the stack, and up to which it selects about 15% slower. Measured with
+# feature_kernels + greedy_select on random matrices, one BLAS thread
+# (scripts/selection_sources.py): break-even at d/p of 30-40 at n = 160 and
+# 40-60 at n = 400; at d/p = 50 a median 13% slower (13 runs at n = 160, 320
+# and 400), at d/p of 59-60 a median 24% slower (6 runs at n = 160 and 320).
+_GRAM_NO_SLOWER_PER_STEP = 30
+_GRAM_SLOWER_PER_STEP = 50
+# the Gram may be slower only where the stack takes this many times its bytes
+_GRAM_SHRINK = 4
+
+
+def _takes_gram(n: int, d: int, steps: int) -> bool:
+    """Whether a greedy of ``steps`` steps over d kernels of size n reads the
+    Gram matrix rather than the stack of triangles.
+
+    The Gram holds at most 20 d^2 bytes, the stack 8 d n(n-1)/2. The Gram is
+    taken where it is no slower and no larger, and also where it is at most
+    about 15% slower and at least ``_GRAM_SHRINK`` times smaller."""
+    gram_bytes, stack_bytes = 20 * d * d, 4 * d * n * (n - 1)
+    if d <= _GRAM_NO_SLOWER_PER_STEP * steps:
+        return gram_bytes <= stack_bytes
+    return d <= _GRAM_SLOWER_PER_STEP * steps and _GRAM_SHRINK * gram_bytes <= stack_bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +167,7 @@ class StackedKernels:
     when it is read (``row``), so the ``(d, n(n-1)/2)`` stack of triangles is
     held only when asked for (``triangles``). Indexing, and iteration through
     it, give back dense ``KernelMatrix`` objects named ``feature:j``. The
-    greedy selection reads its inner products from ``gram`` (at most 20 d^2
-    bytes) or from ``triangles`` (4 d n(n-1) bytes); ``mkl._takes_gram`` picks
-    one from time and bytes.
+    greedy selection reads its inner products from ``inner_products``.
     """
 
     n: int
@@ -138,11 +180,8 @@ class StackedKernels:
 
     def __getitem__(self, j: int) -> KernelMatrix:
         j = range(len(self))[operator.index(j)]
-        entries = np.ones((self.n, self.n))
-        iu, ju = _triu_indices(self.n)
-        entries[iu, ju] = entries[ju, iu] = self.row(j)
         return KernelMatrix(
-            entries,
+            _dense(self.row(j), self.n),
             bandwidth=float(self.bandwidths[j]),
             source=f"feature:{j}",
             degenerate=bool(self.degenerate[j]),
@@ -160,13 +199,6 @@ class StackedKernels:
         the all-ones kernel of ``row``."""
         return np.where(self.degenerate, -np.inf, -(2.0 * self.bandwidths * self.bandwidths))
 
-    def _gaussian(self, sq: np.ndarray, scales: np.ndarray | float) -> np.ndarray:
-        """exp(sq / scales) in place for the negative ``scales``. IEEE division
-        is symmetric in sign, so this gives the bits of ``gaussian_kernel``'s
-        exp(-sq / (2 sigma^2)) without a pass to negate."""
-        sq /= scales
-        return np.exp(sq, out=sq)
-
     def row(self, j: int, out: np.ndarray | None = None) -> np.ndarray:
         """The strict upper triangle of kernel j, written into ``out`` if given."""
         if out is None:
@@ -174,12 +206,7 @@ class StackedKernels:
         if self.degenerate[j]:
             out.fill(1.0)
             return out
-        iu, ju = _triu_indices(self.n)
-        col = self.points[:, j]
-        np.take(col, ju, out=out)
-        out -= col[iu]
-        out *= out
-        return self._gaussian(out, self._scales[j])
+        return _gaussian(_sq_triangle(self.points[:, j], out), self._scales[j])
 
     def triangles(self) -> np.ndarray:
         """The (d, n(n-1)/2) stack of strict upper triangles, one kernel per
@@ -210,38 +237,53 @@ class StackedKernels:
                 i += 1
             block = buf[:fill]
             block *= block
-            self._gaussian(block, self._scales)
+            _gaussian(block, self._scales)
             yield slice(lo, lo + fill), block
             lo += fill
 
-    def gram(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(G, c) with G[a, b] = <K_a, K_b> and c[a] = <K_a, K> for the kernel K
-        given by its strict upper triangle ``target``.
+    def inner_products(
+        self, Kz: KernelMatrix, steps: int
+    ) -> tuple[np.ndarray, np.ndarray, float, Callable[[int], np.ndarray]]:
+        """(cz, ss, zz, column) with cz[a] = <K_a, Kz>, ss[a] = <K_a, K_a>,
+        zz = <Kz, Kz> and ``column(j)[a]`` = <K_a, K_j>, for a greedy that reads
+        ``steps`` columns against the symmetric unit-diagonal target ``Kz``.
 
-        With unit diagonals <K_a, K_b> = n + 2 sum over pairs of K_a K_b. The
-        sums accumulate ``block.T @ block``, a symmetric BLAS product, so G is
-        exactly symmetric, and ``block.T @ target[pairs]``, over the blocks
-        of ``_pair_blocks``: memory is two d x d matrices and one block. Equal
-        kernels take the row, column and entry of c of their first copy, so
-        identical kernels keep exactly tied inner products.
+        With unit diagonals <K_a, K_b> = n + 2 (sum over pairs of K_a K_b).
+        The sums come from one of two sources, and neither wins on every
+        shape; ``_takes_gram`` weighs them from (n, d, steps) alone:
+
+        - the Gram matrix of sums, ``block.T @ block`` (a symmetric BLAS
+          product, so exactly symmetric) and ``block.T @ target`` over the
+          blocks of ``_pair_blocks``: one d^2 n(n-1)/2 product, and up to
+          20 d^2 bytes, two d x d matrices and one block;
+        - the stack of ``triangles``: one matrix-vector pass per column read,
+          and 4 d n(n-1) bytes.
+
+        Every kernel then takes the products of its first copy
+        (``first_copies``), so twins stay exactly tied either way.
         """
-        d = len(self)
-        gram, product = np.zeros((d, d)), np.empty((d, d))
-        cross = np.zeros(d)
-        for pairs, block in self._pair_blocks():
-            gram += np.matmul(block.T, block, out=product)
-            cross += block.T @ target[pairs]
-        del product
-        for sums in (gram, cross):
-            sums *= 2.0
-            sums += self.n
+        n, d, tz = self.n, len(self), upper_triangle(Kz)
+        if _takes_gram(n, d, steps):
+            gram, product, cross = np.zeros((d, d)), np.empty((d, d)), np.zeros(d)
+            for pairs, block in self._pair_blocks():
+                gram += np.matmul(block.T, block, out=product)
+                cross += block.T @ tz[pairs]
+            del product
+            ss, column = gram.diagonal(), gram.__getitem__
+        else:
+            stack = self.triangles()
+            cross, ss = stack @ tz, np.einsum("ij,ij->i", stack, stack)
+
+            def column(j: int) -> np.ndarray:
+                return stack @ stack[j]
+
         first = self.first_copies
-        twins = np.flatnonzero(first != np.arange(d))
-        if twins.size:
-            gram[twins] = gram[first[twins]]
-            gram[:, twins] = gram[:, first[twins]]
-            cross[twins] = cross[first[twins]]
-        return gram, cross
+
+        def scaled(sums: np.ndarray) -> np.ndarray:
+            return (n + 2.0 * sums)[first]
+
+        zz = n + 2.0 * float(tz @ tz)
+        return scaled(cross), scaled(ss), zz, lambda j: scaled(column(first[j]))
 
     @cached_property
     def first_copies(self) -> np.ndarray:
@@ -254,7 +296,7 @@ class StackedKernels:
         iu, ju = _triu_indices(self.n)
         sq = self.points[ju[pairs]] - self.points[iu[pairs]]
         sq *= sq
-        probe = self._gaussian(sq, self._scales).T
+        probe = _gaussian(sq, self._scales).T
         first = np.arange(len(self))
         buckets: dict[bytes, list[int]] = {}
         for j in range(len(self)):
@@ -294,14 +336,9 @@ def feature_kernels(X: ExpressionMatrix) -> StackedKernels:
         raise DataValidationError("feature kernels need at least 2 samples")
     degenerate = X.values.max(axis=0) == X.values.min(axis=0)
     bandwidths = np.full(X.d, np.nan)
-    iu, ju = _triu_indices(X.n)
-    row = np.empty(iu.size)
+    row = np.empty(X.n * (X.n - 1) // 2)
     for j in np.flatnonzero(~degenerate):
-        col = X.values[:, j]
-        np.take(col, ju, out=row)
-        row -= col[iu]
-        row *= row
-        sigma = _median_distance(row)
+        sigma = _median_distance(_sq_triangle(X.values[:, j], row))
         if sigma > 0:
             bandwidths[j] = sigma
         elif row.any():  # more than half of the sample pairs hold equal values

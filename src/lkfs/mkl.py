@@ -11,24 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataValidationError, NumericalError
-from .kernel import KernelMatrix, StackedKernels, frobenius_inner, upper_triangle
+from .kernel import KernelMatrix, StackedKernels, frobenius_inner
 
 _DET_FLOOR = 1e-14  # relative determinant threshold for the 2x2 solve
-# Features per greedy step up to which the Gram matrix selects no slower than
-# the stack, and up to which it selects about 15% slower. Measured with
-# feature_kernels + greedy_select on random matrices, one BLAS thread
-# (scripts/selection_sources.py): break-even at d/p of 30-40 at n = 160 and
-# 40-60 at n = 400; at d/p = 50 a median 13% slower (13 runs at n = 160, 320
-# and 400), at d/p of 59-60 a median 24% slower (6 runs at n = 160 and 320).
-_GRAM_NO_SLOWER_PER_STEP = 30
-_GRAM_SLOWER_PER_STEP = 50
-# the Gram may be slower only where the stack takes this many times its bytes
-_GRAM_SHRINK = 4
 # a feature after the first is accepted only if it raises the alignment by more
 _IMPROVEMENT_TOLERANCE = 1e-6
 
@@ -129,45 +119,6 @@ def _pair_weights_batch(
     return wa, wb, achieved
 
 
-def _takes_gram(n: int, d: int, steps: int) -> bool:
-    """Whether a greedy of ``steps`` steps over d kernels of size n reads the
-    Gram matrix rather than the stack of triangles.
-
-    The Gram holds at most 20 d^2 bytes, the stack 8 d n(n-1)/2. The Gram is
-    taken where it is no slower and no larger, and also where it is at most
-    about 15% slower and at least ``_GRAM_SHRINK`` times smaller."""
-    gram_bytes, stack_bytes = 20 * d * d, 4 * d * n * (n - 1)
-    if d <= _GRAM_NO_SLOWER_PER_STEP * steps:
-        return gram_bytes <= stack_bytes
-    return d <= _GRAM_SLOWER_PER_STEP * steps and _GRAM_SHRINK * gram_bytes <= stack_bytes
-
-
-def _inner_products(
-    stack: StackedKernels, tz: np.ndarray, steps: int
-) -> tuple[np.ndarray, np.ndarray, Callable[[int], np.ndarray]]:
-    """(c, s, column) with c[a] = <K_a, Kz>, s[a] = <K_a, K_a> and
-    ``column(j)[a]`` = <K_a, K_j> for a greedy that reads ``steps`` columns.
-
-    Two ways, and neither wins on every shape. The Gram matrix G
-    (``StackedKernels.gram``) costs one d^2 n(n-1)/2 product and up to
-    20 d^2 bytes: G, a product buffer and a block of d/2 pairs. The stack of
-    triangles costs one matrix-vector pass per column read and 4 d n(n-1)
-    bytes. ``_takes_gram`` weighs both, from (n, d, steps) alone. With unit
-    diagonals <K_a, K_b> = n + 2 upper[a] . upper[b]; equal kernels take the
-    products of their first copy, so twins stay exactly tied either way.
-    """
-    if _takes_gram(stack.n, len(stack), steps):
-        gram, cz = stack.gram(tz)
-        return cz, gram.diagonal(), gram.__getitem__
-    upper, first = stack.triangles(), stack.first_copies
-
-    def inner(t: np.ndarray) -> np.ndarray:
-        return (stack.n + 2.0 * (upper @ t))[first]
-
-    ss = (stack.n + 2.0 * np.einsum("ij,ij->i", upper, upper))[first]
-    return inner(tz), ss, lambda j: inner(upper[j])
-
-
 def greedy_select(candidates: StackedKernels, Kz: KernelMatrix, config: MklConfig) -> MklSolution:
     """Iteratively build the aligned combination, one candidate kernel at a time.
 
@@ -181,18 +132,16 @@ def greedy_select(candidates: StackedKernels, Kz: KernelMatrix, config: MklConfi
     The state is m_j = <K_mu, K_j> for every candidate j; accepting feature j
     updates it to ``w1 * m + w2 * G[j]`` with G[a, b] = <K_a, K_b>, and
     <K_mu, Kz> and <K_mu, K_mu> follow as scalar recurrences (see
-    ``_inner_products`` for where G comes from). ``candidates`` is the
-    column-backed stack of ``feature_kernels``; the target ``Kz`` must be
-    symmetric with unit diagonal.
+    ``StackedKernels.inner_products`` for where G comes from). ``candidates``
+    is the column-backed stack of ``feature_kernels``; the target ``Kz`` must
+    be symmetric with unit diagonal.
     """
     if Kz.n != candidates.n:
         raise DataValidationError("target and candidate kernels must share dimensions")
     open_ = ~candidates.degenerate
     if not open_.any():
         raise DataValidationError("no non-degenerate candidate kernels")
-    tz = upper_triangle(Kz)
-    zz = candidates.n + 2.0 * float(tz @ tz)
-    cz, ss, column = _inner_products(candidates, tz, config.p)
+    cz, ss, zz, column = candidates.inner_products(Kz, config.p)
 
     mu, m = np.zeros(len(candidates)), np.zeros(len(candidates))
     mz = mm = 0.0

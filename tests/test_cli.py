@@ -593,6 +593,31 @@ class TestExitCodes:
         assert captured.err == f"error: argument {flag}: {message}\n"
         assert captured.out == "" and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, lowest",
+        [("--n", "1", 2), ("--d", "0", 1), ("--informative", "-1", 0)],
+        ids=["n", "d", "informative"],
+    )
+    def test_synth_integer_flag_error_names_the_flag(self, tmp_path, capsys, flag, value,
+                                                     lowest):
+        out = tmp_path / "out"
+        assert main(["synth", "--n", "40", "--d", "12", "--out", str(out), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: argument {flag}: expected an integer >= {lowest}, got '{value}'\n"
+        )
+        assert captured.out == "" and not out.exists()
+
+    def test_out_of_memory_is_2_in_one_line(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        message = "Unable to allocate 15.2 GiB for an array with shape (10000, 204480)"
+
+        def run_experiment(config, progress=None):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(pipeline, "run_experiment", run_experiment)
+        assert main(run_args(fixture_dir, tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"data error: out of memory: {message}\n"
+
     def test_underflowing_feature_is_3(self, tmp_path, capsys):
         # g3 is not constant, but every squared difference underflows to 0
         values = np.random.default_rng(0).uniform(size=(24, 4))

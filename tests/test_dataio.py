@@ -79,6 +79,27 @@ class TestLoadMatrix:
         with pytest.raises(DataValidationError, match="non-numeric cell 'x' at line 6, column 'g2'"):
             load_matrix(path)
 
+    @pytest.mark.parametrize(
+        "text, orientation, message",
+        [
+            ("id\tf0\t\tf2\ns1\t1\t2\t3\n", "rows",
+             "empty feature name in the header at line 1, column 3"),
+            ("\nid\tf0\t \ns1\t1\t2\n", "rows",
+             "empty feature name in the header at line 2, column 3"),
+            ("id\tf0\ns1\t1\n\n \t2\n", "rows", "empty sample id at line 4"),
+            ("gene\ts1\t\ng0\t1\t2\n", "cols",
+             "empty sample id in the header at line 1, column 3"),
+            ("gene\ts1\ng0\t1\n\xa0\t2\n", "cols", "empty feature name at line 3"),
+        ],
+        ids=["header", "whitespace-header", "row-id", "cols-header", "cols-row-id"],
+    )
+    def test_empty_name_rejected(self, tmp_path, text, orientation, message):
+        # an empty name could be selected, and a text selection skips blank lines
+        path = write(tmp_path, "m.tsv", text)
+        with pytest.raises(DataValidationError) as raised:
+            load_matrix(path, orientation)
+        assert str(raised.value) == message
+
     def test_ragged_row_names_physical_line(self, tmp_path):
         path = write(tmp_path, "m.tsv", "\nid\tg1\tg2\n\n\ns1\t1.0\n")
         with pytest.raises(DataValidationError, match="ragged row at line 5"):
@@ -277,6 +298,12 @@ class TestLoadLabels:
     def test_empty_rejected(self, tmp_path):
         path = write(tmp_path, "l.tsv", "\n")
         with pytest.raises(DataValidationError, match="empty"):
+            load_labels(path)
+
+    @pytest.mark.parametrize("sid", ["", " ", "\xa0"], ids=["empty", "space", "nbsp"])
+    def test_empty_sample_id_rejected(self, tmp_path, sid):
+        path = write(tmp_path, "l.tsv", f"sample_id\tlabel\ns1\ta\n\n{sid}\tb\n")
+        with pytest.raises(DataValidationError, match="^labels line 4 has an empty sample id$"):
             load_labels(path)
 
     def test_errors_name_physical_line(self, tmp_path):

@@ -50,8 +50,9 @@ def row_loop_sqdist(points):
 
 
 class TestPairwiseSqdist:
-    """Each pair computed once and mirrored has the bits of the full row loop,
-    for every memory layout of the points."""
+    """Each pair computed once, in triangle order, has the bits of the full
+    row loop on both sides of its diagonal, for every memory layout of the
+    points."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -73,9 +74,11 @@ class TestPairwiseSqdist:
             "strided": values[:, ::2],
             "1-D": values[:, 0],
         }[layout]
-        got = kernel.pairwise_sqdist(pts)
-        assert got.tobytes() == row_loop_sqdist(pts).tobytes()
-        assert got.tobytes() == got.T.copy().tobytes()
+        got = kernel._sq_triangle(pts)
+        full = row_loop_sqdist(pts)
+        upper = np.triu_indices(n, 1)
+        assert got.tobytes() == full[upper].tobytes()
+        assert got.tobytes() == full.T[upper].tobytes()
 
 
 class TestMedianBandwidth:
@@ -163,6 +166,15 @@ class TestGaussianKernel:
         assert np.linalg.eigvalsh(K.entries).min() >= -1e-8
 
 
+def pinned_products(stacked, Kz, source):
+    """``inner_products`` with its source pinned to "gram" or "stack", and
+    every column read: (cz, ss, zz, G) with G[j] = column(j)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_takes_gram", lambda n, d, steps: source == "gram")
+        cz, ss, zz, column = stacked.inner_products(Kz, 1)
+    return cz, ss, zz, np.array([column(j) for j in range(len(stacked))])
+
+
 class TestFeatureKernels:
     def test_one_kernel_per_feature(self, small_fixture):
         X, _ = small_fixture
@@ -206,8 +218,10 @@ class TestFeatureKernels:
         np.testing.assert_array_equal(kernels[2].entries, 1.0)
         # both sources read the same all-ones kernel: a twin of the constant column
         assert kernels.first_copies.tolist() == [0, 1, 0]
-        gram, cross = kernels.gram(kernel.upper_triangle(kernels[1]))
-        assert (gram[2] == gram[0]).all() and gram[2, 2] == 100.0 and cross[2] == cross[0]
+        for source in ("gram", "stack"):
+            cz, ss, _, gram = pinned_products(kernels, kernels[1], source)
+            assert (gram[2] == gram[0]).all() and ss[2] == gram[2, 2] == 100.0
+            assert cz[2] == cz[0]
 
     def test_underflowing_distances_raise(self):
         # not constant, but every squared difference underflows to 0
@@ -343,15 +357,19 @@ class TestStackedKernels:
         assert stacked.nbytes == X.values.nbytes == 8 * X.n * X.d
 
     def test_gram_matches_frobenius(self, small_fixture, rng):
+        # G[j, k] = <K_j, K_k> read column by column, from either source
         X, _ = small_fixture
         stacked = feature_kernels(X)
         target = gaussian_kernel(rng.standard_normal((X.n, 2)), sigma=1.0)
-        gram, cross = stacked.gram(kernel.upper_triangle(target))
-        for j in (0, 7, X.d - 1):
-            assert cross[j] == pytest.approx(frobenius_inner(stacked[j], target), rel=1e-13)
-            for k in (0, 3, X.d - 1):
-                expected = frobenius_inner(stacked[j], stacked[k])
-                assert gram[j, k] == pytest.approx(expected, rel=1e-13)
+        for source in ("gram", "stack"):
+            cross, ss, zz, gram = pinned_products(stacked, target, source)
+            assert zz == pytest.approx(frobenius_inner(target, target), rel=1e-13)
+            for j in (0, 7, X.d - 1):
+                assert cross[j] == pytest.approx(frobenius_inner(stacked[j], target), rel=1e-13)
+                assert ss[j] == pytest.approx(gram[j, j], rel=1e-13)
+                for k in (0, 3, X.d - 1):
+                    expected = frobenius_inner(stacked[j], stacked[k])
+                    assert gram[j, k] == pytest.approx(expected, rel=1e-13)
 
     def test_equal_rows_give_equal_inner_products(self, rng):
         # a BLAS product can round the twin rows 1, 3 and 5 differently
@@ -359,12 +377,13 @@ class TestStackedKernels:
         values = rng.standard_normal((12, 7))
         values[:, 3] = values[:, 5] = values[:, 1]
         stacked = feature_kernels(matrix_of(values))
-        target = kernel.upper_triangle(gaussian_kernel(rng.standard_normal((12, 2)), sigma=1.0))
+        target = gaussian_kernel(rng.standard_normal((12, 2)), sigma=1.0)
         assert list(stacked.first_copies) == [0, 1, 2, 1, 4, 1, 6]
-        gram, cross = stacked.gram(target)
-        assert len(set(cross[1::2])) == 1
-        assert len(set(gram.diagonal()[1::2])) == 1
-        assert (gram[1::2] == gram[1]).all() and (gram[:, 1::2] == gram[:, [1]]).all()
+        for source in ("gram", "stack"):
+            cross, ss, _, gram = pinned_products(stacked, target, source)
+            assert len(set(cross[1::2])) == 1
+            assert len(set(ss[1::2])) == 1 and len(set(gram.diagonal()[1::2])) == 1
+            assert (gram[1::2] == gram[1]).all() and (gram[:, 1::2] == gram[:, [1]]).all()
 
     def test_greedy_rejects_targets_the_identity_cannot_hold(self, rng):
         # <K_a, K_z> = n + 2 upper[a] . upper[z] holds only for a symmetric
@@ -475,8 +494,8 @@ def dense_frobenius_products(kernels, target):
 
 
 class TestGram:
-    """``StackedKernels.gram`` against the Frobenius products of the dense
-    kernels."""
+    """``StackedKernels.inner_products`` from the Gram matrix against the
+    Frobenius products of the dense kernels."""
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     @settings(max_examples=120, deadline=None)
@@ -503,7 +522,7 @@ class TestGram:
             return
         rng = np.random.default_rng(seed)
         target = gaussian_kernel(rng.standard_normal((X.n, 2)), sigma=1.0)
-        gram, cross = stacked.gram(kernel.upper_triangle(target))
+        cross, _, _, gram = pinned_products(stacked, target, "gram")
         expected_gram, expected_cross = dense_frobenius_products(list(stacked), target)
         np.testing.assert_allclose(gram, expected_gram, rtol=1e-12, atol=0)
         np.testing.assert_allclose(cross, expected_cross, rtol=1e-12, atol=0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lkfs.dataio import generate_synthetic, minmax_scale
 from lkfs.errors import DataValidationError
-from lkfs import mkl
+from lkfs import kernel, mkl
 from lkfs.dataio import ExpressionMatrix
 from lkfs.kernel import (
     KernelMatrix,
@@ -16,12 +16,10 @@ from lkfs.kernel import (
     feature_kernels,
     gaussian_kernel,
     median_bandwidth,
-    upper_triangle,
 )
 from lkfs.mkl import (
     MklConfig,
     MklSolution,
-    _inner_products,
     _pair_weights_batch,
     _pair_weights_from_scalars,
     combined_kernel,
@@ -310,7 +308,7 @@ class TestInnerProducts:
 
             return method
 
-        for name in ("gram", "triangles"):
+        for name in ("_pair_blocks", "triangles"):
             monkeypatch.setattr(StackedKernels, name, taking(name))
         stack = StackedKernels(
             n=n,
@@ -320,8 +318,8 @@ class TestInnerProducts:
         )
         with pytest.raises(Taken) as taken:
             greedy_select(stack, KernelMatrix(np.eye(n), 1.0), MklConfig(p=p))
-        assert str(taken.value) == {"gram": "gram", "stack": "triangles"}[way]
-        assert mkl._takes_gram(n, d, p) == (way == "gram")
+        assert str(taken.value) == {"gram": "_pair_blocks", "stack": "triangles"}[way]
+        assert kernel._takes_gram(n, d, p) == (way == "gram")
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -338,26 +336,29 @@ class TestInnerProducts:
             values, tuple(f"s{i}" for i in range(n)), tuple(f"g{j}" for j in range(values.shape[1]))
         )
         stacked = feature_kernels(X)
-        tz = upper_triangle(random_kernel(rng, n=n))
+        Kz = random_kernel(rng, n=n)
+        tz = Kz.entries[np.triu_indices(n, 1)]
         ways = {}
         for name in ("gram", "stack"):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(mkl, "_takes_gram", lambda n, d, steps: name == "gram")
-                cz, ss, column = _inner_products(stacked, tz, 1)
-            ways[name] = cz, ss, np.array([column(j) for j in range(X.d)])
+                patch.setattr(kernel, "_takes_gram", lambda n, d, steps: name == "gram")
+                cz, ss, zz, column = stacked.inner_products(Kz, 1)
+            ways[name] = cz, ss, zz, np.array([column(j) for j in range(X.d)])
         # the stack way is one matrix-vector product per column, as the
         # greedy made them before the Gram matrix
         upper = stacked.triangles()
         first = stacked.first_copies
-        cz, ss, columns = ways["stack"]
+        cz, ss, zz, columns = ways["stack"]
         assert cz.tobytes() == ((n + 2.0 * (upper @ tz))[first]).tobytes()
         assert ss.tobytes() == ((n + 2.0 * np.einsum("ij,ij->i", upper, upper))[first]).tobytes()
+        assert zz == n + 2.0 * float(tz @ tz) == ways["gram"][2]
         for j in range(X.d):
-            assert columns[j].tobytes() == ((n + 2.0 * (upper @ upper[j]))[first]).tobytes()
-        for cz, ss, columns in ways.values():
+            want = (n + 2.0 * (upper @ upper[first[j]]))[first]
+            assert columns[j].tobytes() == want.tobytes()
+        for cz, ss, _, columns in ways.values():
             for j in np.flatnonzero(first != np.arange(X.d)):
                 i = first[j]
-                assert cz[j] == cz[i] and ss[j] == ss[i] and columns[j][j] == columns[i][i]
+                assert cz[j] == cz[i] and ss[j] == ss[i] and (columns[j] == columns[i]).all()
                 assert (columns[:, j] == columns[:, i]).all()
         for got, want in zip(ways["gram"], ways["stack"]):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -368,11 +369,11 @@ class TestInnerProducts:
             (80, 200, 5),  # 40 features per step, taken because it is smaller
             (160, 500, 10),  # deep_latent's shape: 50 features per step
         ):
-            assert mkl._takes_gram(n, d, p)
+            assert kernel._takes_gram(n, d, p)
             _, candidates, kz = informative_target_fixture(seed=5, n=n, d=d)
             solutions = []
             for way in ("gram", "stack"):
-                monkeypatch.setattr(mkl, "_takes_gram", lambda n, d, steps: way == "gram")
+                monkeypatch.setattr(kernel, "_takes_gram", lambda n, d, steps: way == "gram")
                 solutions.append(greedy_select(candidates, kz, MklConfig(p=p)))
             monkeypatch.undo()
             gram, stack = solutions
