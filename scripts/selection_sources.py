@@ -72,7 +72,7 @@ def main():
         target = gaussian_kernel(rng.standard_normal((n, 2)), sigma=1.0)
         gram = measure(X, target, p, "gram", args.repeats)
         stack = measure(X, target, p, "stack", args.repeats)
-        rule = "gram" if kernel._takes_gram(n, d, p) else "stack"
+        rule = kernel.selection_source(n, d, p)[0]
         print(
             f"{n}x{d}, {p:<4} {d / p:5.1f}  {rule:5}  {gram[0]:7.3f}  {gram[1] / 2**20:8.1f}"
             f"  {stack[0]:7.3f}  {stack[1] / 2**20:9.1f}  {gram[2] == stack[2]}",

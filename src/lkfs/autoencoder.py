@@ -153,28 +153,25 @@ def init_model(arch: AeArchitecture, seed: int) -> AeModel:
     )
 
 
-def _activate(pre: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of ``kind`` applied to ``pre`` in place."""
     if kind == "relu":
-        return np.maximum(pre, 0.0, out=out)
+        return np.maximum(pre, 0.0, out=pre)
     if kind == "sigmoid":  # 1 / (1 + exp(-pre))
-        out = np.negative(pre, out=out)
-        np.exp(out, out=out)
-        np.add(1.0, out, out=out)
-        return np.divide(1.0, out, out=out)
+        np.negative(pre, out=pre)
+        np.exp(pre, out=pre)
+        np.add(1.0, pre, out=pre)
+        return np.divide(1.0, pre, out=pre)
     return pre
 
 
 def _forward_buffers(layers: Iterable[DenseLayer], rows: int) -> list[dict[str, np.ndarray]]:
     """Per layer, flat arrays of ``rows`` rows for what a pass writes: the
-    affine map, with batch norm the centred values (then xhat) and the
-    pre-activation, and the output of a non-identity activation."""
+    output, which takes the affine map and every step after it in place, and
+    with batch norm the normalized values."""
     buffers = []
     for layer in layers:
-        names = ["affine"]
-        if layer.batch_norm is not None:
-            names += ["xhat", "pre"]
-        if layer.activation != "identity":
-            names.append("out")
+        names = ("out", "xhat") if layer.batch_norm is not None else ("out",)
         buffers.append({name: np.empty(rows * layer.weights.shape[0]) for name in names})
     return buffers
 
@@ -183,32 +180,24 @@ def _layer_forward(layer: DenseLayer, h_in: np.ndarray, training: bool, buffers:
     """One layer's pass and the cache backpropagation reads. The (m, width)
     results are written into ``buffers``, one layer of ``_forward_buffers``."""
     shape = (h_in.shape[0], layer.weights.shape[0])
-
-    def into(name: str) -> np.ndarray | None:
-        flat = buffers.get(name)
-        return None if flat is None else _view(flat, shape)
-
-    affine = np.matmul(h_in, layer.weights.T, out=into("affine"))
-    affine += layer.bias
+    out = np.matmul(h_in, layer.weights.T, out=_view(buffers["out"], shape))
+    out += layer.bias
     bn = layer.batch_norm
-    cache: dict = {"h_in": h_in, "affine": affine}
+    cache: dict = {"h_in": h_in}
     if bn is not None:
         # in training, the steps of affine.mean(axis=0) and affine.var(axis=0)
-        mu = np.add.reduce(affine, axis=0) / shape[0] if training else bn.running_mean
-        centred = np.subtract(affine, mu, out=into("xhat"))
-        if training:
-            var = np.add.reduce(np.multiply(centred, centred, out=into("pre")), axis=0) / shape[0]
+        mu = np.add.reduce(out, axis=0) / shape[0] if training else bn.running_mean
+        xhat = np.subtract(out, mu, out=_view(buffers["xhat"], shape))
+        if training:  # the squares overwrite the affine map, read in full by now
+            var = np.add.reduce(np.multiply(xhat, xhat, out=out), axis=0) / shape[0]
         else:
             var = bn.running_var
         inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-        xhat = np.multiply(centred, inv_std, out=centred)
-        pre = np.multiply(bn.gamma, xhat, out=into("pre"))
-        pre += bn.shift
+        np.multiply(xhat, inv_std, out=xhat)
+        np.multiply(bn.gamma, xhat, out=out)
+        out += bn.shift
         cache.update(xhat=xhat, inv_std=inv_std, batch_mean=mu, batch_var=var)
-    else:
-        pre = affine
-    out = _activate(pre, layer.activation, into("out"))
-    cache.update(pre=pre, out=out)
+    cache["out"] = _activate(out, layer.activation)
     return cache
 
 
@@ -371,7 +360,7 @@ def _backward(
         tmp = _view(ws.rows_tmp, d_out.shape)
         if layer.activation == "relu":
             mask = _view(ws.mask, d_out.shape)
-            np.greater(cache["pre"], 0, out=mask)
+            np.greater(cache["out"], 0, out=mask)  # max(pre, 0) > 0 exactly where pre > 0
             np.multiply(d_out, mask, out=d_out)
         elif layer.activation == "sigmoid":
             np.subtract(1.0, cache["out"], out=tmp)

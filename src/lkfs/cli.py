@@ -2,8 +2,9 @@
 
 Subcommands: synth, preprocess, select, cluster, evaluate, run, inspect.
 Exit codes: 0 success, 1 usage/config error, 2 data validation error (an
-empty or whitespace-only feature name or sample id is one) or out of memory,
-3 numerical failure.
+empty or whitespace-only feature name, sample id or label is one) or out of
+memory (also a run refused before any work because its lkfs selection source
+alone would exceed physical memory), 3 numerical failure.
 """
 
 from __future__ import annotations

@@ -224,7 +224,7 @@ def load_labels(path: str | Path) -> LabelVector:
     """Parse a two-column (sample_id, label) file; header row optional.
 
     Blank lines are skipped but counted, so errors name the physical line.
-    An empty or whitespace-only sample id is rejected.
+    An empty or whitespace-only sample id or label is rejected.
     """
     path = Path(path)
     if not path.is_file():
@@ -245,6 +245,8 @@ def load_labels(path: str | Path) -> LabelVector:
         sid, label = cells[0], cells[1]
         if not sid:
             raise DataValidationError(f"labels line {line_no} has an empty sample id")
+        if not label:
+            raise DataValidationError(f"labels line {line_no} has an empty label")
         if sid in labels:
             raise DataValidationError(f"duplicate sample id {sid!r} at line {line_no}")
         labels[sid] = label

@@ -144,17 +144,30 @@ _GRAM_SLOWER_PER_STEP = 50
 _GRAM_SHRINK = 4
 
 
+def _source_bytes(n: int, d: int) -> tuple[int, int]:
+    """Bytes held by each selection source over d kernels of size n: the Gram
+    matrix at most 20 d^2 (two d x d matrices and one block of pairs), the
+    stack of triangles 8 d n(n-1)/2."""
+    return 20 * d * d, 4 * d * n * (n - 1)
+
+
 def _takes_gram(n: int, d: int, steps: int) -> bool:
     """Whether a greedy of ``steps`` steps over d kernels of size n reads the
     Gram matrix rather than the stack of triangles.
 
-    The Gram holds at most 20 d^2 bytes, the stack 8 d n(n-1)/2. The Gram is
-    taken where it is no slower and no larger, and also where it is at most
-    about 15% slower and at least ``_GRAM_SHRINK`` times smaller."""
-    gram_bytes, stack_bytes = 20 * d * d, 4 * d * n * (n - 1)
+    The Gram is taken where it is no slower and no larger, and also where it
+    is at most about 15% slower and at least ``_GRAM_SHRINK`` times smaller."""
+    gram_bytes, stack_bytes = _source_bytes(n, d)
     if d <= _GRAM_NO_SLOWER_PER_STEP * steps:
         return gram_bytes <= stack_bytes
     return d <= _GRAM_SLOWER_PER_STEP * steps and _GRAM_SHRINK * gram_bytes <= stack_bytes
+
+
+def selection_source(n: int, d: int, steps: int) -> tuple[str, int]:
+    """("gram" or "stack", its bytes): the source a greedy of ``steps`` steps
+    over d kernels of size n reads its inner products from."""
+    gram_bytes, stack_bytes = _source_bytes(n, d)
+    return ("gram", gram_bytes) if _takes_gram(n, d, steps) else ("stack", stack_bytes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import types
 import typing
 import warnings
@@ -149,6 +150,28 @@ def preprocess_matrix(X: ExpressionMatrix, cfg: PreprocessConfig) -> ExpressionM
     return dataio.variance_filter(dataio.minmax_scale(X), cfg.variance_keep_fraction)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_selection_fits(n: int, d: int, p: int) -> None:
+    """Raise ``DataValidationError`` when the source that the lkfs greedy over
+    d kernels of n samples reads for p steps (``kernel.selection_source``)
+    would alone exceed physical memory. The answer depends on the machine;
+    what a run outputs never does."""
+    source, nbytes = kernel.selection_source(n, d, p)
+    memory = _physical_memory()
+    if memory is not None and nbytes > memory:
+        raise DataValidationError(
+            f"lkfs selection over {n} samples x {d} features at p={p} needs the {source} "
+            f"source of {nbytes} bytes, more than the {memory} bytes of physical memory"
+        )
+
+
 def _train_latent(
     X: ExpressionMatrix, config: RunConfig, seed: int
 ) -> LatentRepresentation:
@@ -268,18 +291,13 @@ def score_selection(
 
 def _run_repetition(
     rep_index: int,
-    X_raw: ExpressionMatrix,
+    rep_seed: int,
+    Xp: ExpressionMatrix,
     labels: LabelVector | None,
     config: RunConfig,
     progress: Callable[[dict], None] | None,
 ) -> dict[str, list[RepetitionRecord]]:
-    rep_seed = derive_seed(config.seed, rep_index, _SEED_SUBSAMPLE)
-    # the unscaled resample is freed as soon as it is scaled: nothing after reads it
-    Xp = preprocess_matrix(
-        dataio.subsample(X_raw, config.preprocess.subsample_fraction, seed=rep_seed),
-        config.preprocess,
-    )
-
+    """The records of repetition ``rep_index`` on its preprocessed resample ``Xp``."""
     records: dict[str, list[RepetitionRecord]] = {m: [] for m in config.methods}
     for method in config.methods:
         for p, selected, _ in select_features(method, Xp, config, rep_index):
@@ -336,10 +354,23 @@ def run_experiment(
         raise DataValidationError(
             f"need n >= batch_size, got n={subsampled_n}, batch_size={config.ae.batch_size}"
         )
+    if "lkfs" in config.methods:
+        _check_selection_fits(subsampled_n, post_filter_d, max(config.p_grid))
 
     per_method: dict[str, list[RepetitionRecord]] = {m: [] for m in config.methods}
-    for rep_index in range(config.preprocess.repetitions):
-        for method, recs in _run_repetition(rep_index, X, labels, config, progress).items():
+    last = config.preprocess.repetitions - 1
+    for rep_index in range(last + 1):
+        rep_seed = derive_seed(config.seed, rep_index, _SEED_SUBSAMPLE)
+        resample = dataio.subsample(X, config.preprocess.subsample_fraction, seed=rep_seed)
+        if rep_index == last:
+            del X  # nothing reads the loaded matrix after its last resample
+        # each stage drops what the next does not read: the unscaled resample
+        # once it is scaled, and the preprocessed one before the next draw
+        Xp = preprocess_matrix(resample, config.preprocess)
+        del resample
+        records = _run_repetition(rep_index, rep_seed, Xp, labels, config, progress)
+        del Xp
+        for method, recs in records.items():
             per_method[method].extend(recs)
 
     dataset_id = config.dataset_id or (Path(config.input).stem if config.input else "in-memory")

@@ -754,6 +754,14 @@ class TestExitCodes:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_empty_label_is_2_naming_the_line(self, fixture_dir, tmp_path, capsys):
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("sample_id\tlabel\ns0\ta\ns1\t\n")
+        argv = run_args(fixture_dir, tmp_path / "out")
+        argv[argv.index("--labels") + 1] = str(labels)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "data error: labels line 3 has an empty label\n"
+
     def test_bad_cell_is_2(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("id\tg1\ns1\tNA\ns2\t1\n")

@@ -306,6 +306,13 @@ class TestLoadLabels:
         with pytest.raises(DataValidationError, match="^labels line 4 has an empty sample id$"):
             load_labels(path)
 
+    @pytest.mark.parametrize("label", ["", " "], ids=["empty", "space"])
+    def test_empty_label_rejected(self, tmp_path, label):
+        # a missing label would otherwise load as a class of its own, ''
+        path = write(tmp_path, "l.tsv", f"s1\t{label}\ns2\tb\ns3\tb\n")
+        with pytest.raises(DataValidationError, match="^labels line 1 has an empty label$"):
+            load_labels(path)
+
     def test_errors_name_physical_line(self, tmp_path):
         # the short row sits on line 5, after two blank lines
         path = write(tmp_path, "l.tsv", "sample_id\tlabel\n\ns1\ta\n\ns2\n")

@@ -208,6 +208,69 @@ class TestRepetitionMemory:
         assert alive_at_training == [False, False]
 
 
+    def test_loaded_matrix_is_freed_before_the_last_repetition(self, fixture_data, tmp_path,
+                                                                  monkeypatch):
+        from lkfs import dataio, pipeline
+
+        loaded, alive_at_training = [], []
+        load, train = dataio.load_matrix, pipeline.train
+
+        def loading(*args, **kwargs):
+            matrix = load(*args, **kwargs)
+            loaded.append(weakref.ref(matrix))
+            return matrix
+
+        def training(*args):
+            alive_at_training.append(loaded[0]() is not None)
+            return train(*args)
+
+        monkeypatch.setattr(dataio, "load_matrix", loading)
+        monkeypatch.setattr(pipeline, "train", training)
+        X, labels = fixture_data
+        dataio.save_matrix(X, tmp_path / "matrix.tsv")
+        config = fast_config(methods=("lkfs",), input=str(tmp_path / "matrix.tsv"))
+        run_experiment(config, labels=labels)
+        assert alive_at_training == [True, False]
+
+
+class TestSelectionMemoryCheck:
+    @pytest.mark.parametrize(
+        "n, d, p, source, nbytes",
+        [
+            (640, 10_000, 50, "stack", 4 * 10_000 * 640 * 639),  # 15.2 GiB
+            (160, 500, 10, "gram", 20 * 500 * 500),
+            (40, 100, 10, "gram", 20 * 100 * 100),
+            (10, 100, 10, "stack", 4 * 100 * 10 * 9),
+        ],
+    )
+    def test_refuses_a_source_larger_than_physical_memory(self, monkeypatch, n, d, p, source,
+                                                          nbytes):
+        from lkfs import pipeline
+
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: nbytes)
+        pipeline._check_selection_fits(n, d, p)
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: nbytes - 1)
+        message = (
+            f"lkfs selection over {n} samples x {d} features at p={p} needs the {source} "
+            f"source of {nbytes} bytes, more than the {nbytes - 1} bytes of physical memory"
+        )
+        with pytest.raises(DataValidationError, match=f"^{message}$"):
+            pipeline._check_selection_fits(n, d, p)
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: None)
+        pipeline._check_selection_fits(n, d, p)  # unknown memory: no refusal
+
+    def test_run_is_refused_before_training(self, fixture_data, monkeypatch):
+        from lkfs import pipeline
+
+        monkeypatch.setattr(pipeline, "_physical_memory", lambda: 1024)
+        monkeypatch.setattr(pipeline, "train", lambda *args: pytest.fail("trained"))
+        X, labels = fixture_data
+        # 64 of 80 samples, 12 of 24 features after the filter, p = 6
+        with pytest.raises(DataValidationError, match="^lkfs selection over 64 samples x 12 "):
+            run_experiment(fast_config(), X=X, labels=labels)
+        run_experiment(fast_config(methods=("spec",)), X=X, labels=labels)
+
+
 class TestEmitOutputs:
     def test_expected_file_set(self, emitted):
         _, out, _ = emitted
