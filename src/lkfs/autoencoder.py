@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -92,6 +92,12 @@ class DenseLayer:
     batch_norm: BatchNormState | None = None
 
 
+def _layer_parameters(layer: DenseLayer) -> list[np.ndarray]:
+    """A layer's trainable arrays: weights, bias and, with batch norm, its scale and shift."""
+    bn = layer.batch_norm
+    return [layer.weights, layer.bias] + ([bn.gamma, bn.shift] if bn is not None else [])
+
+
 @dataclass
 class AeModel:
     arch: AeArchitecture
@@ -105,14 +111,12 @@ class AeModel:
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """All trainable arrays in a fixed order (weights, biases, BN scale/shift)."""
-        out = []
-        for idx, layer in enumerate(self.layers()):
-            out.append((f"layer{idx}.weights", layer.weights))
-            out.append((f"layer{idx}.bias", layer.bias))
-            if layer.batch_norm is not None:
-                out.append((f"layer{idx}.gamma", layer.batch_norm.gamma))
-                out.append((f"layer{idx}.shift", layer.batch_norm.shift))
-        return out
+        names = ("weights", "bias", "gamma", "shift")
+        return [
+            (f"layer{idx}.{name}", array)
+            for idx, layer in enumerate(self.layers())
+            for name, array in zip(names, _layer_parameters(layer))
+        ]
 
     def weight_matrices(self) -> list[np.ndarray]:
         return [layer.weights for layer in self.layers()]
@@ -248,16 +252,6 @@ class LatentRepresentation:
             raise DataValidationError("latent rows must align one-to-one with sample ids")
 
 
-def loss_mse(x: np.ndarray, x_reconstructed: np.ndarray) -> float:
-    """Mean over samples of the squared Euclidean reconstruction error."""
-    x = np.asarray(x, dtype=np.float64)
-    r = np.asarray(x_reconstructed, dtype=np.float64)
-    if x.shape != r.shape:
-        raise DataValidationError(f"shape mismatch: {x.shape} vs {r.shape}")
-    diff = x - r
-    return float((diff * diff).sum() / x.shape[0])
-
-
 def weight_penalty(model: AeModel, scratch: np.ndarray) -> float:
     """Sum of squared weight entries over encoder and decoder (biases excluded).
 
@@ -302,34 +296,40 @@ class _Workspace:
     """Forward buffers, gradient arrays and scratch for one model, reused across batches.
 
     ``forward`` holds every layer's ``_forward_buffers`` and the row buffers
-    hold the widest layer, both for up to ``rows`` rows. The gradients are views of
-    one flat array aligned with ``model.parameters()``. ``scratch`` serves the
-    weight decay, the weight penalty and the Adam blocks in turn, so it holds
-    the largest weight matrix or two Adam blocks, whichever is larger.
+    hold the widest layer, both for up to ``rows`` rows. ``grad`` holds one
+    layer's gradients at a time: ``layer_grads`` gives each layer views of it,
+    aligned with that layer's arrays in ``model.parameters()``, and
+    ``layer_slices`` that layer's slice of the flat parameters.
+    ``scratch`` serves the weight decay, the weight penalty and the Adam
+    blocks in turn, so it holds the largest weight matrix or two Adam blocks,
+    whichever is larger.
     """
 
     def __init__(self, model: AeModel, rows: int):
         self.forward = _forward_buffers(model.layers(), rows)
-        shapes = [array.shape for _, array in model.parameters()]
-        self.grad_flat = np.empty(sum(math.prod(shape) for shape in shapes))
-        self.grads = _views(self.grad_flat, shapes)
-        per_layer = iter(self.grads)
-        self.layer_grads = []  # (weights, bias, gamma, shift) per layer, None without BN
-        for layer in model.layers():
-            d_weights, d_bias = next(per_layer), next(per_layer)
-            bn = (next(per_layer), next(per_layer)) if layer.batch_norm is not None else (None, None)
-            self.layer_grads.append((d_weights, d_bias, *bn))
+        arrays = [_layer_parameters(layer) for layer in model.layers()]
+        sizes = [sum(a.size for a in layer_arrays) for layer_arrays in arrays]
+        self.grad = np.empty(max(sizes))
+        self.layer_slices, self.layer_grads = [], []
+        start = 0
+        for layer_arrays, size in zip(arrays, sizes):
+            self.layer_slices.append(slice(start, start + size))
+            start += size
+            # (weights, bias, gamma, shift), None without BN
+            grads = _views(self.grad, [a.shape for a in layer_arrays])
+            self.layer_grads.append((*grads, *[None] * (4 - len(grads))))
         width = max(model.arch.encoder_layers + model.arch.decoder_layers)
         self.deltas = (np.empty(rows * width), np.empty(rows * width))
         self.rows_tmp = np.empty(rows * width)
         self.mask = np.empty(rows * width, dtype=bool)
         self.col_sums = np.empty((2, width))
-        adam_blocks = 2 * min(_ADAM_BLOCK, self.grad_flat.size)
+        adam_blocks = 2 * min(_ADAM_BLOCK, self.grad.size)
         self.scratch = np.empty(max(adam_blocks, *(w.size for w in model.weight_matrices())))
 
 
 def _loss(model: AeModel, batch: np.ndarray, beta_l2: float, ws: _Workspace) -> tuple:
-    """The train-mode pass into ``ws``: the regularized loss (``loss_mse`` plus
+    """The train-mode pass into ``ws``: the regularized loss (the squared
+    reconstruction error summed over features and averaged over samples, plus
     ``beta_l2`` times ``weight_penalty``), the caches and the reconstruction."""
     caches, recon = _forward_cached(model, batch, ws.forward)
     diff = _view(ws.rows_tmp, batch.shape)
@@ -341,11 +341,14 @@ def _loss(model: AeModel, batch: np.ndarray, beta_l2: float, ws: _Workspace) -> 
 
 def _backward(
     model: AeModel, caches: list[dict], batch: np.ndarray, recon: np.ndarray, beta_l2: float,
-    ws: _Workspace,
+    ws: _Workspace, layer_done: Callable[[int], None],
 ) -> None:
     """Gradients of the regularized loss from the caches of one ``_loss`` pass,
-    written into the gradient arrays of ``ws``. The input gradient of the
-    first layer is not computed: nothing reads it."""
+    from the last layer down. Once layer ``idx``'s gradients are in
+    ``ws.layer_grads[idx]`` and the gradient it passes down has read its
+    weights, ``layer_done(idx)`` is called; the next layer down overwrites
+    them. The input gradient of the first layer is not computed: nothing
+    reads it."""
     m = batch.shape[0]
     delta_buf, below_buf = ws.deltas
     d_out = _view(delta_buf, recon.shape)
@@ -393,16 +396,22 @@ def _backward(
             np.matmul(d_out, layer.weights, out=d_in)
             d_out = d_in
             delta_buf, below_buf = below_buf, delta_buf
+        layer_done(idx)
 
 
 def parameter_gradients(model: AeModel, batch: np.ndarray, beta_l2: float) -> list[np.ndarray]:
     """Analytic gradients of the regularized loss, aligned with ``model.parameters()``,
-    in the arrays of a fresh workspace."""
+    each copied out of the workspace into a fresh array."""
     batch = np.asarray(batch, dtype=np.float64)
     ws = _Workspace(model, batch.shape[0])
     _, caches, recon = _loss(model, batch, beta_l2, ws)
-    _backward(model, caches, batch, recon, beta_l2, ws)
-    return ws.grads
+    from_the_top = []  # per layer, last layer first
+
+    def copy_out(idx: int) -> None:
+        from_the_top.append([g.copy() for g in ws.layer_grads[idx] if g is not None])
+
+    _backward(model, caches, batch, recon, beta_l2, ws, copy_out)
+    return [g for grads in reversed(from_the_top) for g in grads]
 
 
 def numerical_gradients(model: AeModel, batch: np.ndarray, beta_l2: float, step: float = 1e-5) -> list[np.ndarray]:
@@ -489,10 +498,11 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams, seed: in
 
     Deterministic given ``seed`` (initialization and shuffling both derive
     from it); records the mean regularized loss per epoch. Each batch runs one
-    forward pass, one backward pass and one Adam step. The trainable arrays of
-    the returned model are views of one flat buffer; gradients, Adam moments,
-    forward-pass layer outputs, scratch and the gathered batch are allocated
-    once per call.
+    forward pass and one backward pass, which takes the Adam step of each
+    layer as soon as that layer's gradients are formed. The trainable arrays
+    of the returned model are views of one flat buffer; Adam moments, one
+    layer's gradients, forward-pass layer outputs, scratch and the gathered
+    batch are allocated once per call.
     """
     if arch.input_dim != X.d:
         raise ConfigError(f"architecture input size {arch.input_dim} != matrix width {X.d}")
@@ -507,6 +517,15 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams, seed: in
     adam_m = np.zeros_like(params)
     adam_v = np.zeros_like(params)
     step = 0
+
+    def adam_layer(idx: int) -> None:
+        # Adam is elementwise, and backpropagation below this layer reads
+        # none of its parameters, so stepping it now gives the bits of one
+        # step over the whole model after the backward pass
+        layer = ws.layer_slices[idx]
+        grad = ws.grad[: layer.stop - layer.start]
+        _adam_step(params[layer], grad, adam_m[layer], adam_v[layer], step, ws.scratch)
+
     values = X.values
     for epoch in range(hp.epochs):
         order = shuffle_rng.permutation(X.n)
@@ -519,9 +538,8 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams, seed: in
             if not np.isfinite(batch_loss):
                 raise NumericalError(f"non-finite loss at epoch {epoch}, batch {batch_no}")
             epoch_loss += batch_loss * m
-            _backward(model, caches, batch, recon, hp.beta_l2, ws)
             step += 1
-            _adam_step(params, ws.grad_flat, adam_m, adam_v, step, ws.scratch)
+            _backward(model, caches, batch, recon, hp.beta_l2, ws, adam_layer)
             _update_running_stats(model, caches, m)
         model.loss_history.append(epoch_loss / X.n)
     return model

@@ -3,16 +3,17 @@
 The on-disk matrix format is UTF-8 delimited text (tab or comma, auto-detected
 from the header line). The first row is a header whose first cell is ignored;
 the first column holds sample identifiers. With ``orientation="cols"`` (file
-rows are features) the file is transposed on load so that samples are always
+rows are features) each file row fills a column, so that samples are always
 rows in memory.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -157,15 +158,24 @@ def _parse_row(cells: list[str], line_no: int, col_names: Sequence[str]) -> np.n
     )
 
 
+def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(physical line number, line) for each non-blank line of a text file,
+    read one line at a time with the line boundaries of ``str.splitlines``."""
+    with path.open(encoding="utf-8") as f:
+        numbered = enumerate((ln for chunk in f for ln in chunk.splitlines()), start=1)
+        yield from ((no, ln) for no, ln in numbered if ln.strip())
+
+
 def load_matrix(path: str | Path, orientation: str = "rows") -> ExpressionMatrix:
     """Parse a delimited text matrix into a validated :class:`ExpressionMatrix`.
 
     ``orientation`` says whether file rows are samples ("rows") or features
-    ("cols"); in the latter case the result is transposed so samples are rows.
-    The file is read one line at a time, with the line boundaries of
-    ``str.splitlines``; blank lines are skipped but counted, so errors name
-    the physical line. An empty or whitespace-only feature name or sample id
-    is rejected.
+    ("cols"); in the latter case each file row fills a column, so samples are
+    rows. The file is read twice, one line at a time, with the line
+    boundaries of ``str.splitlines``: once to count the data rows, then to
+    parse each into its slot of the one values array. Blank lines are skipped
+    but counted, so errors name the physical line. An empty or
+    whitespace-only feature name or sample id is rejected.
     """
     if orientation not in ORIENTATIONS:
         raise ConfigError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
@@ -173,11 +183,9 @@ def load_matrix(path: str | Path, orientation: str = "rows") -> ExpressionMatrix
     if not path.is_file():
         raise DataValidationError(f"matrix file not found: {path}")
 
+    n_rows = sum(1 for _ in _data_lines(path)) - 1  # the header is not a data row
     row_ids: list[str] = []
-    rows: list[np.ndarray] = []
-    with path.open(encoding="utf-8") as f:
-        numbered = enumerate((ln for chunk in f for ln in chunk.splitlines()), start=1)
-        lines = ((no, ln) for no, ln in numbered if ln.strip())
+    with closing(_data_lines(path)) as lines:
         header_no, header_line = next(lines, (0, ""))
         delim = _detect_delimiter(header_line)
         header = [c.strip() for c in header_line.split(delim)]
@@ -192,7 +200,16 @@ def load_matrix(path: str | Path, orientation: str = "rows") -> ExpressionMatrix
                 f"empty {col_kind} in the header at line {header_no}, "
                 f"column {col_names.index('') + 2}"
             )
+        if n_rows < 1:
+            raise DataValidationError(f"matrix file has no data rows: {path}")
+        # samples are rows: file row i fills row i, or with "cols" column i
+        shape = (n_rows, len(col_names))
+        values = np.empty(shape if orientation == "rows" else shape[::-1])
+        slots = values if orientation == "rows" else values.T
+        changed = f"matrix file changed while it was read: {path}"
         for line_no, line in lines:
+            if len(row_ids) == n_rows:
+                raise DataValidationError(changed)
             cells = line.split(delim)
             if len(cells) != len(header):
                 raise DataValidationError(
@@ -201,14 +218,12 @@ def load_matrix(path: str | Path, orientation: str = "rows") -> ExpressionMatrix
             row_ids.append(cells[0].strip())
             if not row_ids[-1]:
                 raise DataValidationError(f"empty {row_kind} at line {line_no}")
-            rows.append(_parse_row(cells[1:], line_no, col_names))
-    if not rows:
-        raise DataValidationError(f"matrix file has no data rows: {path}")
+            slots[len(row_ids) - 1] = _parse_row(cells[1:], line_no, col_names)
+        if len(row_ids) < n_rows:
+            raise DataValidationError(changed)
 
-    values = np.array(rows, dtype=np.float64)
-    del rows  # free the row copies before validation, or the transpose, copies again
     if orientation == "cols":
-        return ExpressionMatrix(values.T, sample_ids=col_names, feature_names=row_ids)
+        return ExpressionMatrix(values, sample_ids=col_names, feature_names=row_ids)
     return ExpressionMatrix(values, sample_ids=row_ids, feature_names=col_names)
 
 

@@ -16,7 +16,6 @@ from lkfs.autoencoder import (
     encode,
     gradient_check,
     init_model,
-    loss_mse,
     max_relative_error,
     numerical_gradients,
     parameter_gradients,
@@ -122,6 +121,16 @@ class TestForward:
         z_all = encode(model, as_matrix(batch)).z_values
         z_rows = [encode(model, as_matrix(batch[i : i + 1], i)).z_values for i in range(5)]
         np.testing.assert_allclose(z_all, np.vstack(z_rows), rtol=1e-12, atol=1e-14)
+
+
+def loss_mse(x, x_reconstructed):
+    """Mean over samples of the squared Euclidean reconstruction error."""
+    x = np.asarray(x, dtype=np.float64)
+    r = np.asarray(x_reconstructed, dtype=np.float64)
+    if x.shape != r.shape:
+        raise DataValidationError(f"shape mismatch: {x.shape} vs {r.shape}")
+    diff = x - r
+    return float((diff * diff).sum() / x.shape[0])
 
 
 class TestLosses:
@@ -442,9 +451,14 @@ class TestTrainingMemory:
         model = init_model(arch, 0)
         P = sum(array.size for _, array in model.parameters())
         largest = max(w.size for w in model.weight_matrices())
+        layer_params = [
+            layer.weights.size + layer.bias.size + (2 * layer.bias.size if layer.batch_norm else 0)
+            for layer in model.layers()
+        ]
         rows = hp.batch_size + 1  # a trailing singleton joins the last batch
         width = max(arch.encoder_layers)
-        moments = 4 * 8 * P  # parameters, gradients and both Adam moments
+        # parameters and both Adam moments; the gradients of one layer at a time
+        moments = 3 * 8 * P + 8 * max(layer_params)
         scratch = 8 * max(largest, 2 * _ADAM_BLOCK)
         forward = sum(
             flat.nbytes for layer in _forward_buffers(model.layers(), rows) for flat in layer.values()

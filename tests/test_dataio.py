@@ -259,7 +259,9 @@ class TestStreamingLoader:
         assert back.values.tobytes() == X.values.tobytes()
         assert (back.sample_ids, back.feature_names) == (X.sample_ids, X.feature_names)
 
-    def test_load_memory_is_a_small_multiple_of_the_values(self, tmp_path):
+    @pytest.mark.parametrize("orientation", ORIENTATIONS)
+    def test_load_memory_is_a_small_multiple_of_the_values(self, tmp_path, orientation):
+        # the values array is allocated once and each file row parsed into it
         rng = np.random.default_rng(0)
         X = ExpressionMatrix(
             rng.standard_normal((100, 2000)),
@@ -267,15 +269,39 @@ class TestStreamingLoader:
             tuple(f"g{j}" for j in range(2000)),
         )
         path = tmp_path / "m.tsv"
-        save_matrix(X, path)
+        if orientation == "rows":
+            save_matrix(X, path)
+        else:
+            save_matrix(ExpressionMatrix(X.values.T, X.feature_names, X.sample_ids), path)
         tracemalloc.start()
         try:
-            back = load_matrix(path)
+            back = load_matrix(path, orientation)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert back.values.tobytes() == X.values.tobytes()
-        assert peak <= 3 * X.values.nbytes + 2**20
+        assert (back.sample_ids, back.feature_names) == (X.sample_ids, X.feature_names)
+        assert peak <= X.values.nbytes + 2**20
+
+    @pytest.mark.parametrize(
+        "edited", ["id\ta\ns1\t1\ns2\t2\ns3\t3\n", "id\ta\ns1\t1\n"], ids=["grew", "shrank"]
+    )
+    def test_file_changed_between_count_and_parse(self, tmp_path, monkeypatch, edited):
+        path = write(tmp_path, "m.tsv", "id\ta\ns1\t1\ns2\t2\n")
+        real_open = Path.open
+        opened = []
+
+        def open_then_edit(self, *args, **kwargs):
+            # the second open is the parse, after the data lines were counted
+            opened.append(self)
+            if len(opened) == 2:
+                with open(self, "w", encoding="utf-8") as f:
+                    f.write(edited)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_then_edit)
+        with pytest.raises(DataValidationError, match="changed while it was read"):
+            load_matrix(path)
 
 
 class TestLoadLabels:
