@@ -132,6 +132,10 @@ def upper_triangle(K: KernelMatrix) -> np.ndarray:
 
 
 _BLOCK_ENTRIES = 1 << 18  # entries of one block of sample pairs (2 MB of float64)
+# rows of one band of the Gram matrix's upper triangle: band b holds rows
+# [32 b, 32 b + 32) from the diagonal on, so the bands take d (d + 32) / 2
+# entries in place of d^2
+_GRAM_BAND_ROWS = 32
 # Features per greedy step up to which the Gram matrix selects no slower than
 # the stack, and up to which it selects about 15% slower. Measured with
 # feature_kernels + greedy_select on random matrices, one BLAS thread
@@ -146,8 +150,12 @@ _GRAM_SHRINK = 4
 
 def _source_bytes(n: int, d: int) -> tuple[int, int]:
     """Bytes held by each selection source over d kernels of size n: the Gram
-    matrix at most 20 d^2 (two d x d matrices and one block of pairs), the
-    stack of triangles 8 d n(n-1)/2."""
+    matrix at most 20 d^2, the stack of triangles 8 d n(n-1)/2.
+
+    The Gram holds its banded upper triangle, one d x d product and one block
+    of pairs, about 16 d^2 at most; 20 d^2 counts a whole d x d sum in place
+    of the triangle, as when the rule was measured, so that an upper bound
+    puts every shape on the source it had."""
     return 20 * d * d, 4 * d * n * (n - 1)
 
 
@@ -267,8 +275,11 @@ class StackedKernels:
 
         - the Gram matrix of sums, ``block.T @ block`` (a symmetric BLAS
           product, so exactly symmetric) and ``block.T @ target`` over the
-          blocks of ``_pair_blocks``: one d^2 n(n-1)/2 product, and up to
-          20 d^2 bytes, two d x d matrices and one block;
+          blocks of ``_pair_blocks``: one d^2 n(n-1)/2 product. Its upper
+          triangle is held in bands of ``_GRAM_BAND_ROWS`` rows, each of
+          which adds every block's product in block order, so every sum has
+          the bits of a whole d x d sum; with the one d x d product and one
+          block, that is about 16 d^2 bytes at most;
         - the stack of ``triangles``: one matrix-vector pass per column read,
           and 4 d n(n-1) bytes.
 
@@ -277,12 +288,24 @@ class StackedKernels:
         """
         n, d, tz = self.n, len(self), upper_triangle(Kz)
         if _takes_gram(n, d, steps):
-            gram, product, cross = np.zeros((d, d)), np.empty((d, d)), np.zeros(d)
+            h = _GRAM_BAND_ROWS
+            bands = [(a, np.zeros((min(h, d - a), d - a))) for a in range(0, d, h)]
+            product, cross = np.empty((d, d)), np.zeros(d)
             for pairs, block in self._pair_blocks():
-                gram += np.matmul(block.T, block, out=product)
+                np.matmul(block.T, block, out=product)
+                for a, band in bands:
+                    band += product[a : a + band.shape[0], a:]
                 cross += block.T @ tz[pairs]
             del product
-            ss, column = gram.diagonal(), gram.__getitem__
+            ss = np.concatenate([band.diagonal() for _, band in bands])
+
+            def column(j: int) -> np.ndarray:
+                # sums above j's band are column j of the bands there, the
+                # rest row j of its own band: the product is exactly symmetric
+                above = bands[: j // h]
+                a, band = bands[j // h]
+                return np.concatenate([*(b[:, j - top] for top, b in above), band[j - a]])
+
         else:
             stack = self.triangles()
             cross, ss = stack @ tz, np.einsum("ij,ij->i", stack, stack)

@@ -297,10 +297,20 @@ def _run_repetition(
     config: RunConfig,
     progress: Callable[[dict], None] | None,
 ) -> dict[str, list[RepetitionRecord]]:
-    """The records of repetition ``rep_index`` on its preprocessed resample ``Xp``."""
+    """The records of repetition ``rep_index`` on its preprocessed resample ``Xp``.
+
+    Raises ``DataValidationError`` when a selection holds fewer than the two
+    features RED needs. Every p is at least 2, so only the greedy can stop
+    that short: duplicate samples can make one kernel align with the target
+    alone."""
     records: dict[str, list[RepetitionRecord]] = {m: [] for m in config.methods}
     for method in config.methods:
-        for p, selected, _ in select_features(method, Xp, config, rep_index):
+        for p, selected, result in select_features(method, Xp, config, rep_index):
+            if len(selected) < 2:
+                raise DataValidationError(
+                    f"repetition {rep_index}: {method} selected {len(selected)} feature at "
+                    f"p={p} (stop reason: {result.stop_reason}), and RED needs at least 2"
+                )
             red, metrics = score_selection(Xp, selected, labels, config, rep_index, p)
             records[method].append(
                 RepetitionRecord(
@@ -365,7 +375,9 @@ def run_experiment(
         if rep_index == last:
             del X  # nothing reads the loaded matrix after its last resample
         # each stage drops what the next does not read: the unscaled resample
-        # once it is scaled, and the preprocessed one before the next draw
+        # once preprocessing returns (this name and preprocess_matrix's
+        # argument keep it alive through variance_filter, beside the scaled
+        # copy), and the preprocessed one before the next draw
         Xp = preprocess_matrix(resample, config.preprocess)
         del resample
         records = _run_repetition(rep_index, rep_seed, Xp, labels, config, progress)

@@ -502,6 +502,32 @@ class TestExitCodes:
         )
         assert main([*argv, "--methods", "spec", "--out", str(tmp_path / "spec")]) == 0
 
+    def test_greedy_stopped_at_one_feature_is_2(self, tmp_path, capsys):
+        # two distinct samples, each 30 times: the first kernel's alignment
+        # rounds above 1 and the greedy stops there, one feature short of RED
+        two = np.random.default_rng(0).standard_normal((2, 30))
+        matrix, config = tmp_path / "matrix.tsv", tmp_path / "config.json"
+        save_matrix(
+            ExpressionMatrix(
+                two[np.arange(60) % 2], [f"s{i}" for i in range(60)], [f"g{j}" for j in range(30)]
+            ),
+            matrix,
+        )
+        config.write_text(json.dumps({
+            "preprocess": {"variance_keep_fraction": 1.0},
+            "ae_hidden": [8], "ae_latent": 2, "ae": {"epochs": 5, "batch_size": 16},
+            "methods": ["lkfs"], "p_grid": [5], "k_grid": [2],
+        }))
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="labels"):
+            code = main(["run", "--config", str(config), "--input", str(matrix), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: repetition 0: lkfs selected 1 feature at p=5 "
+            "(stop reason: no_improvement), and RED needs at least 2\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, flags, message",
         [

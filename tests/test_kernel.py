@@ -493,9 +493,44 @@ def dense_frobenius_products(kernels, target):
     return gram, np.array([float((a * target.entries).sum()) for a in dense])
 
 
+def full_gram_products(stacked, target):
+    """(cz, ss, G) of the Gram source summed into one d x d matrix, block by
+    block over ``_pair_blocks``, and scaled as ``inner_products`` scales them."""
+    n, d, tz = stacked.n, len(stacked), kernel.upper_triangle(target)
+    gram, cross = np.zeros((d, d)), np.zeros(d)
+    for pairs, block in stacked._pair_blocks():
+        gram += block.T @ block
+        cross += block.T @ tz[pairs]
+    first = stacked.first_copies
+
+    def scaled(sums):
+        return (n + 2.0 * sums)[first]
+
+    return scaled(cross), scaled(gram.diagonal()), np.array([scaled(gram[i]) for i in first])
+
+
 class TestGram:
     """``StackedKernels.inner_products`` from the Gram matrix against the
     Frobenius products of the dense kernels."""
+
+    H = kernel._GRAM_BAND_ROWS
+
+    @pytest.mark.parametrize("d", [1, H - 1, H, H + 1, 3 * H + 5])
+    def test_bands_keep_the_bits_of_the_full_sum(self, rng, monkeypatch, d):
+        # blocks of a few sample rows, so that every band adds many products
+        monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 256)
+        values = rng.random((24, d))
+        if d > 2:
+            values[:, d // 2] = 0.5  # a constant column: an all-ones kernel
+            values[:, d - 1] = values[:, 0]  # twins in the first and last band
+        stacked = feature_kernels(matrix_of(values))
+        target = gaussian_kernel(rng.standard_normal((24, 2)), sigma=1.0)
+        cross, ss, _, gram = pinned_products(stacked, target, "gram")
+        expected_cross, expected_ss, expected_gram = full_gram_products(stacked, target)
+        assert cross.tobytes() == expected_cross.tobytes()
+        assert ss.tobytes() == expected_ss.tobytes()
+        for j in range(d):
+            assert gram[j].tobytes() == expected_gram[j].tobytes(), j
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     @settings(max_examples=120, deadline=None)
@@ -551,14 +586,20 @@ class TestGram:
         finally:
             tracemalloc.stop()
 
-    def test_selection_memory_is_two_gram_matrices_and_a_block(self, rng):
+    @staticmethod
+    def product_triangle_and_block(d):
+        """Bytes of the BLAS product (8 d^2), the banded upper triangle of the
+        sums (about 4 d^2) and one block of pairs (2 MiB), with 0.5 MiB to spare."""
+        return 1.5 * 8 * d * d + 2.5 * 2**20
+
+    def test_wide_select_shape_peak_is_a_product_a_triangle_and_a_block(self, rng):
         # the stack of triangles alone would take 4 d n (n - 1) = 61 MB here;
         # at 12 features per step the greedy reads the Gram matrix instead
         d = 600
-        assert self.selection_peak(rng, 160, d, p=50) <= 2 * 8 * d * d + 4 * 2**20
+        assert self.selection_peak(rng, 160, d, p=50) <= self.product_triangle_and_block(d)
 
-    def test_deep_latent_shape_selects_from_the_gram(self, rng):
+    def test_deep_latent_shape_peak_is_a_product_a_triangle_and_a_block(self, rng):
         # at 50 features per step the Gram is a little slower than the stack
         # of triangles (4 d n (n - 1) = 51 MB here), and many times smaller
         d = 500
-        assert self.selection_peak(rng, 160, d, p=10) <= 2 * 8 * d * d + 4 * 2**20
+        assert self.selection_peak(rng, 160, d, p=10) <= self.product_triangle_and_block(d)
