@@ -30,14 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        message = f"expected comma-separated integers, got {text!r}"
-        raise argparse.ArgumentTypeError(message) from None
-
-
 def _int_at_least(lowest: int):
     """An argparse type for integers >= ``lowest``, so that the error names the flag."""
 
@@ -51,6 +43,13 @@ def _int_at_least(lowest: int):
         return value
 
     return parse
+
+
+def _int_list(lowest: int):
+    """An argparse type for comma lists of integers >= ``lowest``, so that the
+    error names the flag."""
+    one = _int_at_least(lowest)
+    return lambda text: tuple(one(v) for v in text.split(",") if v.strip())
 
 
 _seed = _int_at_least(0)  # numpy seeds its generators only from integers >= 0
@@ -110,7 +109,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--orientation", choices=dataio.ORIENTATIONS, default="rows")
     ev.add_argument("--labels")
     ev.add_argument("--selection", required=True, help="solution JSON or one feature name per line")
-    ev.add_argument("--k", type=_int_list, default=(2, 3, 4, 5))
+    ev.add_argument("--k", type=_int_list(2), default=(2, 3, 4, 5))
     ev.add_argument("--restarts", type=_int_at_least(1), default=10)
     ev.add_argument("--seed", type=_seed, default=0)
     ev.add_argument("--out", help="metrics JSON path (default stdout)")
@@ -121,8 +120,9 @@ def build_parser() -> _Parser:
     run.add_argument("--labels")
     run.add_argument("--orientation", choices=dataio.ORIENTATIONS)
     run.add_argument("--methods", help="comma list from {lkfs,skm,spec}")
-    run.add_argument("--p", type=_int_list, help="comma list of p values")
-    run.add_argument("--k", type=_int_list, help="comma list of k values")
+    # k-means needs k >= 2 and RED needs p >= 2
+    run.add_argument("--p", type=_int_list(2), help="comma list of p values")
+    run.add_argument("--k", type=_int_list(2), help="comma list of k values")
     run.add_argument("--reps", type=_int_at_least(1))
     run.add_argument("--seed", type=_seed)
     run.add_argument("--out", help="output directory")

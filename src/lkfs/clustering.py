@@ -61,8 +61,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         total = d2.sum()
         if total <= 0.0:
             # all remaining mass at distance zero: take the lowest unchosen index
-            unchosen = [i for i in range(n) if i not in set(chosen)]
-            nxt = unchosen[0]
+            nxt = next(i for i in range(n) if i not in chosen)
         else:
             nxt = _draw(d2 / total, rng)
         chosen.append(nxt)

@@ -227,12 +227,12 @@ def load_matrix(path: str | Path, orientation: str = "rows") -> ExpressionMatrix
     return ExpressionMatrix(values, sample_ids=row_ids, feature_names=col_names)
 
 
-def save_matrix(X: ExpressionMatrix, path: str | Path, delimiter: str = "\t") -> None:
-    """Write a matrix in the on-disk format, one row at a time; floats use shortest exact repr."""
+def save_matrix(X: ExpressionMatrix, path: str | Path) -> None:
+    """Write a tab-separated matrix, one row at a time; floats use shortest exact repr."""
     with Path(path).open("w", encoding="utf-8") as f:
-        f.write(delimiter.join(["sample_id", *X.feature_names]) + "\n")
+        f.write("\t".join(["sample_id", *X.feature_names]) + "\n")
         for sid, row in zip(X.sample_ids, X.values):
-            f.write(delimiter.join([sid, *map(repr, row.tolist())]) + "\n")
+            f.write("\t".join([sid, *map(repr, row.tolist())]) + "\n")
 
 
 def load_labels(path: str | Path) -> LabelVector:
@@ -270,11 +270,9 @@ def load_labels(path: str | Path) -> LabelVector:
     return LabelVector(labels)
 
 
-def save_labels(labels: LabelVector, path: str | Path, delimiter: str = "\t") -> None:
-    path = Path(path)
-    out = [delimiter.join(["sample_id", "label"])]
-    out.extend(delimiter.join([sid, lab]) for sid, lab in labels.labels.items())
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+def save_labels(labels: LabelVector, path: str | Path) -> None:
+    out = ["sample_id\tlabel", *(f"{sid}\t{lab}" for sid, lab in labels.labels.items())]
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 def minmax_scale(X: ExpressionMatrix) -> ExpressionMatrix:

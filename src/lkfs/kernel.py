@@ -148,34 +148,24 @@ _GRAM_SLOWER_PER_STEP = 50
 _GRAM_SHRINK = 4
 
 
-def _source_bytes(n: int, d: int) -> tuple[int, int]:
-    """Bytes held by each selection source over d kernels of size n: the Gram
-    matrix at most 20 d^2, the stack of triangles 8 d n(n-1)/2.
-
-    The Gram holds its banded upper triangle, one d x d product and one block
-    of pairs, about 16 d^2 at most; 20 d^2 counts a whole d x d sum in place
-    of the triangle, as when the rule was measured, so that an upper bound
-    puts every shape on the source it had."""
-    return 20 * d * d, 4 * d * n * (n - 1)
-
-
-def _takes_gram(n: int, d: int, steps: int) -> bool:
-    """Whether a greedy of ``steps`` steps over d kernels of size n reads the
-    Gram matrix rather than the stack of triangles.
-
-    The Gram is taken where it is no slower and no larger, and also where it
-    is at most about 15% slower and at least ``_GRAM_SHRINK`` times smaller."""
-    gram_bytes, stack_bytes = _source_bytes(n, d)
-    if d <= _GRAM_NO_SLOWER_PER_STEP * steps:
-        return gram_bytes <= stack_bytes
-    return d <= _GRAM_SLOWER_PER_STEP * steps and _GRAM_SHRINK * gram_bytes <= stack_bytes
-
-
 def selection_source(n: int, d: int, steps: int) -> tuple[str, int]:
     """("gram" or "stack", its bytes): the source a greedy of ``steps`` steps
-    over d kernels of size n reads its inner products from."""
-    gram_bytes, stack_bytes = _source_bytes(n, d)
-    return ("gram", gram_bytes) if _takes_gram(n, d, steps) else ("stack", stack_bytes)
+    over d kernels of size n reads its inner products from.
+
+    The stack of triangles holds 8 d n(n-1)/2 bytes. The Gram holds its
+    banded upper triangle and one d x d product, about 12 d^2 bytes, and one
+    block of pairs, at most 2 MB or 4 d^2 bytes, whichever is more. It is
+    counted as 20 d^2, a whole d x d sum in place of the triangle, as when
+    the rule was measured, so that every shape keeps the source it had; from
+    d = 520 on that bounds what it holds. The Gram is taken where it is no
+    slower and no larger, and also where it is at most about 15% slower and
+    at least ``_GRAM_SHRINK`` times smaller."""
+    gram_bytes, stack_bytes = 20 * d * d, 4 * d * n * (n - 1)
+    if d <= _GRAM_NO_SLOWER_PER_STEP * steps:
+        gram = gram_bytes <= stack_bytes
+    else:
+        gram = d <= _GRAM_SLOWER_PER_STEP * steps and _GRAM_SHRINK * gram_bytes <= stack_bytes
+    return ("gram", gram_bytes) if gram else ("stack", stack_bytes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,10 +181,13 @@ class StackedKernels:
     greedy selection reads its inner products from ``inner_products``.
     """
 
-    n: int
     bandwidths: np.ndarray
     degenerate: np.ndarray
     points: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
 
     def __len__(self) -> int:
         return self.bandwidths.size
@@ -271,15 +264,15 @@ class StackedKernels:
 
         With unit diagonals <K_a, K_b> = n + 2 (sum over pairs of K_a K_b).
         The sums come from one of two sources, and neither wins on every
-        shape; ``_takes_gram`` weighs them from (n, d, steps) alone:
+        shape; ``selection_source`` weighs them from (n, d, steps) alone:
 
         - the Gram matrix of sums, ``block.T @ block`` (a symmetric BLAS
           product, so exactly symmetric) and ``block.T @ target`` over the
           blocks of ``_pair_blocks``: one d^2 n(n-1)/2 product. Its upper
           triangle is held in bands of ``_GRAM_BAND_ROWS`` rows, each of
           which adds every block's product in block order, so every sum has
-          the bits of a whole d x d sum; with the one d x d product and one
-          block, that is about 16 d^2 bytes at most;
+          the bits of a whole d x d sum; with the one d x d product that is
+          about 12 d^2 bytes, and one block;
         - the stack of ``triangles``: one matrix-vector pass per column read,
           and 4 d n(n-1) bytes.
 
@@ -287,7 +280,7 @@ class StackedKernels:
         (``first_copies``), so twins stay exactly tied either way.
         """
         n, d, tz = self.n, len(self), upper_triangle(Kz)
-        if _takes_gram(n, d, steps):
+        if selection_source(n, d, steps)[0] == "gram":
             h = _GRAM_BAND_ROWS
             bands = [(a, np.zeros((min(h, d - a), d - a))) for a in range(0, d, h)]
             product, cross = np.empty((d, d)), np.zeros(d)
@@ -383,12 +376,7 @@ def feature_kernels(X: ExpressionMatrix) -> StackedKernels:
             raise NumericalError(
                 f"feature {j}: all pairwise distances are zero; kernel would be degenerate"
             )
-    return StackedKernels(
-        n=X.n,
-        bandwidths=bandwidths,
-        degenerate=degenerate,
-        points=X.values,
-    )
+    return StackedKernels(bandwidths=bandwidths, degenerate=degenerate, points=X.values)
 
 
 def frobenius_inner(K1: KernelMatrix | np.ndarray, K2: KernelMatrix | np.ndarray) -> float:

@@ -48,30 +48,6 @@ class MklSolution:
     stop_reason: str
 
 
-def _pair_weights_from_scalars(
-    aa: float, bb: float, ab: float, az: float, bz: float, zz: float
-) -> tuple[float, float, float]:
-    """Maximize A(mu_a*Ka + mu_b*Kb, Kz) over mu >= 0 given all inner products."""
-    det = aa * bb - ab * ab
-    if det > _DET_FLOOR * max(aa * bb, 1.0):
-        wa = (bb * az - ab * bz) / det
-        wb = (aa * bz - ab * az) / det
-        if wa > 0.0 and wb > 0.0:
-            total = wa + wb
-            wa, wb = wa / total, wb / total
-            quad = wa * wa * aa + 2.0 * wa * wb * ab + wb * wb * bb
-            achieved = (wa * az + wb * bz) / math.sqrt(quad * zz)
-            return wa, wb, achieved
-    # stationary point infeasible (or kernels proportional): best boundary wins
-    align_a = az / math.sqrt(aa * zz) if aa > 0 else None
-    align_b = bz / math.sqrt(bb * zz) if bb > 0 else None
-    if align_a is None and align_b is None:
-        raise NumericalError("pair weights undefined: both kernels have zero norm")
-    if align_b is None or (align_a is not None and align_a >= align_b):
-        return 1.0, 0.0, align_a
-    return 0.0, 1.0, align_b
-
-
 def solve_pair_weights(
     Ka: KernelMatrix, Kb: KernelMatrix, Kz: KernelMatrix
 ) -> tuple[float, float, float]:
@@ -79,21 +55,28 @@ def solve_pair_weights(
     alignment it achieves against ``Kz``."""
     if Ka.n != Kb.n or Ka.n != Kz.n:
         raise DataValidationError("pair-weight kernels must share dimensions")
-    return _pair_weights_from_scalars(
-        aa=frobenius_inner(Ka, Ka),
-        bb=frobenius_inner(Kb, Kb),
-        ab=frobenius_inner(Ka, Kb),
-        az=frobenius_inner(Ka, Kz),
-        bz=frobenius_inner(Kb, Kz),
-        zz=frobenius_inner(Kz, Kz),
+    wa, wb, achieved = _pair_weights_batch(
+        frobenius_inner(Ka, Ka),
+        np.array([frobenius_inner(Kb, Kb)]),
+        np.array([frobenius_inner(Ka, Kb)]),
+        frobenius_inner(Ka, Kz),
+        np.array([frobenius_inner(Kb, Kz)]),
+        frobenius_inner(Kz, Kz),
     )
+    return float(wa[0]), float(wb[0]), float(achieved[0])
 
 
 def _pair_weights_batch(
     aa: float, bb: np.ndarray, ab: np.ndarray, az: float, bz: np.ndarray, zz: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_pair_weights_from_scalars`` of one kernel a against many kernels b,
-    with the same branches and the same float operations per candidate."""
+    """The two-kernel closed form of one kernel a against many kernels b: per
+    candidate, the weights (mu_a, mu_b) >= 0, summing to one, that maximize
+    the alignment of mu_a*Ka + mu_b*Kb with Kz, and that alignment, from
+    aa = <Ka, Ka>, az = <Ka, Kz>, zz = <Kz, Kz> and per candidate bb, ab, bz.
+
+    The stationary point of the 2x2 solve is taken where its determinant
+    clears ``_DET_FLOOR`` and both weights are positive, else the better of
+    the two kernels alone (a on a tie)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         det = aa * bb - ab * ab
         wa = (bb * az - ab * bz) / det

@@ -558,14 +558,27 @@ class TestExitCodes:
         monkeypatch.setattr(pipeline, "train", lambda *args: trained.append(args) or train(*args))
         argv = ["run", "--input", str(fixture_dir / "matrix.tsv"),
                 "--labels", str(fixture_dir / "labels.tsv"), "--methods", methods,
-                "--p", "3,1", "--k", "2", "--reps", "1", "--out", str(tmp_path / "out")]
-        assert main(argv) == 1
+                "--k", "2", "--reps", "1", "--out", str(tmp_path / "out")]
+        assert main([*argv, "--p", "3,1"]) == 1
+        assert capsys.readouterr().err == "error: argument --p: expected an integer >= 2, got '1'\n"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"p_grid": [3, 1]}))
+        assert main([*argv, "--config", str(config)]) == 1
         assert capsys.readouterr().err == "error: every p must be >= 2 to score RED, got p=1\n"
         assert trained == []
         solution = tmp_path / "solution.json"
         code = main(["select", "--input", str(fixture_dir / "matrix.tsv"), "--method", "spec",
                      "--p", "1", "--out", str(solution)])
         assert code == 0 and len(json.loads(solution.read_text())["selected"]) == 1
+
+    def test_config_k_below_2_keeps_its_message(self, fixture_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k_grid": [2, 1]}))
+        argv = ["run", "--config", str(config), "--input", str(fixture_dir / "matrix.tsv"),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: every k must be >= 2\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "select", "evaluate", "cluster", "synth"])
     def test_negative_seed_is_1_before_any_work(self, small_dir, tmp_path, capsys, monkeypatch,
@@ -595,11 +608,14 @@ class TestExitCodes:
             ("cluster", "--restarts", "0", "expected an integer >= 1, got '0'"),
             ("cluster", "--k", "1", "expected an integer >= 2, got '1'"),
             ("run", "--reps", "0", "expected an integer >= 1, got '0'"),
-            ("run", "--p", "3,x", "expected comma-separated integers, got '3,x'"),
-            ("evaluate", "--k", "2,x", "expected comma-separated integers, got '2,x'"),
+            ("run", "--p", "3,x", "expected an integer >= 2, got 'x'"),
+            ("evaluate", "--k", "2,x", "expected an integer >= 2, got 'x'"),
+            ("run", "--k", "1", "expected an integer >= 2, got '1'"),
+            ("evaluate", "--k", "2,1", "expected an integer >= 2, got '1'"),
+            ("run", "--p", "1", "expected an integer >= 2, got '1'"),
         ],
         ids=["evaluate-restarts", "cluster-restarts", "cluster-k", "run-reps", "run-p",
-             "evaluate-k"],
+             "evaluate-k", "run-k-below-2", "evaluate-k-below-2", "run-p-below-2"],
     )
     def test_integer_flag_error_names_the_flag(self, small_dir, tmp_path, capsys, monkeypatch,
                                                command, flag, value, message):

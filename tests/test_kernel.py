@@ -170,7 +170,7 @@ def pinned_products(stacked, Kz, source):
     """``inner_products`` with its source pinned to "gram" or "stack", and
     every column read: (cz, ss, zz, G) with G[j] = column(j)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernel, "_takes_gram", lambda n, d, steps: source == "gram")
+        patch.setattr(kernel, "selection_source", lambda n, d, steps: (source, 0))
         cz, ss, zz, column = stacked.inner_products(Kz, 1)
     return cz, ss, zz, np.array([column(j) for j in range(len(stacked))])
 

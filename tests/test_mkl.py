@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lkfs.dataio import generate_synthetic, minmax_scale
-from lkfs.errors import DataValidationError
+from lkfs.errors import DataValidationError, NumericalError
 from lkfs import kernel, mkl
 from lkfs.dataio import ExpressionMatrix
 from lkfs.kernel import (
@@ -14,6 +14,7 @@ from lkfs.kernel import (
     StackedKernels,
     alignment,
     feature_kernels,
+    frobenius_inner,
     gaussian_kernel,
     median_bandwidth,
 )
@@ -21,11 +22,39 @@ from lkfs.mkl import (
     MklConfig,
     MklSolution,
     _pair_weights_batch,
-    _pair_weights_from_scalars,
     combined_kernel,
     greedy_select,
     solve_pair_weights,
 )
+
+
+def scalar_pair_weights(aa, bb, ab, az, bz, zz):
+    """The two-kernel closed form of one pair, written with Python scalars:
+    the reference for ``mkl._pair_weights_batch``, which the greedy runs."""
+    det = aa * bb - ab * ab
+    if det > mkl._DET_FLOOR * max(aa * bb, 1.0):
+        wa = (bb * az - ab * bz) / det
+        wb = (aa * bz - ab * az) / det
+        if wa > 0.0 and wb > 0.0:
+            total = wa + wb
+            wa, wb = wa / total, wb / total
+            quad = wa * wa * aa + 2.0 * wa * wb * ab + wb * wb * bb
+            achieved = (wa * az + wb * bz) / math.sqrt(quad * zz)
+            return wa, wb, achieved
+    # stationary point infeasible (or kernels proportional): best boundary wins
+    align_a = az / math.sqrt(aa * zz) if aa > 0 else None
+    align_b = bz / math.sqrt(bb * zz) if bb > 0 else None
+    if align_a is None and align_b is None:
+        raise NumericalError("pair weights undefined: both kernels have zero norm")
+    if align_b is None or (align_a is not None and align_a >= align_b):
+        return 1.0, 0.0, align_a
+    return 0.0, 1.0, align_b
+
+
+def pin_source(patch, name):
+    """Make every greedy read its inner products from ``name``, "gram" or
+    "stack"; the bytes are read only by the pipeline's memory check."""
+    patch.setattr(kernel, "selection_source", lambda n, d, steps: (name, 0))
 
 
 def grid_search_alignment(Ka, Kb, Kz, n_points=2000):
@@ -92,7 +121,7 @@ def dense_reference_greedy(candidates, Kz, config):
         best = None
         for j in remaining:
             mj = inner(k_mu, candidates[j].entries)
-            w1, w2, achieved = _pair_weights_from_scalars(mm, ss[j], mj, mz, cz[j], zz)
+            w1, w2, achieved = scalar_pair_weights(mm, ss[j], mj, mz, cz[j], zz)
             if best is None or (achieved, -j) > best[0]:
                 best = ((achieved, -j), j, w1, w2)
         (achieved, _), j, w1, w2 = best
@@ -140,6 +169,22 @@ class TestSolvePairWeights:
         Ka, Kb, Kz = (random_kernel(rng) for _ in range(3))
         _, _, achieved = solve_pair_weights(Ka, Kb, Kz)
         assert achieved == pytest.approx(grid_search_alignment(Ka, Kb, Kz), abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        kb=st.sampled_from(["drawn", "twin of a", "the target"]),
+    )
+    def test_equals_scalar_form(self, seed, n, kb):
+        # bit for bit; a twin pair is proportional and the target is reached
+        # at the boundary, so both fallbacks are taken as well as the interior
+        rng = np.random.default_rng(seed)
+        Ka, Kb, Kz = (random_kernel(rng, n=n, m=int(rng.integers(1, 4))) for _ in range(3))
+        Kb = {"drawn": Kb, "twin of a": Ka, "the target": Kz}[kb]
+        pairs = ((Ka, Ka), (Kb, Kb), (Ka, Kb), (Ka, Kz), (Kb, Kz), (Kz, Kz))
+        want = scalar_pair_weights(*(frobenius_inner(K1, K2) for K1, K2 in pairs))
+        assert solve_pair_weights(Ka, Kb, Kz) == want
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DataValidationError):
@@ -274,7 +319,7 @@ class TestIncrementalGreedy:
         bb, ab, bz = (bs * bs).sum(axis=1), bs @ a, bs @ z
         wa, wb, achieved = _pair_weights_batch(aa, bb, ab, az, bz, zz)
         for i in range(batch):
-            scalar = _pair_weights_from_scalars(aa, bb[i], ab[i], az, bz[i], zz)
+            scalar = scalar_pair_weights(aa, bb[i], ab[i], az, bz[i], zz)
             assert (wa[i], wb[i], achieved[i]) == scalar
 
 
@@ -282,20 +327,23 @@ class TestInnerProducts:
     """The greedy reads its inner products from the Gram matrix or from the
     stack of triangles, whichever costs less for the shape."""
 
+    FIXED_POINTS = [
+        (160, 600, 50, "gram", 7_200_000),  # wide_select's shape: no slower, no larger
+        (160, 500, 10, "gram", 5_000_000),  # deep_latent's: 50 per step, 5 MB against 51 MB
+        (160, 1500, 50, "gram", 45_000_000),  # 30 per step: no slower
+        (160, 2400, 10, "stack", 244_224_000),  # 240 per step: several times slower
+        (160, 10000, 50, "stack", 1_017_600_000),  # 200 per step, and the Gram is larger
+        (400, 2500, 50, "gram", 125_000_000),  # 50 per step, 125 MB against 1.6 GB
+        (10, 18, 5, "gram", 6480),  # 20 d^2 = 4 d n(n-1): no larger than the stack
+        (10, 19, 5, "stack", 6840),  # the Gram would take more memory than the stack
+    ]
+
     @pytest.mark.parametrize(
-        ("n", "d", "p", "way"),
-        [
-            (160, 600, 50, "gram"),  # wide_select's shape: no slower, no larger
-            (160, 500, 10, "gram"),  # deep_latent's shape: 50 per step, 5 MB against 51 MB
-            (160, 1500, 50, "gram"),  # 30 per step: no slower
-            (160, 2400, 10, "stack"),  # 240 per step: several times slower
-            (160, 10000, 50, "stack"),  # 200 per step, and the Gram is larger
-            (400, 2500, 50, "gram"),  # 50 per step, 125 MB against 1.6 GB
-            (10, 18, 5, "gram"),  # 20 d^2 = 4 d n(n-1): no larger than the stack
-            (10, 19, 5, "stack"),  # the Gram would take more memory than the stack
-        ],
+        ("n", "d", "p", "way", "nbytes"),
+        FIXED_POINTS,
+        ids=[f"{n}-{d}-{p}-{way}" for n, d, p, way, _ in FIXED_POINTS],
     )
-    def test_source_rule_fixed_points(self, monkeypatch, n, d, p, way):
+    def test_source_rule_fixed_points(self, monkeypatch, n, d, p, way, nbytes):
         # the Gram where it is no slower and no larger, or at most about 15%
         # slower and at least 4 times smaller; the choice is made from the
         # shape alone, so both sources are stubbed and neither is allocated
@@ -311,7 +359,6 @@ class TestInnerProducts:
         for name in ("_pair_blocks", "triangles"):
             monkeypatch.setattr(StackedKernels, name, taking(name))
         stack = StackedKernels(
-            n=n,
             bandwidths=np.ones(d),
             degenerate=np.zeros(d, dtype=bool),
             points=np.broadcast_to(0.0, (n, d)),
@@ -319,7 +366,45 @@ class TestInnerProducts:
         with pytest.raises(Taken) as taken:
             greedy_select(stack, KernelMatrix(np.eye(n), 1.0), MklConfig(p=p))
         assert str(taken.value) == {"gram": "_pair_blocks", "stack": "triangles"}[way]
-        assert kernel._takes_gram(n, d, p) == (way == "gram")
+        assert kernel.selection_source(n, d, p) == (way, nbytes)
+
+    @pytest.mark.parametrize(
+        ("n", "d", "p", "way", "nbytes"),
+        [
+            # d = 30p: past it the Gram must also be 4 times smaller (380 < 20 d)
+            (20, 30, 1, "gram", 18_000),
+            (20, 31, 1, "stack", 47_120),
+            # d = 50p: past it the stack, however much smaller the Gram is
+            (40, 50, 1, "gram", 50_000),
+            (40, 51, 1, "stack", 318_240),
+            # 20 d^2 = 4 d n(n-1), with d <= 30p: 5 d = n(n-1) = 90
+            (10, 18, 1, "gram", 6480),
+            (10, 19, 1, "stack", 6840),
+            # 4 * 20 d^2 = 4 d n(n-1), with 30p < d <= 50p: 20 d = n(n-1) = 1560
+            (40, 78, 2, "gram", 121_680),
+            (40, 79, 2, "stack", 492_960),
+        ],
+    )
+    def test_source_rule_boundaries(self, n, d, p, way, nbytes):
+        assert kernel.selection_source(n, d, p) == (way, nbytes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 2000), d=st.integers(1, 50_000), p=st.integers(1, 500))
+    def test_source_rule_equals_the_three_function_form(self, n, d, p):
+        # the rule as it stood split over a byte count, a predicate and the
+        # function that joined them
+        def source_bytes(n, d):
+            return 20 * d * d, 4 * d * n * (n - 1)
+
+        def takes_gram(n, d, steps):
+            gram_bytes, stack_bytes = source_bytes(n, d)
+            if d <= 30 * steps:
+                return gram_bytes <= stack_bytes
+            return d <= 50 * steps and 4 * gram_bytes <= stack_bytes
+
+        gram_bytes, stack_bytes = source_bytes(n, d)
+        want = ("gram", gram_bytes) if takes_gram(n, d, p) else ("stack", stack_bytes)
+        assert kernel.selection_source(n, d, p) == want
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -341,7 +426,7 @@ class TestInnerProducts:
         ways = {}
         for name in ("gram", "stack"):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(kernel, "_takes_gram", lambda n, d, steps: name == "gram")
+                pin_source(patch, name)
                 cz, ss, zz, column = stacked.inner_products(Kz, 1)
             ways[name] = cz, ss, zz, np.array([column(j) for j in range(X.d)])
         # the stack way is one matrix-vector product per column, as the
@@ -369,11 +454,11 @@ class TestInnerProducts:
             (80, 200, 5),  # 40 features per step, taken because it is smaller
             (160, 500, 10),  # deep_latent's shape: 50 features per step
         ):
-            assert kernel._takes_gram(n, d, p)
+            assert kernel.selection_source(n, d, p)[0] == "gram"
             _, candidates, kz = informative_target_fixture(seed=5, n=n, d=d)
             solutions = []
             for way in ("gram", "stack"):
-                monkeypatch.setattr(kernel, "_takes_gram", lambda n, d, steps: way == "gram")
+                pin_source(monkeypatch, way)
                 solutions.append(greedy_select(candidates, kz, MklConfig(p=p)))
             monkeypatch.undo()
             gram, stack = solutions
