@@ -18,7 +18,7 @@ from .autoencoder import (
     init_model,
     train,
 )
-from .baselines import SkmResult, SpecResult, select_top_p, sparse_kmeans, spec_scores
+from .baselines import SkmResult, SpecResult, sparse_kmeans, spec_scores
 from .clustering import ClusterAssignment, adjusted_rand_index, kmeans, rand_index
 from .dataio import (
     ExpressionMatrix,

@@ -19,11 +19,13 @@ _MAX_ROUNDS = 20
 
 @dataclass(frozen=True)
 class SkmResult:
-    """Non-negative feature weights under an L1 budget, with the final clustering."""
+    """Non-negative feature weights under an L1 budget, with the final clustering
+    and the ranking (largest weight first, ties toward the lowest index)."""
 
     weights: np.ndarray
     assignment: ClusterAssignment
     objective_history: tuple[float, ...]
+    ranking: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,8 @@ def sparse_kmeans(
         w = w_new
         if change < _WEIGHT_CHANGE_TOL:
             break
-    return SkmResult(weights=w, assignment=assignment, objective_history=tuple(history))
+    ranking = tuple(int(j) for j in np.argsort(-w, kind="stable"))
+    return SkmResult(w, assignment, tuple(history), ranking)
 
 
 def spec_scores(X: ExpressionMatrix | np.ndarray) -> SpecResult:
@@ -165,20 +168,4 @@ def graph_consistency_scores(values: np.ndarray, similarity: np.ndarray) -> np.n
         fhat = g / norm
         scores[j] = max(float(fhat @ laplacian @ fhat), 0.0)
     return scores
-
-
-def select_top_p(result: SkmResult | SpecResult, p: int) -> tuple[int, ...]:
-    """Top-p features: largest weights (SKM) or smallest scores (SPEC);
-    ties break toward the lowest index."""
-    if isinstance(result, SkmResult):
-        d = result.weights.size
-        if p > d:
-            raise ConfigError(f"p={p} exceeds d={d}")
-        order = np.argsort(-result.weights, kind="stable")
-        return tuple(int(j) for j in order[:p])
-    if isinstance(result, SpecResult):
-        if p > result.scores.size:
-            raise ConfigError(f"p={p} exceeds d={result.scores.size}")
-        return tuple(result.ranking[:p])
-    raise ConfigError(f"unsupported result type: {type(result).__name__}")
 

@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Subcommands: synth, preprocess, select, cluster, evaluate, run, inspect.
+All but synth and inspect build one RunConfig: the --config file's or the
+defaults, with each flag given a value overriding the field its dest names.
 Exit codes: 0 success, 1 usage/config error, 2 data validation error (an
 empty or whitespace-only feature name, sample id or label is one) or out of
 memory (also a run refused before any work because its lkfs selection source
@@ -52,6 +54,10 @@ def _int_list(lowest: int):
     return lambda text: tuple(one(v) for v in text.split(",") if v.strip())
 
 
+def _names(text: str):  # "" stays "", so an empty --methods is unset as an empty --input is
+    return text and tuple(m.strip() for m in text.split(",") if m.strip())
+
+
 _seed = _int_at_least(0)  # numpy seeds its generators only from integers >= 0
 
 
@@ -78,10 +84,18 @@ def build_parser() -> _Parser:
     synth.add_argument("--seed", type=_seed, default=0)
     synth.add_argument("--out", required=True, help="output directory")
 
+    # a setting's flag has its RunConfig field (or "preprocess.<field>") as dest and no
+    # default of its own (see _load_config); k-means needs k >= 2 and RED needs p >= 2
+    k_grid = {"type": _int_list(2), "dest": "k_grid", "metavar": "K"}
+    restarts = {"type": _int_at_least(1), "dest": "kmeans_restarts", "metavar": "RESTARTS"}
+
     pre = sub.add_parser("preprocess", help="min-max scale then variance-filter a matrix")
     pre.add_argument("--input", required=True)
-    pre.add_argument("--orientation", choices=dataio.ORIENTATIONS, default="rows")
-    pre.add_argument("--keep-fraction", type=float, default=0.5)
+    pre.add_argument("--orientation", choices=dataio.ORIENTATIONS)
+    pre.add_argument(
+        "--keep-fraction", type=float, dest="preprocess.variance_keep_fraction",
+        metavar="KEEP_FRACTION",
+    )
     pre.add_argument("--out", required=True, help="output matrix file")
 
     sel = sub.add_parser("select", help="run one selection method on a preprocessed matrix")
@@ -98,20 +112,20 @@ def build_parser() -> _Parser:
 
     clus = sub.add_parser("cluster", help="k-means a matrix and dump assignments")
     clus.add_argument("--input", required=True)
-    clus.add_argument("--orientation", choices=dataio.ORIENTATIONS, default="rows")
+    clus.add_argument("--orientation", choices=dataio.ORIENTATIONS)
     clus.add_argument("--k", type=_int_at_least(2), required=True)
-    clus.add_argument("--restarts", type=_int_at_least(1), default=10)
-    clus.add_argument("--seed", type=_seed, default=0)
+    clus.add_argument("--restarts", **restarts)
+    clus.add_argument("--seed", type=_seed)
     clus.add_argument("--out", required=True)
 
     ev = sub.add_parser("evaluate", help="score a feature selection against a matrix")
     ev.add_argument("--input", required=True)
-    ev.add_argument("--orientation", choices=dataio.ORIENTATIONS, default="rows")
+    ev.add_argument("--orientation", choices=dataio.ORIENTATIONS)
     ev.add_argument("--labels")
     ev.add_argument("--selection", required=True, help="solution JSON or one feature name per line")
-    ev.add_argument("--k", type=_int_list(2), default=(2, 3, 4, 5))
-    ev.add_argument("--restarts", type=_int_at_least(1), default=10)
-    ev.add_argument("--seed", type=_seed, default=0)
+    ev.add_argument("--k", **k_grid)
+    ev.add_argument("--restarts", **restarts)
+    ev.add_argument("--seed", type=_seed)
     ev.add_argument("--out", help="metrics JSON path (default stdout)")
 
     run = sub.add_parser("run", help="full repeated-resample experiment")
@@ -119,13 +133,14 @@ def build_parser() -> _Parser:
     run.add_argument("--input")
     run.add_argument("--labels")
     run.add_argument("--orientation", choices=dataio.ORIENTATIONS)
-    run.add_argument("--methods", help="comma list from {lkfs,skm,spec}")
-    # k-means needs k >= 2 and RED needs p >= 2
-    run.add_argument("--p", type=_int_list(2), help="comma list of p values")
-    run.add_argument("--k", type=_int_list(2), help="comma list of k values")
-    run.add_argument("--reps", type=_int_at_least(1))
+    run.add_argument("--methods", type=_names, help="comma list from {lkfs,skm,spec}")
+    run.add_argument(
+        "--p", type=_int_list(2), dest="p_grid", metavar="P", help="comma list of p values"
+    )
+    run.add_argument("--k", **k_grid, help="comma list of k values")
+    run.add_argument("--reps", type=_int_at_least(1), dest="preprocess.repetitions", metavar="REPS")
     run.add_argument("--seed", type=_seed)
-    run.add_argument("--out", help="output directory")
+    run.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
     run.add_argument("--force", action="store_true")
     run.add_argument("--log-json", action="store_true")
     run.add_argument("--print-config", action="store_true", help="dump effective config and exit")
@@ -137,6 +152,9 @@ def build_parser() -> _Parser:
 
 
 def _load_config(args) -> RunConfig:
+    """The config file's settings (RunConfig's defaults without one), with each
+    flag given a value set on the field its dest names. A flag left out, or
+    given an empty string, keeps the file's or the default value."""
     doc = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -148,29 +166,24 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
     config = RunConfig.from_dict(doc)
 
-    overrides: dict = {}
-    if getattr(args, "input", None):
-        overrides["input"] = args.input
-    if getattr(args, "labels", None):
-        overrides["labels"] = args.labels
-    if getattr(args, "orientation", None):
-        overrides["orientation"] = args.orientation
-    if getattr(args, "methods", None):
-        overrides["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    # `run` passes grids as tuples; `select` reuses --p as a single int
-    if isinstance(getattr(args, "p", None), tuple):
-        overrides["p_grid"] = args.p
-    if isinstance(getattr(args, "k", None), tuple):
-        overrides["k_grid"] = args.k
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None):
-        overrides["output_dir"] = args.out
-    if getattr(args, "reps", None) is not None:
-        overrides["preprocess"] = dataclasses.replace(
-            config.preprocess, repetitions=args.reps
-        )
-    return dataclasses.replace(config, **overrides) if overrides else config
+    fields, overrides, preprocess = {f.name for f in dataclasses.fields(config)}, {}, {}
+    for dest, value in vars(args).items():
+        if value is None or value == "":
+            continue
+        if dest.startswith("preprocess."):
+            preprocess[dest.removeprefix("preprocess.")] = value
+        elif dest in fields:
+            overrides[dest] = value
+    overrides["preprocess"] = dataclasses.replace(config.preprocess, **preprocess)
+    return dataclasses.replace(config, **overrides)
+
+
+def _config_and_input(args) -> tuple[RunConfig, dataio.ExpressionMatrix]:
+    """The settings of a stepwise command and the matrix they name."""
+    config = _load_config(args)
+    if config.input is None:  # an empty --input
+        raise ConfigError(f"{args.command} needs an input matrix")
+    return config, dataio.load_matrix(config.input, config.orientation)
 
 
 def _cmd_synth(args) -> int:
@@ -186,8 +199,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    X = dataio.load_matrix(args.input, args.orientation)
-    Xp = dataio.variance_filter(dataio.minmax_scale(X), args.keep_fraction)
+    config, X = _config_and_input(args)
+    Xp = pipeline.preprocess_matrix(X, config.preprocess)
     dataio.save_matrix(Xp, args.out)
     print(f"wrote {args.out} ({Xp.n} x {Xp.d})")
     return 0
@@ -216,8 +229,7 @@ def _solution_doc(method: str, selected, result, names) -> dict:
 
 
 def _cmd_select(args) -> int:
-    config = _load_config(args)
-    X = dataio.load_matrix(config.input, config.orientation)
+    config, X = _config_and_input(args)
     # skm's sparsity bound s = sqrt(p) must exceed 1
     lowest = 2 if args.method == "skm" else 1
     if not lowest <= args.p <= X.d:
@@ -234,8 +246,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    X = dataio.load_matrix(args.input, args.orientation)
-    assignment = clustering.kmeans(X.values, args.k, restarts=args.restarts, seed=args.seed)
+    config, X = _config_and_input(args)
+    assignment = clustering.kmeans(X.values, args.k, config.kmeans_restarts, config.seed)
     lines = [f"{sid}\t{c}" for sid, c in zip(X.sample_ids, assignment.labels)]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {args.out} (k={args.k}, inertia={assignment.inertia:.6g})")
@@ -277,10 +289,9 @@ def _read_selection(path: str, feature_names: tuple[str, ...]) -> list[int]:
 
 
 def _cmd_evaluate(args) -> int:
-    X = dataio.load_matrix(args.input, args.orientation)
+    config, X = _config_and_input(args)
     selected = _read_selection(args.selection, X.feature_names)
-    labels = dataio.load_labels(args.labels) if args.labels else None
-    config = RunConfig(k_grid=args.k, kmeans_restarts=args.restarts, seed=args.seed)
+    labels = dataio.load_labels(config.labels) if config.labels is not None else None
     red, metrics = pipeline.score_selection(X, selected, labels, config, rep=0, p=len(selected))
     doc = {"red": red, "clusterings": [m.to_json_dict() for m in metrics]}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -244,8 +244,7 @@ def load_labels(path: str | Path) -> LabelVector:
     path = Path(path)
     if not path.is_file():
         raise DataValidationError(f"labels file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = list(_data_lines(path))
     if not lines:
         raise DataValidationError(f"labels file is empty: {path}")
     delim = _detect_delimiter(lines[0][1])

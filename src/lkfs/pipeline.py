@@ -68,9 +68,10 @@ class RunConfig:
             raise ConfigError("every k must be >= 2")
         if any(p < 1 for p in self.p_grid):
             raise ConfigError("every p must be >= 1")
-        for name, grid in (("p_grid", self.p_grid), ("k_grid", self.k_grid)):
-            if len(set(grid)) < len(grid):
-                raise ConfigError(f"{name} repeats a value: {list(grid)}")
+        for name in ("methods", "p_grid", "k_grid"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats a value: {list(values)}")
         for key, lowest in (("kmeans_restarts", 1), ("ae_latent", 1), ("seed", 0)):
             if getattr(self, key) < lowest:
                 raise ConfigError(
@@ -227,7 +228,7 @@ def select_features(
     elif method == "spec":
         spec = baselines.spec_scores(X)
         for p in config.p_grid:
-            yield p, baselines.select_top_p(spec, p), spec
+            yield p, spec.ranking[:p], spec
     elif method == "skm":
         for p in config.p_grid:
             result = baselines.sparse_kmeans(
@@ -237,7 +238,7 @@ def select_features(
                 seed=derive_seed(config.seed, rep, _SEED_SKM, p),
                 restarts=config.kmeans_restarts,
             )
-            yield p, baselines.select_top_p(result, p), result
+            yield p, result.ranking[:p], result
     else:
         raise ConfigError(f"unknown method {method!r}")
 

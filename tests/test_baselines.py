@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lkfs.baselines import (
-    SkmResult,
-    SpecResult,
     _l1_bounded_weights,
     graph_consistency_scores,
-    select_top_p,
     soft_threshold,
     sparse_kmeans,
     spec_scores,
 )
-from lkfs.clustering import ClusterAssignment
 from lkfs.dataio import minmax_scale
 from lkfs.errors import ConfigError
 from lkfs.kernel import gaussian_kernel, median_bandwidth
@@ -154,22 +152,35 @@ class TestSpecScores:
         assert result.ranking[-1] == 0
 
 
-class TestSelectTopP:
-    def test_skm_top_weights(self):
-        result = SkmResult(
-            weights=np.array([0.9, 0.0, 0.1]),
-            assignment=ClusterAssignment(labels=np.array([0, 1]), k=2, inertia=0.0, iterations_run=1),
-            objective_history=(1.0,),
-        )
-        assert select_top_p(result, 2) == (0, 2)
-        assert select_top_p(result, 3) == (0, 2, 1)
+def with_twin_columns(seed, n, d):
+    """An n x d draw whose last column repeats its first, so that every
+    column-wise score of the two is the same float."""
+    values = np.random.default_rng(seed).uniform(size=(n, d))
+    values[:, -1] = values[:, 0]
+    return values
 
-    def test_spec_smallest_scores(self):
-        result = SpecResult(scores=np.array([0.5, 0.1, 0.3]), ranking=(1, 2, 0))
-        assert select_top_p(result, 2) == (1, 2)
 
-    def test_p_exceeding_d_rejected(self):
-        result = SpecResult(scores=np.array([0.5]), ranking=(0,))
-        with pytest.raises(ConfigError):
-            select_top_p(result, 2)
+class TestRanking:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(6, 14),
+        d=st.integers(3, 9),
+        budget=st.floats(0.05, 1.0),
+    )
+    def test_skm_ranking_is_the_stable_order_of_largest_weights(self, seed, n, d, budget):
+        # a small budget s soft-thresholds weights to exactly 0, and the twin
+        # columns tie, so the draws hold tied weights
+        s = 1.0 + budget * (np.sqrt(d) - 1.0)
+        result = sparse_kmeans(with_twin_columns(seed, n, d), k=2, s=s, seed=seed, restarts=2)
+        assert result.weights[0] == result.weights[-1]
+        assert result.ranking == tuple(int(j) for j in np.argsort(-result.weights, kind="stable"))
+        assert all(type(j) is int for j in result.ranking)
 
+    def test_spec_ranking_is_the_stable_order_of_smallest_scores(self):
+        values = with_twin_columns(0, 12, 6)
+        values[:, [1, 3]] = 0.0  # two all-zero features, both scored +inf
+        result = spec_scores(values)
+        assert result.scores[0] == result.scores[-1]
+        assert result.ranking == tuple(int(j) for j in np.argsort(result.scores, kind="stable"))
+        assert result.ranking[-2:] == (1, 3)
