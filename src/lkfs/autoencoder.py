@@ -238,18 +238,12 @@ def encode(model: AeModel, X: ExpressionMatrix) -> "LatentRepresentation":
     h = values
     for layer, buffers in zip(model.encoder, _forward_buffers(model.encoder, X.n)):
         h = _layer_forward(layer, h, training=False, buffers=buffers)["out"]
-    return LatentRepresentation(z_values=h, sample_ids=X.sample_ids)
+    return LatentRepresentation(z_values=h)
 
 
 @dataclass(frozen=True)
 class LatentRepresentation:
-    z_values: np.ndarray
-    sample_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-        if self.z_values.shape[0] != len(self.sample_ids):
-            raise DataValidationError("latent rows must align one-to-one with sample ids")
+    z_values: np.ndarray  # row i is the latent code of sample i of the encoded matrix
 
 
 def weight_penalty(model: AeModel, scratch: np.ndarray) -> float:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterAssignment, kmeans
-from .dataio import ExpressionMatrix, derive_seed
+from .clustering import kmeans
+from .dataio import derive_seed
 from .errors import ConfigError, DataValidationError
 from .kernel import gaussian_kernel, median_bandwidth
 
@@ -19,11 +19,10 @@ _MAX_ROUNDS = 20
 
 @dataclass(frozen=True)
 class SkmResult:
-    """Non-negative feature weights under an L1 budget, with the final clustering
-    and the ranking (largest weight first, ties toward the lowest index)."""
+    """Non-negative feature weights under an L1 budget, the objective after each
+    round and the ranking (largest weight first, ties toward the lowest index)."""
 
     weights: np.ndarray
-    assignment: ClusterAssignment
     objective_history: tuple[float, ...]
     ranking: tuple[int, ...]
 
@@ -89,7 +88,7 @@ def _between_cluster_ss(values: np.ndarray, labels: np.ndarray, k: int) -> np.nd
 
 
 def sparse_kmeans(
-    X: ExpressionMatrix | np.ndarray,
+    X: np.ndarray,
     k: int,
     s: float,
     seed: int,
@@ -101,14 +100,13 @@ def sparse_kmeans(
     weighted between-cluster sum of squares under the L1/L2 constraints.
     Stops when the relative L1 weight change drops below 1e-4 (max 20 rounds).
     """
-    values = X.values if isinstance(X, ExpressionMatrix) else np.asarray(X, dtype=np.float64)
+    values = np.asarray(X, dtype=np.float64)
     d = values.shape[1]
     if not 1.0 < s <= math.sqrt(d) + 1e-12:
         raise ConfigError(f"s must satisfy 1 < s <= sqrt(d)={math.sqrt(d):.4f}, got {s}")
     if k < 2:
         raise ConfigError("k must be >= 2")
     w = np.full(d, 1.0 / math.sqrt(d))
-    assignment = None
     prev_b = None
     history: list[float] = []
     for round_no in range(_MAX_ROUNDS):
@@ -120,7 +118,6 @@ def sparse_kmeans(
         if prev_b is not None and float(w @ b) < float(w @ prev_b):
             b = prev_b
         else:
-            assignment = candidate
             prev_b = b
         w_new = _l1_bounded_weights(b, s)
         history.append(float(w_new @ b))
@@ -129,17 +126,17 @@ def sparse_kmeans(
         if change < _WEIGHT_CHANGE_TOL:
             break
     ranking = tuple(int(j) for j in np.argsort(-w, kind="stable"))
-    return SkmResult(w, assignment, tuple(history), ranking)
+    return SkmResult(w, tuple(history), ranking)
 
 
-def spec_scores(X: ExpressionMatrix | np.ndarray) -> SpecResult:
+def spec_scores(X: np.ndarray) -> SpecResult:
     """Rank features by smoothness on the dense Gaussian sample-similarity graph
     at the median-distance bandwidth.
 
     Each feature f is degree-normalized and scored by the normalized-Laplacian
     quadratic form; zero-norm (all-zero) features score +inf and rank last.
     """
-    values = X.values if isinstance(X, ExpressionMatrix) else np.asarray(X, dtype=np.float64)
+    values = np.asarray(X, dtype=np.float64)
     if values.shape[0] < 2:
         raise DataValidationError("spec_scores needs at least 2 samples")
     similarity = gaussian_kernel(values, median_bandwidth(values)).entries

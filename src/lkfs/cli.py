@@ -3,10 +3,12 @@
 Subcommands: synth, preprocess, select, cluster, evaluate, run, inspect.
 All but synth and inspect build one RunConfig: the --config file's or the
 defaults, with each flag given a value overriding the field its dest names.
-Exit codes: 0 success, 1 usage/config error, 2 data validation error (an
-empty or whitespace-only feature name, sample id or label is one) or out of
-memory (also a run refused before any work because its lkfs selection source
-alone would exceed physical memory), 3 numerical failure.
+Exit codes: 0 success, 1 usage/config error (a config file that is not
+UTF-8 JSON is one), 2 data validation error (an empty or whitespace-only
+feature name, sample id or label is one, and so is a file that cannot be
+read as UTF-8 text or cannot be written: one line that names the file) or out
+of memory (also a run refused before any work because its lkfs selection
+source alone would exceed physical memory), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -162,8 +164,8 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"config file not found: {path}")
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     config = RunConfig.from_dict(doc)
 
     fields, overrides, preprocess = {f.name for f in dataclasses.fields(config)}, {}, {}
@@ -263,7 +265,10 @@ def _read_text(path: str, what: str) -> str:
 def _read_selection(path: str, feature_names: tuple[str, ...]) -> list[int]:
     """Column indices of a `select` document's `selected` list, or of a text
     file's feature names, one per line."""
-    text = _read_text(path, "selection file")
+    try:
+        text = _read_text(path, "selection file")
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path} is not UTF-8 text: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
@@ -400,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except MemoryError as exc:  # numpy's message names the array it could not allocate
         print(f"data error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file that cannot be read or written; the message names it
+        print(f"data error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -125,8 +124,8 @@ def kmeans(X: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> ClusterA
     ties between restarts keep the earliest.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    if X.ndim != 2:
+        raise DataValidationError(f"kmeans needs an (n, d) array, got shape {X.shape}")
     n = X.shape[0]
     if k > n:
         raise ConfigError(f"k={k} exceeds number of samples n={n}")
@@ -145,9 +144,8 @@ def kmeans(X: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> ClusterA
     return ClusterAssignment(labels=labels, k=k, inertia=inertia, iterations_run=iterations)
 
 
-def _as_codes(values: Sequence | np.ndarray) -> np.ndarray:
-    arr = np.asarray(values)
-    _, codes = np.unique(arr, return_inverse=True)
+def _as_codes(values: np.ndarray) -> np.ndarray:
+    _, codes = np.unique(values, return_inverse=True)
     return codes.astype(np.int64)
 
 
@@ -172,20 +170,22 @@ def _pair_counts(pred: np.ndarray, truth: np.ndarray) -> tuple[int, int, int, in
 
 
 def _validated_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
-    pred_labels = pred.labels if isinstance(pred, ClusterAssignment) else np.asarray(pred)
-    truth_arr = np.asarray(truth)
-    if pred_labels.shape[0] != truth_arr.shape[0]:
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    if pred.shape[0] != truth.shape[0]:
         raise DataValidationError(
-            f"label coverage mismatch: {pred_labels.shape[0]} predictions vs "
-            f"{truth_arr.shape[0]} ground-truth labels"
+            f"label coverage mismatch: {pred.shape[0]} predictions vs "
+            f"{truth.shape[0]} ground-truth labels"
         )
-    if pred_labels.shape[0] < 2:
+    if pred.shape[0] < 2:
         raise DataValidationError("pair-counting indices need at least 2 samples")
-    return _as_codes(pred_labels), _as_codes(truth_arr)
+    return _as_codes(pred), _as_codes(truth)
 
 
 def rand_index(pred, truth) -> float:
-    """(A + B) / (A + B + C + D) over all sample pairs."""
+    """(A + B) / (A + B + C + D) over all sample pairs, for the cluster ids
+    ``pred`` and the class names (or any sortable labels) ``truth`` of the
+    same samples. The pair counts depend only on the two partitions, so each
+    side is coded once, by ``np.unique``, whatever its labels are."""
     p, t = _validated_pair(pred, truth)
     a, b, c, d = _pair_counts(p, t)
     return (a + b) / (a + b + c + d)

@@ -83,21 +83,6 @@ class LabelVector:
         if not self.labels:
             raise DataValidationError("label vector is empty")
 
-    def classes(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.labels.values())))
-
-    def aligned_to(self, sample_ids: Sequence[str]) -> np.ndarray:
-        """Integer class codes for ``sample_ids``; raises if any id is unlabeled."""
-        missing = [s for s in sample_ids if s not in self.labels]
-        if missing:
-            raise DataValidationError(f"no label for sample(s): {missing[:5]}")
-        code = {c: i for i, c in enumerate(self.classes())}
-        return np.array([code[self.labels[s]] for s in sample_ids], dtype=np.int64)
-
-    def covered(self, sample_ids: Sequence[str]) -> list[str]:
-        """Subset of ``sample_ids`` that carry a label, in input order."""
-        return [s for s in sample_ids if s in self.labels]
-
 
 @dataclass(frozen=True)
 class PreprocessConfig:
@@ -160,10 +145,14 @@ def _parse_row(cells: list[str], line_no: int, col_names: Sequence[str]) -> np.n
 
 def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
     """(physical line number, line) for each non-blank line of a text file,
-    read one line at a time with the line boundaries of ``str.splitlines``."""
+    read one line at a time with the line boundaries of ``str.splitlines``.
+    Text that is not UTF-8 is a ``DataValidationError`` that names the file."""
     with path.open(encoding="utf-8") as f:
         numbered = enumerate((ln for chunk in f for ln in chunk.splitlines()), start=1)
-        yield from ((no, ln) for no, ln in numbered if ln.strip())
+        try:
+            yield from ((no, ln) for no, ln in numbered if ln.strip())
+        except UnicodeDecodeError as exc:
+            raise DataValidationError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def load_matrix(path: str | Path, orientation: str = "rows") -> ExpressionMatrix:

@@ -4,7 +4,7 @@ Frobenius inner products and kernel alignment."""
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
@@ -25,7 +25,7 @@ class KernelMatrix:
     """
 
     entries: np.ndarray
-    bandwidth: float
+    _: KW_ONLY
     source: str = "data"
     degenerate: bool = False
 
@@ -68,7 +68,7 @@ def gaussian_kernel(points: np.ndarray, sigma: float, source: str = "data") -> K
     if not np.isfinite(pts).all():
         raise DataValidationError("gaussian_kernel input contains non-finite values")
     triangle = _gaussian(_sq_triangle(pts), -(2.0 * sigma * sigma))
-    return KernelMatrix(_dense(triangle, pts.shape[0]), bandwidth=float(sigma), source=source)
+    return KernelMatrix(_dense(triangle, pts.shape[0]), source=source)
 
 
 @lru_cache(maxsize=8)
@@ -195,10 +195,7 @@ class StackedKernels:
     def __getitem__(self, j: int) -> KernelMatrix:
         j = range(len(self))[operator.index(j)]
         return KernelMatrix(
-            _dense(self.row(j), self.n),
-            bandwidth=float(self.bandwidths[j]),
-            source=f"feature:{j}",
-            degenerate=bool(self.degenerate[j]),
+            _dense(self.row(j), self.n), source=f"feature:{j}", degenerate=bool(self.degenerate[j])
         )
 
     @property

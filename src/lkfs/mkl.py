@@ -171,5 +171,5 @@ def combined_kernel(
     entries = np.zeros((n, n))
     for j in solution.selected:
         entries += solution.mu[j] * candidates[j].entries
-    return KernelMatrix(entries, bandwidth=float("nan"), source="combined")
+    return KernelMatrix(entries, source="combined")
 

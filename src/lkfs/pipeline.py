@@ -226,13 +226,13 @@ def select_features(
         for p in config.p_grid:
             yield p, solution.selected[:p], solution
     elif method == "spec":
-        spec = baselines.spec_scores(X)
+        spec = baselines.spec_scores(X.values)
         for p in config.p_grid:
             yield p, spec.ranking[:p], spec
     elif method == "skm":
         for p in config.p_grid:
             result = baselines.sparse_kmeans(
-                X,
+                X.values,
                 k=config.k_grid[0],
                 s=float(np.sqrt(p)),
                 seed=derive_seed(config.seed, rep, _SEED_SKM, p),
@@ -256,15 +256,13 @@ def score_selection(
     its selection for ``p``.
 
     Rand index and ARI compare the clusters of the labelled samples with their
-    labels; with fewer than 2 labelled samples they are None.
+    class names; with fewer than 2 labelled samples they are None.
     """
     red = evaluation.red_score(X, selected)
     sub = X.values[:, selected]
-    labelled = labels.covered(X.sample_ids) if labels is not None else []
-    codes = mask = None
-    if len(labelled) >= 2:
-        codes = labels.aligned_to(labelled)
-        mask = np.array([sid in labels.labels for sid in X.sample_ids])
+    truth = labels.labels if labels is not None else {}
+    labelled = [i for i, sid in enumerate(X.sample_ids) if sid in truth]
+    classes = [truth[X.sample_ids[i]] for i in labelled]
     metrics = []
     for k in config.k_grid:
         assignment = clustering.kmeans(
@@ -274,10 +272,10 @@ def score_selection(
             seed=derive_seed(config.seed, rep, _SEED_KMEANS, p, k),
         )
         rand = ari = None
-        if codes is not None:
-            pred = assignment.labels[mask]
-            rand = clustering.rand_index(pred, codes)
-            ari = clustering.adjusted_rand_index(pred, codes)
+        if len(labelled) >= 2:
+            pred = assignment.labels[labelled]
+            rand = clustering.rand_index(pred, classes)
+            ari = clustering.adjusted_rand_index(pred, classes)
         metrics.append(
             ClusteringMetrics(
                 k=k,
@@ -355,7 +353,9 @@ def run_experiment(
         )
     subsampled_n = int(np.floor(config.preprocess.subsample_fraction * X.n))
     if max(config.k_grid) > subsampled_n:
-        raise ConfigError("max k exceeds the subsampled sample count")
+        raise ConfigError(
+            f"max k={max(config.k_grid)} exceeds the subsampled sample count {subsampled_n}"
+        )
     if subsampled_n < 3:
         raise DataValidationError(
             f"a resample of {subsampled_n} samples is too small: "

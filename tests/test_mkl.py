@@ -65,7 +65,7 @@ def grid_search_alignment(Ka, Kb, Kz, n_points=2000):
             mix = Kb.entries
         else:
             mix = Ka.entries + ratio * Kb.entries
-        best = max(best, alignment(KernelMatrix(mix, 1.0), Kz))
+        best = max(best, alignment(KernelMatrix(mix), Kz))
     return best
 
 
@@ -88,9 +88,9 @@ def informative_target_fixture(seed, n=200, d=100, informative=10):
     X, labels = generate_synthetic(n=n, d=d, informative=informative, separation=4.0, seed=seed)
     Xs = minmax_scale(X)
     candidates = feature_kernels(Xs)
-    codes = labels.aligned_to(Xs.sample_ids)
-    blocks = (codes[:, None] == codes[None, :]).astype(float)
-    kz = KernelMatrix(blocks, bandwidth=1.0, source="latent")
+    classes = np.array([labels.labels[sid] for sid in Xs.sample_ids])
+    blocks = (classes[:, None] == classes[None, :]).astype(float)
+    kz = KernelMatrix(blocks, source="latent")
     return Xs, candidates, kz
 
 
@@ -144,7 +144,7 @@ class TestSolvePairWeights:
         Kz = random_kernel(rng)
         mu_a, mu_b, achieved = solve_pair_weights(Ka, Kz, Kz)
         assert achieved == pytest.approx(1.0, abs=1e-9)
-        mix = KernelMatrix(mu_a * Ka.entries + mu_b * Kz.entries, 1.0)
+        mix = KernelMatrix(mu_a * Ka.entries + mu_b * Kz.entries)
         assert alignment(mix, Kz) == pytest.approx(1.0, abs=1e-9)
 
     def test_equal_kernels_tie_break(self, rng):
@@ -250,7 +250,7 @@ class TestGreedySelect:
     def test_all_degenerate_rejected(self):
         candidates = column_kernels(np.ones((4, 1)))
         with pytest.raises(DataValidationError, match="non-degenerate"):
-            greedy_select(candidates, KernelMatrix(np.eye(4), 1.0), MklConfig(p=1))
+            greedy_select(candidates, KernelMatrix(np.eye(4)), MklConfig(p=1))
 
     def test_recovers_informative_features(self):
         # target built from the informative block: selection should find it
@@ -364,7 +364,7 @@ class TestInnerProducts:
             points=np.broadcast_to(0.0, (n, d)),
         )
         with pytest.raises(Taken) as taken:
-            greedy_select(stack, KernelMatrix(np.eye(n), 1.0), MklConfig(p=p))
+            greedy_select(stack, KernelMatrix(np.eye(n)), MklConfig(p=p))
         assert str(taken.value) == {"gram": "_pair_blocks", "stack": "triangles"}[way]
         assert kernel.selection_source(n, d, p) == (way, nbytes)
 

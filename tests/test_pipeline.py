@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lkfs.autoencoder import AeHyperparams
+from lkfs.clustering import adjusted_rand_index, rand_index
 from lkfs.dataio import LabelVector, PreprocessConfig, generate_synthetic, subsample
 from lkfs.errors import ConfigError, DataValidationError
 from lkfs.evaluation import pca_2d
@@ -128,6 +129,14 @@ class TestRunExperiment:
         cell = result.reports["spec"].aggregates[0]
         assert cell.rand_index_mean is not None
         assert 0.0 <= cell.rand_index_mean <= 1.0
+        # each record scores the clusters of its labelled samples alone
+        for rec in result.reports["spec"].records:
+            [cm] = rec.clusterings
+            pairs = [(c, partial.labels[s]) for s, c in zip(rec.sample_ids, cm.cluster_labels)
+                     if s in partial.labels]
+            assert len(pairs) < len(rec.sample_ids)
+            assert cm.rand_index == rand_index(*zip(*pairs))
+            assert cm.adjusted_rand_index == adjusted_rand_index(*zip(*pairs))
 
     def test_earlier_repetitions_stable_when_reps_grow(self, fixture_data):
         X, labels = fixture_data
@@ -341,9 +350,9 @@ class TestEmitOutputs:
                 assert [row[3] for row in rows] == [given.labels.get(s, "") for s in Xp.sample_ids]
                 truth_cells += [row[3] for row in rows]
         if coverage == "full":
-            assert "" not in truth_cells and set(truth_cells) == set(labels.classes())
+            assert "" not in truth_cells and set(truth_cells) == set(labels.labels.values())
         if coverage == "partial":
-            assert "" in truth_cells and set(truth_cells) - {""} == set(labels.classes())
+            assert "" in truth_cells and set(truth_cells) - {""} == set(labels.labels.values())
 
 
 class TestRunConfig:
