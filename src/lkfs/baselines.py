@@ -9,7 +9,7 @@ import numpy as np
 
 from .clustering import kmeans
 from .dataio import derive_seed
-from .errors import ConfigError, DataValidationError
+from .errors import ConfigError
 from .kernel import gaussian_kernel, median_bandwidth
 
 _L1_BIND_TOL = 1e-6
@@ -35,27 +35,23 @@ class SpecResult:
     ranking: tuple[int, ...]
 
 
-def soft_threshold(x: np.ndarray | float, delta: float) -> np.ndarray | float:
-    return np.sign(x) * np.maximum(np.abs(x) - delta, 0.0)
-
-
 def _l1_bounded_weights(b: np.ndarray, s: float) -> np.ndarray:
-    """Maximize w.b subject to ||w||_2 <= 1, ||w||_1 <= s, w >= 0.
+    """Maximize w.b subject to ||w||_2 <= 1, ||w||_1 <= s, w >= 0, for the
+    non-negative sums ``b`` of ``_between_cluster_ss``.
 
-    Solution is soft_threshold(b+, delta) renormalized to unit L2, with delta
-    found by bisection so the L1 bound binds when the unthresholded weights
-    violate it. When the top of ``b`` is tied across more entries than s^2 the
+    Solution is (b - delta)+ renormalized to unit L2, with delta found by
+    bisection so the L1 bound binds when the unthresholded weights violate
+    it. When the top of ``b`` is tied across more entries than s^2 the
     bound cannot bind under L2 normalization; mass s/|T| on the tied set is the
     maximizer there (the L2 constraint goes slack).
     """
-    pos = np.maximum(b, 0.0)
-    top = pos.max()
+    top = b.max()
     if top == 0.0:
         return np.full(b.size, s / b.size)
-    w = pos / np.linalg.norm(pos)
-    if np.abs(w).sum() <= s:
+    w = b / np.linalg.norm(b)
+    if w.sum() <= s:
         return w
-    tied = pos == top
+    tied = b == top
     if math.sqrt(tied.sum()) >= s - 1e-12:
         out = np.zeros(b.size)
         out[tied] = s / tied.sum()
@@ -63,9 +59,9 @@ def _l1_bounded_weights(b: np.ndarray, s: float) -> np.ndarray:
     lo, hi = 0.0, top
     for _ in range(200):
         delta = (lo + hi) / 2.0
-        thresholded = soft_threshold(pos, delta)
+        thresholded = np.maximum(b - delta, 0.0)
         w = thresholded / np.linalg.norm(thresholded)
-        l1 = np.abs(w).sum()
+        l1 = w.sum()
         if abs(l1 - s) <= _L1_BIND_TOL:
             return w
         if l1 > s:
@@ -104,8 +100,6 @@ def sparse_kmeans(
     d = values.shape[1]
     if not 1.0 < s <= math.sqrt(d) + 1e-12:
         raise ConfigError(f"s must satisfy 1 < s <= sqrt(d)={math.sqrt(d):.4f}, got {s}")
-    if k < 2:
-        raise ConfigError("k must be >= 2")
     w = np.full(d, 1.0 / math.sqrt(d))
     prev_b = None
     history: list[float] = []
@@ -121,7 +115,7 @@ def sparse_kmeans(
             prev_b = b
         w_new = _l1_bounded_weights(b, s)
         history.append(float(w_new @ b))
-        change = np.abs(w_new - w).sum() / max(np.abs(w).sum(), 1e-300)
+        change = np.abs(w_new - w).sum() / w.sum()
         w = w_new
         if change < _WEIGHT_CHANGE_TOL:
             break
@@ -137,8 +131,6 @@ def spec_scores(X: np.ndarray) -> SpecResult:
     quadratic form; zero-norm (all-zero) features score +inf and rank last.
     """
     values = np.asarray(X, dtype=np.float64)
-    if values.shape[0] < 2:
-        raise DataValidationError("spec_scores needs at least 2 samples")
     similarity = gaussian_kernel(values, median_bandwidth(values)).entries
     scores = graph_consistency_scores(values, similarity)
     ranking = tuple(int(j) for j in np.argsort(scores, kind="stable"))

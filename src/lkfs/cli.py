@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -181,10 +183,17 @@ def _load_config(args) -> RunConfig:
 
 
 def _config_and_input(args) -> tuple[RunConfig, dataio.ExpressionMatrix]:
-    """The settings of a stepwise command and the matrix they name."""
+    """The settings of a stepwise command and the matrix they name. An --out
+    whose directory is missing, or is a file, fails here, before any work,
+    as a write there would."""
     config = _load_config(args)
     if config.input is None:  # an empty --input
         raise ConfigError(f"{args.command} needs an input matrix")
+    parent = Path(args.out).parent if args.out else None
+    if parent is not None and not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        # OSError takes the subclass of the code: NotADirectoryError, FileNotFoundError
+        raise OSError(code, os.strerror(code), args.out)
     return config, dataio.load_matrix(config.input, config.orientation)
 
 

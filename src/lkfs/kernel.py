@@ -214,9 +214,6 @@ class StackedKernels:
         """The strict upper triangle of kernel j, written into ``out`` if given."""
         if out is None:
             out = np.empty(self.n * (self.n - 1) // 2)
-        if self.degenerate[j]:
-            out.fill(1.0)
-            return out
         return _gaussian(_sq_triangle(self.points[:, j], out), self._scales[j])
 
     def triangles(self) -> np.ndarray:

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lkfs import baselines
 from lkfs.baselines import (
+    _between_cluster_ss,
     _l1_bounded_weights,
     graph_consistency_scores,
-    soft_threshold,
     sparse_kmeans,
     spec_scores,
 )
@@ -31,13 +34,6 @@ def spec_score_oracle(values, sigma):
         fhat = g / norm
         scores.append(float(np.dot(fhat, L @ fhat)))
     return np.array(scores)
-
-
-class TestSoftThreshold:
-    def test_operator_values(self):
-        assert soft_threshold(3.0, 1.0) == 2.0
-        assert soft_threshold(0.5, 1.0) == 0.0
-        assert soft_threshold(-3.0, 1.0) == -2.0
 
 
 class TestBoundedWeights:
@@ -70,6 +66,16 @@ class TestBoundedWeights:
     def test_all_zero_bcss(self):
         w = _l1_bounded_weights(np.zeros(5), s=2.0)
         assert np.abs(w).sum() == pytest.approx(2.0)
+
+
+class TestBetweenClusterSums:
+    def test_clamped_where_rounding_goes_below_zero(self):
+        # two clusters of the same three values: the between-cluster sum of
+        # the first feature is 0, but total minus within rounds to -5.6e-17
+        a = np.random.default_rng(0).uniform(0, 1, 3)
+        values = np.column_stack([np.concatenate([a, a[::-1]]), [0, 0, 0, 1, 1, 1.0]])
+        b = _between_cluster_ss(values, np.array([0, 0, 0, 1, 1, 1]), 2)
+        assert b.tolist() == [0.0, 1.5]
 
 
 class TestSparseKmeans:
@@ -107,6 +113,21 @@ class TestSparseKmeans:
             sparse_kmeans(minmax_scale(X).values, k=2, s=0.5, seed=0)
         with pytest.raises(ConfigError):
             sparse_kmeans(minmax_scale(X).values, k=2, s=100.0, seed=0)
+
+    def test_stops_once_the_weights_move_less_than_1e_4(self, small_fixture, monkeypatch):
+        # scripted weight updates whose relative L1 changes are 5e-3, then 5e-5
+        values = minmax_scale(small_fixture[0]).values
+        weights = [np.full(values.shape[1], 1.0 / math.sqrt(values.shape[1]))]
+        factors = iter([1 + 5e-3, 1 + 5e-5, 1 + 5e-3])
+
+        def scripted(b, s):
+            weights.append(weights[-1] * next(factors))
+            return weights[-1]
+
+        monkeypatch.setattr(baselines, "_l1_bounded_weights", scripted)
+        result = sparse_kmeans(values, k=2, s=2.0, seed=0, restarts=2)
+        assert len(result.objective_history) == 2
+        assert result.weights is weights[2]
 
     def test_deterministic(self, small_fixture):
         X, _ = small_fixture

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lkfs import pipeline
+from lkfs import dataio, pipeline
 from lkfs.cli import main
 from lkfs.dataio import ExpressionMatrix, load_matrix, save_matrix, subsample
 from lkfs.pipeline import RunConfig, derive_seed, preprocess_matrix
@@ -849,6 +849,27 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"data error: [Errno 2] No such file or directory: '{out}'\n"
         )
+
+    @pytest.mark.parametrize("parent", ["missing", "a file"])
+    @pytest.mark.parametrize("command", ["select", "cluster", "preprocess", "evaluate"])
+    def test_out_in_a_missing_directory_is_found_before_any_work(
+        self, small_dir, tmp_path, monkeypatch, capsys, command, parent
+    ):
+        monkeypatch.setattr(dataio, "load_matrix", lambda *args: pytest.fail("matrix read"))
+        monkeypatch.setattr(pipeline, "train", lambda *args: pytest.fail("trained"))
+        selection, out = tmp_path / "selection.txt", tmp_path / "parent" / "out"
+        selection.write_text("f0000\nf0001\n")
+        if parent == "a file":
+            (tmp_path / "parent").write_text("")
+        argv = {
+            "select": ["select", "--method", "lkfs", "--p", "2"],
+            "cluster": ["cluster", "--k", "2"],
+            "preprocess": ["preprocess"],
+            "evaluate": ["evaluate", "--selection", str(selection)],
+        }[command]
+        assert main([*argv, "--input", str(small_dir / "matrix.tsv"), "--out", str(out)]) == 2
+        reason = {"missing": "No such file or directory", "a file": "Not a directory"}[parent]
+        assert capsys.readouterr().err.endswith(f"{reason}: '{out}'\n")
 
     def test_missing_config_file_is_1(self, small_dir, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -443,6 +443,17 @@ class TestVarianceFilter:
         X = variance_filter(matrix_from(values), 1 / 3)
         assert X.feature_names == ("g0",)
 
+    def test_tied_variances_across_the_cut_keep_the_lower_indices(self):
+        # three interleaved groups of duplicate columns: at every cut, a group
+        # split by it keeps its lowest-index columns
+        d = 64
+        levels = 1.0 + (np.arange(d) * 7) % 3
+        X = matrix_from(np.array([0.0, 1.0, 0.0, 1.0])[:, None] * levels)
+        order = sorted(range(d), key=lambda j: (-levels[j], j))
+        for keep in range(1, d):
+            kept = variance_filter(X, (keep + 0.5) / d).feature_names
+            assert kept == tuple(f"g{j}" for j in sorted(order[:keep])), keep
+
     def test_zero_columns_rejected(self):
         with pytest.raises(DataValidationError):
             variance_filter(matrix_from([[1.0], [2.0]]), 0.4)

@@ -186,6 +186,21 @@ class TestSolvePairWeights:
         want = scalar_pair_weights(*(frobenius_inner(K1, K2) for K1, K2 in pairs))
         assert solve_pair_weights(Ka, Kb, Kz) == want
 
+    def test_near_twins_keep_the_interior_solve(self):
+        # the second kernel's points moved by about 1e-4: a relative 2x2
+        # determinant of about 1.4e-8, far above the 1e-14 floor, so the equal
+        # mix the target is gets weights (0.5, 0.5), not a boundary answer
+        rng = np.random.default_rng(0)
+        points = rng.standard_normal((12, 2))
+        Ka = gaussian_kernel(points, 1.0)
+        Kb = gaussian_kernel(points + 1e-4 * rng.standard_normal((12, 2)), 1.0)
+        Kz = KernelMatrix(0.5 * Ka.entries + 0.5 * Kb.entries)
+        aa, bb, ab = (frobenius_inner(K1, K2) for K1, K2 in ((Ka, Ka), (Kb, Kb), (Ka, Kb)))
+        assert 1e-9 < (aa * bb - ab * ab) / (aa * bb) < 1e-7
+        mu_a, mu_b, achieved = solve_pair_weights(Ka, Kb, Kz)
+        assert mu_a == pytest.approx(0.5, abs=1e-6) and mu_b == pytest.approx(0.5, abs=1e-6)
+        assert achieved == pytest.approx(1.0, abs=1e-12)
+
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DataValidationError):
             solve_pair_weights(random_kernel(rng, n=5), random_kernel(rng, n=6), random_kernel(rng, n=6))
