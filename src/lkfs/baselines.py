@@ -128,7 +128,8 @@ def spec_scores(X: np.ndarray) -> SpecResult:
     at the median-distance bandwidth.
 
     Each feature f is degree-normalized and scored by the normalized-Laplacian
-    quadratic form; zero-norm (all-zero) features score +inf and rank last.
+    quadratic form; constant features, which separate nothing, score +inf and
+    rank last (a constant's normalized vector is the Laplacian's null vector).
     """
     values = np.asarray(X, dtype=np.float64)
     similarity = gaussian_kernel(values, median_bandwidth(values)).entries
@@ -147,11 +148,12 @@ def graph_consistency_scores(values: np.ndarray, similarity: np.ndarray) -> np.n
     degree = similarity.sum(axis=1)
     dsqrt = np.sqrt(degree)
     laplacian = np.eye(n) - similarity / np.outer(dsqrt, dsqrt)
+    constant = values.max(axis=0) == values.min(axis=0)
     scores = np.empty(d)
     for j in range(d):
         g = dsqrt * values[:, j]
         norm = np.linalg.norm(g)
-        if norm == 0.0:
+        if norm == 0.0 or constant[j]:
             scores[j] = np.inf
             continue
         fhat = g / norm

@@ -22,7 +22,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import clustering, dataio, pipeline
+from . import clustering, dataio, evaluation, pipeline
 from .errors import ConfigError, DataValidationError, NumericalError
 from .pipeline import RunConfig
 
@@ -307,7 +307,7 @@ def _cmd_evaluate(args) -> int:
     selected = _read_selection(args.selection, X.feature_names)
     labels = dataio.load_labels(config.labels) if config.labels is not None else None
     red, metrics = pipeline.score_selection(X, selected, labels, config, rep=0, p=len(selected))
-    doc = {"red": red, "clusterings": [m.to_json_dict() for m in metrics]}
+    doc = {"red": red, "clusterings": evaluation.report_fields(metrics)}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,53 +69,48 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return X[chosen]
 
 
+def _update_centers(X: np.ndarray, labels: np.ndarray, centers: np.ndarray, k: int) -> list[int]:
+    """Move each nonempty cluster's centre to its members' mean, as
+    ``X[labels == c].mean(axis=0)`` computes it, and return the cluster sizes."""
+    counts = np.bincount(labels, minlength=k).tolist()
+    for c, count in enumerate(counts):
+        if count:
+            centers[c] = np.add.reduce(X[labels == c], axis=0) / count
+    return counts
+
+
 def _lloyd(X: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, float, int]:
+    """Labels, inertia and iteration count of Lloyd's iterations from ``centers``
+    (updated in place); after ``_MAX_LLOYD_ITERATIONS`` it returns the next assignment."""
     n = X.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
     prev_inertia = np.inf
     work = None
     repaired = None  # the assignment the last iteration's empty-cluster repair changed
-    for iteration in range(1, _MAX_LLOYD_ITERATIONS + 1):
+    for iteration in itertools.count(1):
         d2, work = _sqdist_to_centers(X, centers, work)
         new_labels = d2.argmin(axis=1)
         inertia = float(d2.min(axis=1).sum())
         if inertia > prev_inertia * (1 + 1e-9) + 1e-12:
             raise NumericalError("Lloyd iteration increased inertia")
         prev_inertia = inertia
-        if (new_labels == labels).all():
-            return labels, inertia, iteration
+        if iteration > _MAX_LLOYD_ITERATIONS or (new_labels == labels).all():
+            return new_labels, inertia, min(iteration, _MAX_LLOYD_ITERATIONS)
         if repaired is not None and (new_labels == repaired).all():
             # the assignment undoes the repair; the repair depends only on it,
             # so every later iteration would repeat both, ending where this one is
             return new_labels, inertia, iteration
         labels = new_labels
-        counts = np.bincount(labels, minlength=k).tolist()
-        for c, count in enumerate(counts):
-            if count:
-                # what X[labels == c].mean(axis=0) computes
-                centers[c] = np.add.reduce(X[labels == c], axis=0) / count
-        repaired = None if min(counts) else labels.copy()
-        if repaired is None:
-            continue
-        # empty-cluster repair: move the point farthest from its centroid
-        for c in range(k):
-            if (labels == c).any():
-                continue
+        counts = _update_centers(X, labels, centers, k)
+        empty = [c for c, count in enumerate(counts) if not count]
+        repaired = labels.copy() if empty else None
+        # empty-cluster repair: move the point farthest from its centre that is
+        # not alone in its cluster (k <= n, so one always has company)
+        for c in empty:
             dist_own = _sqdist_to_centers(X, centers, work)[0][np.arange(n), labels]
-            counts = np.bincount(labels, minlength=k)
-            movable = counts[labels] > 1
-            if not movable.any():
-                continue
-            dist_own[~movable] = -np.inf
-            far = int(dist_own.argmax())
-            labels[far] = c
-            centers[c] = X[far]
-            for cc in np.unique(labels):
-                centers[cc] = X[labels == cc].mean(axis=0)
-    d2, _ = _sqdist_to_centers(X, centers, work)
-    labels = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(n), labels].sum())
-    return labels, inertia, _MAX_LLOYD_ITERATIONS
+            dist_own[np.take(counts, labels) == 1] = -np.inf
+            labels[int(dist_own.argmax())] = c
+            counts = _update_centers(X, labels, centers, k)
 
 
 def kmeans(X: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> ClusterAssignment:
@@ -133,14 +129,13 @@ def kmeans(X: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> ClusterA
         raise ConfigError("k must be >= 2")
     if restarts < 1:
         raise ConfigError("restarts must be >= 1")
-    best: tuple[float, int, np.ndarray, int] | None = None
+    best = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        centers = _kmeanspp_init(X, k, rng)
-        labels, inertia, iterations = _lloyd(X, centers, k)
-        if best is None or inertia < best[0]:
-            best = (inertia, r, labels, iterations)
-    inertia, _, labels, iterations = best
+        result = _lloyd(X, _kmeanspp_init(X, k, rng), k)
+        if best is None or result[1] < best[1]:
+            best = result
+    labels, inertia, iterations = best
     return ClusterAssignment(labels=labels, k=k, inertia=inertia, iterations_run=iterations)
 
 

@@ -294,7 +294,7 @@ def variance_filter(X: ExpressionMatrix, keep_fraction: float) -> ExpressionMatr
     ranked = np.argsort(-variances, kind="stable")  # ties -> lowest original index
     chosen = np.sort(ranked[:keep])
     return ExpressionMatrix(
-        X.values[:, chosen],
+        np.take(X.values, chosen, axis=1),  # C-ordered, so not copied again
         X.sample_ids,
         tuple(X.feature_names[j] for j in chosen),
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Sequence
 
 import numpy as np
@@ -68,14 +68,6 @@ class ClusteringMetrics:
     adjusted_rand_index: float | None
     cluster_labels: tuple[int, ...] = field(repr=False, default=())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "inertia": self.inertia,
-            "rand_index": self.rand_index,
-            "adjusted_rand_index": self.adjusted_rand_index,
-        }
-
 
 @dataclass(frozen=True)
 class RepetitionRecord:
@@ -88,16 +80,6 @@ class RepetitionRecord:
     # the resample's sample ids, in the row order of cluster_labels and projection
     sample_ids: tuple[str, ...] = field(repr=False, default=())
     projection: np.ndarray | None = field(repr=False, compare=False, default=None)  # n x 2
-
-    def to_json_dict(self) -> dict:
-        return {
-            "repetition": self.repetition,
-            "seed": self.seed,
-            "p": self.p,
-            "selected_features": list(self.selected_features),
-            "red": self.red,
-            "clusterings": [c.to_json_dict() for c in self.clusterings],
-        }
 
 
 @dataclass(frozen=True)
@@ -123,12 +105,20 @@ class EvaluationReport:
     aggregates: tuple[CellAggregate, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "dataset_id": self.dataset_id,
-            "repetitions": [r.to_json_dict() for r in self.records],
-            "aggregates": [asdict(a) for a in self.aggregates],
-        }
+        doc = report_fields(self)
+        doc["repetitions"] = doc.pop("records")
+        return doc
+
+
+def report_fields(value):
+    """The JSON form of a record, or of a tuple or list of them: its dataclass
+    fields, less the per-sample ones (those marked ``repr=False``), each
+    written the same way."""
+    if is_dataclass(value):
+        return {f.name: report_fields(getattr(value, f.name)) for f in fields(value) if f.repr}
+    if isinstance(value, (tuple, list)):
+        return [report_fields(v) for v in value]
+    return value
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:

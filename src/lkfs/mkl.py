@@ -52,9 +52,8 @@ def solve_pair_weights(
     Ka: KernelMatrix, Kb: KernelMatrix, Kz: KernelMatrix
 ) -> tuple[float, float, float]:
     """Optimal non-negative pair (mu_a, mu_b), normalized to sum 1, and the
-    alignment it achieves against ``Kz``."""
-    if Ka.n != Kb.n or Ka.n != Kz.n:
-        raise DataValidationError("pair-weight kernels must share dimensions")
+    alignment it achieves against ``Kz``; ``frobenius_inner`` rejects kernels
+    of different sizes."""
     wa, wb, achieved = _pair_weights_batch(
         frobenius_inner(Ka, Ka),
         np.array([frobenius_inner(Kb, Kb)]),

@@ -38,6 +38,8 @@ class Mutant:
 
 _TOY = "tests/test_pins.py::test_toy_run_matches_its_pins"
 _CONTESTED = "tests/test_pins.py::test_contested_run_matches_its_pins"
+_KMEANS = "tests/test_clustering.py::TestKmeans"
+_KMEANS_BITS = "tests/test_clustering.py::TestKmeansBitIdentity"
 
 MUTANTS = (
     Mutant(
@@ -106,6 +108,47 @@ MUTANTS = (
         (f"{_TOY}[lkfs]",),
     ),
     Mutant("ae-seed", "pipeline.py", "_SEED_AE = 1", "_SEED_AE = 6", (f"{_TOY}[lkfs]",)),
+    Mutant(
+        "kmeans-restart-ties", "clustering.py",
+        "result[1] < best[1]", "result[1] <= best[1]",
+        (f"{_KMEANS_BITS}::test_stops_when_an_assignment_undoes_a_repair", f"{_TOY}[lkfs]"),
+    ),
+    Mutant(
+        "lloyd-max-iterations", "clustering.py",
+        "_MAX_LLOYD_ITERATIONS = 300", "_MAX_LLOYD_ITERATIONS = 3",
+        (f"{_KMEANS_BITS}::test_a_repair_moves_no_point_that_is_alone_in_its_cluster",
+         f"{_TOY}[spec]"),
+    ),
+    Mutant(
+        "lloyd-last-assignment", "clustering.py",
+        "iteration > _MAX_LLOYD_ITERATIONS", "iteration >= _MAX_LLOYD_ITERATIONS",
+        (f"{_KMEANS_BITS}::test_matches_reference_when_the_iterations_run_out",),
+    ),
+    Mutant(
+        "lloyd-undone-repair-goes-on", "clustering.py",
+        "if repaired is not None and (new_labels == repaired).all():", "if False:",
+        (f"{_KMEANS_BITS}::test_stops_when_an_assignment_undoes_a_repair",),
+    ),
+    Mutant(
+        "lloyd-inertia-check-removed", "clustering.py",
+        'raise NumericalError("Lloyd iteration increased inertia")', "pass",
+        (f"{_KMEANS}::test_an_inertia_increase_raises",),
+    ),
+    Mutant(
+        "lloyd-repair-moves-singletons", "clustering.py",
+        "np.take(counts, labels) == 1", "np.take(counts, labels) == 0",
+        (f"{_KMEANS_BITS}::test_a_repair_moves_no_point_that_is_alone_in_its_cluster",),
+    ),
+    Mutant(
+        "kmeanspp-draw-side", "clustering.py", 'side="right"', 'side="left"',
+        equivalent="differs only where rng.random() equals a value of the CDF exactly",
+    ),
+    Mutant(
+        "spec-constant-scored", "baselines.py",
+        "if norm == 0.0 or constant[j]:", "if norm == 0.0:",
+        ("tests/test_baselines.py::TestSpecScores::test_constant_features_score_inf_and_rank_last",
+         "tests/test_cli.py::TestSelectClusterEvaluate::test_spec_never_selects_a_constant_column"),
+    ),
 )
 
 

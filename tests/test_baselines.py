@@ -138,12 +138,17 @@ class TestSparseKmeans:
 
 
 class TestSpecScores:
-    def test_constant_feature_scores_zero(self, rng):
-        values = rng.standard_normal((15, 3))
-        values[:, 1] = 2.5  # proportional to the all-ones vector
+    def test_constant_features_score_inf_and_rank_last(self, rng):
+        # a non-zero constant's degree-normalized vector is the Laplacian's
+        # null vector, where the quadratic form is 0, the best score
+        values = rng.standard_normal((15, 5))
+        values[:, 1] = 2.5
+        values[:, 3] = -1.5
+        values[:, 4] = 0.0
         result = spec_scores(values)
-        assert result.scores[1] == pytest.approx(0.0, abs=1e-10)
-        assert result.ranking[0] == 1
+        assert np.isinf(result.scores[[1, 3, 4]]).all()
+        assert np.isfinite(result.scores[[0, 2]]).all()
+        assert result.ranking == (*sorted([0, 2], key=lambda j: result.scores[j]), 1, 3, 4)
 
     def test_scores_within_laplacian_spectrum(self, rng):
         values = rng.standard_normal((20, 8))

@@ -111,6 +111,22 @@ class TestSelectClusterEvaluate:
         entry = json.loads(metrics.read_text())["clusterings"][0]
         assert entry["rand_index"] is None and entry["adjusted_rand_index"] is None
 
+    def test_spec_never_selects_a_constant_column(self, tmp_path):
+        assert main(["synth", "--n", "40", "--d", "15", "--seed", "5", "--out", str(tmp_path)]) == 0
+        X = load_matrix(tmp_path / "matrix.tsv")
+        values = np.column_stack([X.values, np.full(X.n, 3.0), np.full(X.n, -1.5)])
+        matrix = tmp_path / "with_constants.tsv"
+        save_matrix(ExpressionMatrix(values, X.sample_ids, (*X.feature_names, "c0", "c1")), matrix)
+        solution, metrics = tmp_path / "solution.json", tmp_path / "metrics.json"
+        code = main(["select", "--input", str(matrix), "--method", "spec", "--p", "6",
+                     "--out", str(solution)])
+        assert code == 0
+        selected = json.loads(solution.read_text())["selected"]
+        assert len(selected) == 6 and not {"c0", "c1"} & set(selected)
+        code = main(["evaluate", "--input", str(matrix), "--selection", str(solution),
+                     "--k", "2", "--out", str(metrics)])
+        assert code == 0
+
     def test_select_takes_the_config_seed_unless_flagged(self, fixture_dir, tmp_path):
         ae = {"ae_hidden": [4], "ae_latent": 2, "ae": {"epochs": 5, "batch_size": 16}}
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lkfs import clustering
 from lkfs.clustering import (
     _draw,
     _sqdist_to_centers,
@@ -86,6 +87,20 @@ class TestKmeans:
         truth = [labels.labels[sid] for sid in X.sample_ids]
         assert rand_index(result.labels, truth) == 1.0
 
+    def test_an_inertia_increase_raises(self, monkeypatch):
+        calls = []
+
+        def inflated(X, centers, work=None):
+            d2, work = _sqdist_to_centers(X, centers, work)
+            calls.append(None)
+            return d2 + 1e6 * (len(calls) - 1), work  # every later call farther
+
+        monkeypatch.setattr(clustering, "_sqdist_to_centers", inflated)
+        X = np.random.default_rng(3).standard_normal((20, 2))
+        with pytest.raises(NumericalError, match="Lloyd iteration increased inertia"):
+            kmeans(X, k=3, restarts=1, seed=0)
+        assert len(calls) == 2
+
     def test_labels_within_range(self, rng):
         X = rng.standard_normal((25, 2))
         result = kmeans(X, k=5, restarts=3, seed=2)
@@ -122,10 +137,11 @@ class TestReusedDistanceWorkspace:
             assert got.tobytes() == expected.tobytes()
 
 
-def reference_kmeans(X, k, restarts, seed):
+def reference_kmeans(X, k, restarts, seed, max_iterations=300):
     """k-means as written before its bookkeeping was cut: ``rng.choice`` draws,
     a fancy-indexed inertia, ``np.array_equal`` convergence, per-cluster
     ``.mean(axis=0)`` centers and an empty-cluster scan after every update.
+    After ``max_iterations`` updates it returns the next assignment.
 
     Returns (inertia, labels, iterations, undone) of the best restart, where
     ``undone`` says whether an assignment there ever undid the empty-cluster
@@ -151,7 +167,7 @@ def reference_kmeans(X, k, restarts, seed):
         prev_inertia = np.inf
         work = None
         repaired, undone = None, False
-        for iteration in range(1, 301):
+        for iteration in range(1, max_iterations + 1):
             d2, work = _sqdist_to_centers(X, centers, work)
             new_labels = d2.argmin(axis=1)
             inertia = float(d2[np.arange(n), new_labels].sum())
@@ -183,7 +199,7 @@ def reference_kmeans(X, k, restarts, seed):
                     centers[cc] = X[labels == cc].mean(axis=0)
         d2, _ = _sqdist_to_centers(X, centers, work)
         labels = d2.argmin(axis=1)
-        return labels, float(d2[np.arange(n), labels].sum()), 300, undone
+        return labels, float(d2[np.arange(n), labels].sum()), max_iterations, undone
 
     best = None
     for r in range(restarts):
@@ -193,6 +209,17 @@ def reference_kmeans(X, k, restarts, seed):
     return best
 
 
+_KMEANS_INPUTS = (
+    st.integers(2, 14),
+    st.integers(1, 6),
+    st.floats(0.0, 1.0),
+    st.integers(1, 4),
+    st.sampled_from(["C", "fancy-indexed columns"]),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+
+
 class TestKmeansBitIdentity:
     """kmeans gives the labels, inertia and iteration count of the reference
     bit for bit, for C- and F-ordered points, duplicate rows and k up to n.
@@ -200,16 +227,21 @@ class TestKmeansBitIdentity:
     and only the iteration count differs."""
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.integers(2, 14),
-        st.integers(1, 6),
-        st.floats(0.0, 1.0),
-        st.integers(1, 4),
-        st.sampled_from(["C", "fancy-indexed columns"]),
-        st.booleans(),
-        st.integers(0, 2**16),
-    )
+    @given(*_KMEANS_INPUTS)
     def test_matches_reference(self, n, d, k_frac, restarts, layout, duplicates, seed):
+        self.assert_matches_reference(n, d, k_frac, restarts, layout, duplicates, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(*_KMEANS_INPUTS, st.sampled_from([1, 2, 3]))
+    def test_matches_reference_when_the_iterations_run_out(
+        self, n, d, k_frac, restarts, layout, duplicates, seed, cap
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(clustering, "_MAX_LLOYD_ITERATIONS", cap)
+            self.assert_matches_reference(n, d, k_frac, restarts, layout, duplicates, seed, cap)
+
+    @staticmethod
+    def assert_matches_reference(n, d, k_frac, restarts, layout, duplicates, seed, cap=300):
         rng = np.random.default_rng(seed)
         values = rng.standard_normal((n, 2 * d))
         if duplicates:  # repeated rows put k-means++ mass at zero and empty clusters
@@ -219,7 +251,7 @@ class TestKmeansBitIdentity:
             "fancy-indexed columns": values[:, rng.permutation(2 * d)[:d]],  # F-ordered
         }[layout]
         k = 2 + round(k_frac * (n - 2))
-        inertia, labels, iterations, undone = reference_kmeans(X, k, restarts, seed)
+        inertia, labels, iterations, undone = reference_kmeans(X, k, restarts, seed, cap)
         got = kmeans(X, k, restarts=restarts, seed=seed)
         assert got.labels.tobytes() == labels.tobytes()
         assert np.float64(got.inertia).tobytes() == np.float64(inertia).tobytes()
@@ -237,6 +269,17 @@ class TestKmeansBitIdentity:
         assert np.float64(got.inertia).tobytes() == np.float64(inertia).tobytes()
         assert got.inertia == 0.0 and np.unique(got.labels).size == 7
         assert got.iterations_run <= 3
+
+    def test_a_repair_moves_no_point_that_is_alone_in_its_cluster(self):
+        # 4 clusters over 2 distinct rows: each repair may take only a copy of
+        # 0.1, whose cluster mean is not 0.1 exactly, so the assignments and
+        # repairs cycle until the iterations run out
+        X = np.array([-0.2, 0.1, 0.1, 0.1, 0.1, -0.2])[:, None]
+        inertia, labels, iterations, undone = reference_kmeans(X, 4, 1, 1072)
+        got = kmeans(X, 4, restarts=1, seed=1072)
+        assert got.labels.tobytes() == labels.tobytes()
+        assert np.float64(got.inertia).tobytes() == np.float64(inertia).tobytes()
+        assert not undone and got.iterations_run == iterations == 300
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 2**16))

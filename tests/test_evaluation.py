@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -190,8 +193,16 @@ class TestAggregate:
         assert report.aggregates[0].rand_index_mean is None
 
     def test_json_tree_shape(self):
-        report = aggregate([record(0, 5, 0.4)], method="lkfs", dataset_id="x")
-        doc = report.to_json_dict()
+        # the per-sample fields are set, and the report leaves them out
+        rec = record(0, 5, 0.4)
+        rec = dataclasses.replace(
+            rec,
+            clusterings=tuple(dataclasses.replace(c, cluster_labels=(0, 1)) for c in rec.clusterings),
+            sample_ids=("s0", "s1"),
+            projection=np.zeros((2, 2)),
+        )
+        doc = aggregate([rec], method="lkfs", dataset_id="x").to_json_dict()
+        assert json.loads(json.dumps(doc))["repetitions"][0]["selected_features"] == ["a", "b"]
         assert set(doc) == {"method", "dataset_id", "repetitions", "aggregates"}
         rep = doc["repetitions"][0]
         assert set(rep) == {"repetition", "seed", "p", "selected_features", "red", "clusterings"}
