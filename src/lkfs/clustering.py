@@ -53,20 +53,28 @@ def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(
+    X: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ centres and the (n, k) squared distances of the points to them,
+    for Lloyd's first assignment. Each column is computed once, in a scratch
+    laid out as ``X``, so it has the bits of ``_sqdist_to_centers``."""
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
-    while len(chosen) < k:
-        total = d2.sum()
-        if total <= 0.0:
-            # all remaining mass at distance zero: take the lowest unchosen index
-            nxt = next(i for i in range(n) if i not in chosen)
-        else:
-            nxt = _draw(d2 / total, rng)
-        chosen.append(nxt)
-        d2 = np.minimum(d2, ((X - X[nxt]) ** 2).sum(axis=1))
-    return X[chosen]
+    d2 = np.empty((k, n))
+    diff = np.empty_like(X)
+    for j in range(k):
+        np.subtract(X, X[chosen[j]], out=diff)
+        np.add.reduce(np.multiply(diff, diff, out=diff), axis=1, out=d2[j])
+        if j < k - 1:
+            nearest = np.minimum(nearest, d2[j]) if j else d2[0]
+            total = nearest.sum()
+            if total <= 0.0:
+                # all remaining mass at distance zero: take the lowest unchosen index
+                chosen.append(next(i for i in range(n) if i not in chosen))
+            else:
+                chosen.append(_draw(nearest / total, rng))
+    return X[chosen], d2.T
 
 
 def _update_centers(X: np.ndarray, labels: np.ndarray, centers: np.ndarray, k: int) -> list[int]:
@@ -79,16 +87,29 @@ def _update_centers(X: np.ndarray, labels: np.ndarray, centers: np.ndarray, k: i
     return counts
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, float, int]:
+def _lloyd(
+    X: np.ndarray, centers: np.ndarray, d2: np.ndarray, k: int
+) -> tuple[np.ndarray, float, int]:
     """Labels, inertia and iteration count of Lloyd's iterations from ``centers``
-    (updated in place); after ``_MAX_LLOYD_ITERATIONS`` it returns the next assignment."""
+    (updated in place), whose squared distances ``d2`` the first assignment
+    takes; after ``_MAX_LLOYD_ITERATIONS`` it returns the next assignment.
+
+    The centres an iteration ends with, repaired or not, depend only on its
+    assignment. So from the first empty-cluster repair on, each assignment is
+    kept before its repair, and once one repeats, the run is periodic: it
+    returns the kept assignment and inertia that the cap's last iteration
+    would have, with the cap as its count. An assignment that repeats the one
+    just before it undid that one's repair, and returns with its own count.
+    """
     n = X.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
     prev_inertia = np.inf
     work = None
-    repaired = None  # the assignment the last iteration's empty-cluster repair changed
+    seen: dict[bytes, int] = {}  # each kept assignment -> its iteration
+    kept: dict[int, tuple[np.ndarray, float]] = {}  # iteration -> (assignment, inertia)
     for iteration in itertools.count(1):
-        d2, work = _sqdist_to_centers(X, centers, work)
+        if iteration > 1:
+            d2, work = _sqdist_to_centers(X, centers, work)
         new_labels = d2.argmin(axis=1)
         inertia = float(d2.min(axis=1).sum())
         if inertia > prev_inertia * (1 + 1e-9) + 1e-12:
@@ -96,18 +117,27 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, floa
         prev_inertia = inertia
         if iteration > _MAX_LLOYD_ITERATIONS or (new_labels == labels).all():
             return new_labels, inertia, min(iteration, _MAX_LLOYD_ITERATIONS)
-        if repaired is not None and (new_labels == repaired).all():
-            # the assignment undoes the repair; the repair depends only on it,
-            # so every later iteration would repeat both, ending where this one is
-            return new_labels, inertia, iteration
+        if kept and (s := seen.get(new_labels.tobytes())) is not None:
+            if s == iteration - 1:
+                # the assignment undoes the last repair (without one it would have
+                # converged); the repair depends only on it, so every later
+                # iteration would repeat both, ending where this one is
+                return new_labels, inertia, iteration
+            # inertia j comes from assignment j - 1: the pairs repeat from s + 1 on
+            kept[iteration] = new_labels, inertia
+            phase = s + 1 + (_MAX_LLOYD_ITERATIONS - s) % (iteration - s)
+            return (*kept[phase], _MAX_LLOYD_ITERATIONS)
         labels = new_labels
         counts = _update_centers(X, labels, centers, k)
         empty = [c for c, count in enumerate(counts) if not count]
-        repaired = labels.copy() if empty else None
+        if empty or kept:
+            seen[labels.tobytes()] = iteration
+            kept[iteration] = labels.copy(), inertia  # the repair below writes into labels
         # empty-cluster repair: move the point farthest from its centre that is
         # not alone in its cluster (k <= n, so one always has company)
         for c in empty:
-            dist_own = _sqdist_to_centers(X, centers, work)[0][np.arange(n), labels]
+            d2, work = _sqdist_to_centers(X, centers, work)
+            dist_own = d2[np.arange(n), labels]
             dist_own[np.take(counts, labels) == 1] = -np.inf
             labels[int(dist_own.argmax())] = c
             counts = _update_centers(X, labels, centers, k)
@@ -132,7 +162,7 @@ def kmeans(X: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> ClusterA
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        result = _lloyd(X, _kmeanspp_init(X, k, rng), k)
+        result = _lloyd(X, *_kmeanspp_init(X, k, rng), k)
         if best is None or result[1] < best[1]:
             best = result
     labels, inertia, iterations = best

@@ -84,11 +84,12 @@ def _sq_triangle(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     in ``np.triu_indices(n, 1)`` order, written into ``out`` if given.
 
     A 1-D column is differenced in one pass. A 2-D ``points`` goes row by
-    row, as ``points[i:] - points[i]`` summed over the columns, with the zero
-    distance of row i to itself dropped: numpy's summation order follows the
-    shape and layout of what it sums, and this form has the bits of the full
-    row-by-row distances on every layout (``points[i + 1:]`` changes them on
-    some).
+    row, as ``points[i:] - points[i]`` squared and summed over the columns,
+    with the zero distance of row i to itself dropped: numpy's summation order
+    follows the shape and layout of what it sums, and this form has the bits
+    of the full row-by-row distances on every layout (``points[i + 1:]``
+    changes them on some). Each row's squares are written into one scratch
+    laid out as ``points``, as that difference's temporary would be.
     """
     n = points.shape[0]
     if out is None:
@@ -98,10 +99,11 @@ def _sq_triangle(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
         np.take(points, ju, out=out)
         out -= points[iu]
         return np.multiply(out, out, out=out)
+    work = np.empty_like(points)
     lo = 0
     for i in range(n - 1):
-        diff = points[i:] - points[i]
-        out[lo : lo + n - 1 - i] = (diff * diff).sum(axis=1)[1:]
+        diff = np.subtract(points[i:], points[i], out=work[i:])
+        out[lo : lo + n - 1 - i] = np.add.reduce(np.multiply(diff, diff, out=diff), axis=1)[1:]
         lo += n - 1 - i
     return out
 

@@ -40,6 +40,7 @@ _TOY = "tests/test_pins.py::test_toy_run_matches_its_pins"
 _CONTESTED = "tests/test_pins.py::test_contested_run_matches_its_pins"
 _KMEANS = "tests/test_clustering.py::TestKmeans"
 _KMEANS_BITS = "tests/test_clustering.py::TestKmeansBitIdentity"
+_CYCLING = f"{_KMEANS_BITS}::test_a_cycling_run_returns_the_last_assignment_of_the_cap"
 
 MUTANTS = (
     Mutant(
@@ -88,6 +89,11 @@ MUTANTS = (
         (f"{_CONTESTED}[lkfs]",),
     ),
     Mutant(
+        "sq-triangle-c-ordered-scratch", "kernel.py",
+        "work = np.empty_like(points)", "work = np.empty(points.shape)",
+        ("tests/test_kernel.py::TestPairwiseSqdist",),
+    ),
+    Mutant(
         "kernel-degenerate-scale", "kernel.py",
         "np.where(self.degenerate, -np.inf,", "np.where(self.degenerate, -1.0,",
         ("tests/test_kernel.py::TestFeatureKernels::test_zero_median_column_flagged",),
@@ -125,9 +131,28 @@ MUTANTS = (
         (f"{_KMEANS_BITS}::test_matches_reference_when_the_iterations_run_out",),
     ),
     Mutant(
-        "lloyd-undone-repair-goes-on", "clustering.py",
-        "if repaired is not None and (new_labels == repaired).all():", "if False:",
+        "lloyd-undone-repair-goes-on", "clustering.py", "if s == iteration - 1:", "if False:",
         (f"{_KMEANS_BITS}::test_stops_when_an_assignment_undoes_a_repair",),
+    ),
+    Mutant(
+        "lloyd-cycle-phase", "clustering.py",
+        "phase = s + 1 + (", "phase = s + (",
+        (_CYCLING,),
+    ),
+    Mutant(
+        "lloyd-kept-assignment-not-copied", "clustering.py",
+        "kept[iteration] = labels.copy(), inertia", "kept[iteration] = labels, inertia",
+        (_CYCLING,),
+    ),
+    Mutant(
+        "lloyd-first-assignment-recomputed", "clustering.py",
+        "if iteration > 1:", "if iteration > 0:",
+        (f"{_KMEANS}::test_an_inertia_increase_raises",),
+    ),
+    Mutant(
+        "kmeanspp-column-from-previous-centre", "clustering.py",
+        "np.subtract(X, X[chosen[j]], out=diff)", "np.subtract(X, X[chosen[j - 1]], out=diff)",
+        ("tests/test_clustering.py::TestKmeansppDistances",),
     ),
     Mutant(
         "lloyd-inertia-check-removed", "clustering.py",

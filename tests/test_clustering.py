@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lkfs import clustering
 from lkfs.clustering import (
     _draw,
+    _kmeanspp_init,
     _sqdist_to_centers,
     adjusted_rand_index,
     kmeans,
@@ -93,13 +94,14 @@ class TestKmeans:
         def inflated(X, centers, work=None):
             d2, work = _sqdist_to_centers(X, centers, work)
             calls.append(None)
-            return d2 + 1e6 * (len(calls) - 1), work  # every later call farther
+            return d2 + 1e6 * len(calls), work  # farther than k-means++'s distances
 
         monkeypatch.setattr(clustering, "_sqdist_to_centers", inflated)
         X = np.random.default_rng(3).standard_normal((20, 2))
         with pytest.raises(NumericalError, match="Lloyd iteration increased inertia"):
             kmeans(X, k=3, restarts=1, seed=0)
-        assert len(calls) == 2
+        # iteration 1 takes the distances k-means++ drew from; iteration 2 calls
+        assert len(calls) == 1
 
     def test_labels_within_range(self, rng):
         X = rng.standard_normal((25, 2))
@@ -135,6 +137,36 @@ class TestReusedDistanceWorkspace:
             expected = (diff * diff).sum(axis=2)
             got, work = _sqdist_to_centers(X, centers, work)
             assert got.tobytes() == expected.tobytes()
+
+
+class TestKmeansppDistances:
+    """The squared distances k-means++ hands to Lloyd's first assignment have
+    the bits of ``_sqdist_to_centers`` for every memory layout of the points."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 20),
+        st.integers(1, 40),
+        st.floats(0.0, 1.0),
+        st.sampled_from(["C", "F", "fancy-indexed columns", "strided"]),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    def test_match_sqdist_to_centers(self, n, d, k_frac, layout, duplicates, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, 2 * d)) * 10.0 ** rng.integers(-3, 4, size=2 * d)
+        if duplicates:  # repeated rows put k-means++ mass at zero
+            values = values[rng.integers(0, max(1, n // 3), n)]
+        X = {
+            "C": np.ascontiguousarray(values[:, :d]),
+            "F": np.asfortranarray(values[:, :d]),
+            "fancy-indexed columns": values[:, rng.permutation(2 * d)[:d]],
+            "strided": values[:, ::2],
+        }[layout]
+        k = 2 + round(k_frac * (n - 2))
+        centers, d2 = _kmeanspp_init(X, k, np.random.default_rng([seed, 0]))
+        assert d2.shape == (n, k)
+        assert d2.tobytes() == _sqdist_to_centers(X, centers)[0].tobytes()
 
 
 def reference_kmeans(X, k, restarts, seed, max_iterations=300):
@@ -209,12 +241,19 @@ def reference_kmeans(X, k, restarts, seed, max_iterations=300):
     return best
 
 
+def ten_distinct_rows(n, d, seed):
+    """n rows drawn from 10 distinct ones, scaled by 0.1 so that cluster means
+    of copies of a row need not equal the row exactly."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((10, d)) * 0.1)[rng.integers(0, 10, n)]
+
+
 _KMEANS_INPUTS = (
     st.integers(2, 14),
     st.integers(1, 6),
     st.floats(0.0, 1.0),
     st.integers(1, 4),
-    st.sampled_from(["C", "fancy-indexed columns"]),
+    st.sampled_from(["C", "fancy-indexed columns", "strided"]),
     st.booleans(),
     st.integers(0, 2**16),
 )
@@ -222,7 +261,8 @@ _KMEANS_INPUTS = (
 
 class TestKmeansBitIdentity:
     """kmeans gives the labels, inertia and iteration count of the reference
-    bit for bit, for C- and F-ordered points, duplicate rows and k up to n.
+    bit for bit, for C-ordered, F-ordered and strided points, duplicate rows
+    and k up to n.
     Where an assignment undoes an empty-cluster repair, kmeans stops there,
     and only the iteration count differs."""
 
@@ -249,6 +289,7 @@ class TestKmeansBitIdentity:
         X = {
             "C": np.ascontiguousarray(values[:, :d]),
             "fancy-indexed columns": values[:, rng.permutation(2 * d)[:d]],  # F-ordered
+            "strided": values[:, ::2],
         }[layout]
         k = 2 + round(k_frac * (n - 2))
         inertia, labels, iterations, undone = reference_kmeans(X, k, restarts, seed, cap)
@@ -280,6 +321,38 @@ class TestKmeansBitIdentity:
         assert got.labels.tobytes() == labels.tobytes()
         assert np.float64(got.inertia).tobytes() == np.float64(inertia).tobytes()
         assert not undone and got.iterations_run == iterations == 300
+
+    # (X, k, restarts, seed) whose assignments and repairs cycle with period 2
+    # until the iterations run out; the cycle starts at iteration 1, 2 or 3
+    CYCLING = {
+        "ten distinct rows, 1 column": (ten_distinct_rows(200, 1, seed=1), 12, 10, 1),
+        "ten distinct rows, 3 columns": (ten_distinct_rows(200, 3, seed=0), 12, 10, 0),
+        "five identical rows": (np.full((5, 1), -0.1), 3, 3, 0),
+        "two distinct rows, cycle from 2": (np.repeat([[-0.2], [0.1]], 4, axis=0), 6, 1, 1),
+        "two distinct rows, cycle from 3": (np.repeat([[-0.2], [0.1]], 4, axis=0), 6, 1, 0),
+    }
+
+    @pytest.mark.parametrize("cap", [300, 10, 11, 12])
+    @pytest.mark.parametrize("case", list(CYCLING))
+    def test_a_cycling_run_returns_the_last_assignment_of_the_cap(self, monkeypatch, case, cap):
+        X, k, restarts, seed = self.CYCLING[case]
+        inertia, labels, iterations, undone = reference_kmeans(X, k, restarts, seed, cap)
+        assert not undone and iterations == cap
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _sqdist_to_centers(*args)
+
+        monkeypatch.setattr(clustering, "_MAX_LLOYD_ITERATIONS", cap)
+        monkeypatch.setattr(clustering, "_sqdist_to_centers", counted)
+        got = kmeans(X, k, restarts=restarts, seed=seed)
+        assert got.labels.tobytes() == labels.tobytes()
+        assert np.float64(got.inertia).tobytes() == np.float64(inertia).tobytes()
+        assert got.iterations_run == cap
+        # the work does not grow with the cap: each restart stops at its first
+        # repeat, by iteration 5
+        assert len(calls) <= restarts * 4 * k
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 2**16))
