@@ -164,9 +164,9 @@ def _load_config(args) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        try:
+        try:  # text that is not UTF-8 and text that is not JSON are both ValueErrors
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     config = RunConfig.from_dict(doc)
 
@@ -251,7 +251,7 @@ def _cmd_select(args) -> int:
     config = dataclasses.replace(config, p_grid=(args.p,))
     [(_, selected, result)] = pipeline.select_features(args.method, X, config, rep=0)
     doc = _solution_doc(args.method, selected, result, X.feature_names)
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(args.out).write_text(pipeline._json_text(doc), encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
 
@@ -268,16 +268,16 @@ def _cmd_cluster(args) -> int:
 def _read_text(path: str, what: str) -> str:
     if not Path(path).is_file():
         raise DataValidationError(f"{what} not found: {path}")
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _read_selection(path: str, feature_names: tuple[str, ...]) -> list[int]:
     """Column indices of a `select` document's `selected` list, or of a text
     file's feature names, one per line."""
-    try:
-        text = _read_text(path, "selection file")
-    except UnicodeDecodeError as exc:
-        raise DataValidationError(f"{path} is not UTF-8 text: {exc}") from None
+    text = _read_text(path, "selection file")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
@@ -307,8 +307,7 @@ def _cmd_evaluate(args) -> int:
     selected = _read_selection(args.selection, X.feature_names)
     labels = dataio.load_labels(config.labels) if config.labels is not None else None
     red, metrics = pipeline.score_selection(X, selected, labels, config, rep=0, p=len(selected))
-    doc = {"red": red, "clusterings": evaluation.report_fields(metrics)}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = pipeline._json_text({"red": red, "clusterings": evaluation.report_fields(metrics)})
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
@@ -320,7 +319,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_run(args) -> int:
     config = _load_config(args)
     if args.print_config:
-        print(json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True))
+        print(pipeline._json_text(dataclasses.asdict(config)), end="")
         return 0
     if config.input is None:
         raise ConfigError("run needs an input matrix (--input or config file)")
@@ -366,14 +365,14 @@ def _solution_lines(doc: dict) -> list[str]:
 def _cmd_inspect(args) -> int:
     try:
         doc = json.loads(_read_text(args.path, "file"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise DataValidationError(f"{args.path} is not valid JSON: {exc}") from None
     if isinstance(doc, dict) and "aggregates" in doc:
         what, describe = "report", _report_lines
     elif isinstance(doc, dict) and "selected" in doc:
         what, describe = "solution", _solution_lines
     elif isinstance(doc, (dict, list)):
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(pipeline._json_text(doc), end="")
         return 0
     else:
         raise DataValidationError(f"{args.path} holds neither a JSON object nor a list")

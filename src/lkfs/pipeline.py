@@ -394,8 +394,9 @@ def run_experiment(
     return RunResult(reports=reports, labels=labels)
 
 
-def _report_json(report: EvaluationReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+def _json_text(doc) -> str:
+    """The layout of every JSON document lkfs writes: sorted keys, indent 2, a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def check_output_dir(output_dir: str | Path, force: bool = False) -> None:
@@ -432,7 +433,7 @@ def emit_outputs(result: RunResult, output_dir: str | Path, force: bool = False)
 
     truth = result.labels.labels if result.labels is not None else {}
     for method, report in result.reports.items():
-        emit(out / f"report_{method}.json", _report_json(report))
+        emit(out / f"report_{method}.json", _json_text(report.to_json_dict()))
         for rec in report.records:
             emit(
                 out / f"selected_{method}_p{rec.p}_rep{rec.repetition}.txt",
@@ -460,5 +461,5 @@ def emit_outputs(result: RunResult, output_dir: str | Path, force: bool = False)
 
     index = {"files": [entries[p] for p in sorted(entries)]}
     index_path = out / "index.json"
-    index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    index_path.write_text(_json_text(index), encoding="utf-8")
     return [*entries, index_path]

@@ -169,6 +169,11 @@ MUTANTS = (
         equivalent="differs only where rng.random() equals a value of the CDF exactly",
     ),
     Mutant(
+        "json-keys-unsorted", "pipeline.py",
+        "json.dumps(doc, indent=2, sort_keys=True)", "json.dumps(doc, indent=2, sort_keys=False)",
+        ("tests/test_pins.py::test_every_json_document_has_the_one_layout",),
+    ),
+    Mutant(
         "spec-constant-scored", "baselines.py",
         "if norm == 0.0 or constant[j]:", "if norm == 0.0:",
         ("tests/test_baselines.py::TestSpecScores::test_constant_features_score_inf_and_rank_last",

@@ -481,13 +481,14 @@ class TestExitCodes:
             ({"ae": {"adam_beta1": 0.9}}, "unknown config keys: ['ae.adam_beta1']"),
             ({"ae": {"adam_beta2": 0.999}}, "unknown config keys: ['ae.adam_beta2']"),
             ({"ae": {"adam_epsilon": 1e-8}}, "unknown config keys: ['ae.adam_epsilon']"),
+            ({"labels": 5}, "config key 'labels' must be str or null, got 5"),
         ],
         ids=["nested-string", "scalar-for-list", "top-level-list", "nested-unknown", "string",
              "bool-for-int", "removed-candidate-subsample", "removed-bandwidth-mode",
              "removed-preprocess-seed", "removed-ae-seed", "threads-other-than-1",
              "removed-write-svg", "removed-skm-s", "removed-mkl-tolerance",
              "removed-learning-rate", "removed-adam-beta1", "removed-adam-beta2",
-             "removed-adam-epsilon"],
+             "removed-adam-epsilon", "int-for-optional-string"],
     )
     def test_config_value_of_wrong_type_is_1(self, fixture_dir, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"
@@ -750,11 +751,12 @@ class TestExitCodes:
         [
             (["f0000", "f0000", "f0001"], "selection repeats features: ['f0000']"),
             (["f0000"], "selection needs at least 2 features to score RED, got ['f0000']"),
+            (["f0000", "nope"], "selection names not in matrix: ['nope']"),
         ],
-        ids=["repeated", "one-feature"],
+        ids=["repeated", "one-feature", "not-in-matrix"],
     )
-    def test_selection_that_repeats_or_holds_one_feature_is_2(self, fixture_dir, tmp_path,
-                                                              capsys, names, message):
+    def test_selection_that_is_not_two_distinct_matrix_features_is_2(self, fixture_dir, tmp_path,
+                                                                     capsys, names, message):
         selection = tmp_path / "selection.txt"
         selection.write_text("\n".join(names) + "\n")
         code = main(["evaluate", "--input", str(fixture_dir / "matrix.tsv"),
@@ -824,6 +826,21 @@ class TestExitCodes:
         bad = tmp_path / "bad.tsv"
         bad.write_text("id\tg1\ns1\tNA\ns2\t1\n")
         assert main(["cluster", "--input", str(bad), "--k", "2", "--out", str(tmp_path / "c")]) == 2
+
+    @pytest.mark.parametrize("labels, message", [
+        (None, "labels file not found"), ("sample_id\tlabel\n", "labels file has no data rows"),
+    ], ids=["missing", "header-only"])
+    def test_run_labels_missing_or_without_rows_is_2(self, small_dir, tmp_path, capsys, labels,
+                                                     message):
+        path = tmp_path / "labels.tsv"
+        if labels is not None:
+            path.write_text(labels)
+        code = main(["run", "--input", str(small_dir / "matrix.tsv"), "--labels", str(path),
+                     "--methods", "spec", "--p", "2", "--k", "2", "--reps", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {message}: {path}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_selection_is_2(self, fixture_dir, tmp_path, capsys):
         missing = tmp_path / "nope.json"
@@ -928,13 +945,17 @@ class TestExitCodes:
         assert main(["inspect", "--path", str(missing)]) == 2
         assert capsys.readouterr().err == f"data error: file not found: {missing}\n"
 
-    @pytest.mark.parametrize("content", [b"not json\n", b"\xff\xfe binary"], ids=["text", "binary"])
-    def test_inspect_non_json_is_2(self, tmp_path, capsys, content):
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"not json\n", "is not valid JSON"), (b"\xff\xfe binary", "is not UTF-8 text")],
+        ids=["text", "binary"],
+    )
+    def test_inspect_non_json_is_2(self, tmp_path, capsys, content, message):
         path = tmp_path / "notes.txt"
         path.write_bytes(content)
         assert main(["inspect", "--path", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: {path} is not valid JSON") and err.count("\n") == 1
+        assert err.startswith(f"data error: {path} {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "doc, message",

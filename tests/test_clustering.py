@@ -76,6 +76,10 @@ class TestKmeans:
         with pytest.raises(ConfigError):
             kmeans(np.zeros((3, 1)), k=4)
 
+    def test_zero_restarts_rejected(self, rng):
+        with pytest.raises(ConfigError, match=r"^restarts must be >= 1$"):
+            kmeans(rng.standard_normal((6, 2)), 2, restarts=0)
+
     def test_one_dimensional_input_rejected(self):
         message = r"^kmeans needs an \(n, d\) array, got shape \(6,\)$"
         with pytest.raises(DataValidationError, match=message):
