@@ -53,9 +53,9 @@ def _int_at_least(lowest: int):
 
 def _int_list(lowest: int):
     """An argparse type for comma lists of integers >= ``lowest``, so that the
-    error names the flag."""
+    error names the flag. A blank list stays "", unset as in ``_names``."""
     one = _int_at_least(lowest)
-    return lambda text: tuple(one(v) for v in text.split(",") if v.strip())
+    return lambda text: tuple(one(v) for v in text.split(",") if v.strip()) or ""
 
 
 def _names(text: str):  # "" stays "", so an empty --methods is unset as an empty --input is

@@ -174,6 +174,12 @@ MUTANTS = (
         ("tests/test_pins.py::test_every_json_document_has_the_one_layout",),
     ),
     Mutant(
+        "aggregate-population-sd", "evaluation.py",
+        "float(arr.std(ddof=1))", "float(arr.std(ddof=0))",
+        ("tests/test_evaluation.py::TestAggregate"
+         "::test_two_repetitions_match_a_hand_computed_oracle",),
+    ),
+    Mutant(
         "spec-constant-scored", "baselines.py",
         "if norm == 0.0 or constant[j]:", "if norm == 0.0:",
         ("tests/test_baselines.py::TestSpecScores::test_constant_features_score_inf_and_rank_last",

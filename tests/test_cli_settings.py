@@ -234,6 +234,7 @@ CASES = [
     ("evaluate", ["--labels", "fx/labels.tsv"], {"labels": "fx/labels.tsv"}),
     ("evaluate", ["--labels", ""], {}),
     ("evaluate", ["--k", "2,4"], {"k_grid": (2, 4)}),
+    ("evaluate", ["--k", ""], {}),
     ("evaluate", ["--restarts", "3"], {"kmeans_restarts": 3}),
     ("evaluate", ["--seed", "5"], {"seed": 5}),
     ("run", ["--labels", "fx/labels.tsv"], {"labels": "fx/labels.tsv"}),
@@ -242,7 +243,9 @@ CASES = [
     ("run", ["--methods", "skm, spec"], {"methods": ("skm", "spec")}),
     ("run", ["--methods", ""], {}),
     ("run", ["--p", "3,5"], {"p_grid": (3, 5)}),
+    ("run", ["--p", ""], {}),
     ("run", ["--k", "3"], {"k_grid": (3,)}),
+    ("run", ["--k", ""], {}),
     ("run", ["--reps", "2"], {"preprocess.repetitions": 2}),
     ("run", ["--seed", "5"], {"seed": 5}),
     ("run", ["--out", "flag-out"], {"output_dir": "flag-out"}),

@@ -164,6 +164,26 @@ class TestAggregate:
         )
         assert report.aggregates[0].red_mean == pytest.approx(0.3)
 
+    def test_two_repetitions_match_a_hand_computed_oracle(self):
+        # of two values a and b, the mean is (a + b) / 2 and the sample sd is
+        # |a - b| / sqrt(2); the population sd would be |a - b| / 2
+        def rec(rep, red, inertia, rand, ari):
+            metrics = ClusteringMetrics(k=2, inertia=inertia, rand_index=rand,
+                                        adjusted_rand_index=ari)
+            return RepetitionRecord(repetition=rep, seed=rep, p=5, selected_features=("a", "b"),
+                                    red=red, clusterings=(metrics,))
+
+        records = [rec(0, red=0.25, inertia=3.0, rand=0.5, ari=0.0),
+                   rec(1, red=0.75, inertia=7.0, rand=1.0, ari=1.0)]
+        cell = aggregate(records, "lkfs", "x").aggregates[0]
+        assert cell.n_repetitions == 2
+        assert (cell.red_mean, cell.red_sd) == pytest.approx((0.5, 0.35355339059327373))
+        assert (cell.inertia_mean, cell.inertia_sd) == pytest.approx((5.0, 2.82842712474619))
+        assert (cell.rand_index_mean, cell.rand_index_sd) == pytest.approx(
+            (0.75, 0.35355339059327373))
+        assert (cell.adjusted_rand_index_mean, cell.adjusted_rand_index_sd) == pytest.approx(
+            (0.5, 0.7071067811865475))
+
     def test_permutation_invariant(self):
         records = [record(r, p, red=0.1 * r + 0.01 * p) for r in range(3) for p in (5, 10)]
         a = aggregate(records, "lkfs", "x")

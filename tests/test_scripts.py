@@ -16,28 +16,22 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.mark.parametrize(
-    "script, args, expected",
-    [
-        (
-            "run_synthetic_experiment.py",
-            ["--n", "100", "--d", "20", "--informative", "4", "--p", "3", "--k", "2",
-             "--reps", "1", "--epochs", "2"],
-            "method    p   k     RED",
-        ),
-        (
-            "run_synthetic_experiment.py",
-            ["--n", "100", "--d", "20", "--informative", "4", "--p", "3", "--k", "2",
-             "--reps", "1", "--epochs", "2", "--out", "artifacts"],
-            "wrote 13 files to artifacts",
-        ),
-        ("redundancy_benchmark.py", ["--seeds", "1", "--reps", "1", "--p", "5"], "mean RED"),
-        ("selection_sources.py", ["20x40:4", "--repeats", "1"], "20x40, 4"),
-    ],
-    ids=["run_synthetic_experiment", "run_synthetic_experiment-out", "redundancy_benchmark",
-         "selection_sources"],
-)
-def test_script_runs(tmp_path, script, args, expected):
+SMOKE = {  # script: (arguments, a line start its output must hold)
+    "claims.py": (
+        ["--n", "100", "--d", "40", "--informative", "4", "--reps", "1", "--separations", "4.0"],
+        "       4.0     skm   10    4.0",
+    ),
+    "selection_sources.py": (["20x40:4", "--repeats", "1"], "20x40, 4"),
+}
+
+
+def test_every_script_has_a_smoke_case():
+    assert {path.name for path in SCRIPTS.glob("*.py")} == set(SMOKE)
+
+
+@pytest.mark.parametrize("script", sorted(SMOKE), ids=lambda script: script.removesuffix(".py"))
+def test_script_runs(tmp_path, script):
+    args, expected = SMOKE[script]
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / script), *args],
         cwd=tmp_path,
