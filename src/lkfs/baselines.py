@@ -71,9 +71,11 @@ def _l1_bounded_weights(b: np.ndarray, s: float) -> np.ndarray:
     return w
 
 
-def _between_cluster_ss(values: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Per-feature between-cluster sum of squares, clamped at zero."""
-    total = ((values - values.mean(axis=0)) ** 2).sum(axis=0)
+def _between_cluster_ss(
+    values: np.ndarray, labels: np.ndarray, k: int, total: np.ndarray
+) -> np.ndarray:
+    """Per-feature between-cluster sum of squares, clamped at zero, from the
+    per-feature total sum of squares ``total`` of ``values``."""
     within = np.zeros(values.shape[1])
     for c in range(k):
         members = values[labels == c]
@@ -101,12 +103,13 @@ def sparse_kmeans(
     if not 1.0 < s <= math.sqrt(d) + 1e-12:
         raise ConfigError(f"s must satisfy 1 < s <= sqrt(d)={math.sqrt(d):.4f}, got {s}")
     w = np.full(d, 1.0 / math.sqrt(d))
+    total = ((values - values.mean(axis=0)) ** 2).sum(axis=0)
     prev_b = None
     history: list[float] = []
     for round_no in range(_MAX_ROUNDS):
         scaled = values * np.sqrt(w)
         candidate = kmeans(scaled, k, restarts=restarts, seed=derive_seed(seed, round_no))
-        b = _between_cluster_ss(values, candidate.labels, k)
+        b = _between_cluster_ss(values, candidate.labels, k, total)
         # k-means restarts are heuristic; keep the previous partition if it
         # scored better under the current weights
         if prev_b is not None and float(w @ b) < float(w @ prev_b):

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataValidationError, NumericalError
+from .kernel import _sq_to_points
 
 _MAX_LLOYD_ITERATIONS = 300
 
@@ -30,21 +31,6 @@ class ClusterAssignment:
             raise NumericalError("non-finite inertia")
 
 
-def _sqdist_to_centers(
-    X: np.ndarray, centers: np.ndarray, work: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n, k) squared distances and the (n, k, d) scratch they were computed in.
-
-    Pass the scratch back to reuse it. A new one takes the memory layout numpy
-    gives ``X[:, None, :] - centers[None, :, :]``, so that the sums over its
-    last axis round as they do on that temporary: an F-ordered X, such as a
-    fancy-indexed column subset, puts the sample axis innermost.
-    """
-    work = np.subtract(X[:, None, :], centers[None, :, :], out=work)
-    np.multiply(work, work, out=work)
-    return work.sum(axis=2), work
-
-
 def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
     """``int(rng.choice(p.size, p=p))`` for probabilities ``p``, without its
     validation: the same steps give the same index and advance ``rng`` alike."""
@@ -54,18 +40,15 @@ def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def _kmeanspp_init(
-    X: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """k-means++ centres and the (n, k) squared distances of the points to them,
-    for Lloyd's first assignment. Each column is computed once, in a scratch
-    laid out as ``X``, so it has the bits of ``_sqdist_to_centers``."""
+    X: np.ndarray, k: int, rng: np.random.Generator, d2: np.ndarray, diff: np.ndarray
+) -> np.ndarray:
+    """k-means++ centres. The squared distances of the points to them are
+    written into the (k, n) ``d2``, one row per centre as it is chosen, for
+    Lloyd's first assignment; ``diff`` is the scratch of ``_sq_to_points``."""
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = np.empty((k, n))
-    diff = np.empty_like(X)
     for j in range(k):
-        np.subtract(X, X[chosen[j]], out=diff)
-        np.add.reduce(np.multiply(diff, diff, out=diff), axis=1, out=d2[j])
+        _sq_to_points(X, X[chosen[j] : chosen[j] + 1], d2[j : j + 1], diff)
         if j < k - 1:
             nearest = np.minimum(nearest, d2[j]) if j else d2[0]
             total = nearest.sum()
@@ -74,7 +57,7 @@ def _kmeanspp_init(
                 chosen.append(next(i for i in range(n) if i not in chosen))
             else:
                 chosen.append(_draw(nearest / total, rng))
-    return X[chosen], d2.T
+    return X[chosen]
 
 
 def _update_centers(X: np.ndarray, labels: np.ndarray, centers: np.ndarray, k: int) -> list[int]:
@@ -88,11 +71,12 @@ def _update_centers(X: np.ndarray, labels: np.ndarray, centers: np.ndarray, k: i
 
 
 def _lloyd(
-    X: np.ndarray, centers: np.ndarray, d2: np.ndarray, k: int
+    X: np.ndarray, centers: np.ndarray, d2: np.ndarray, diff: np.ndarray, k: int
 ) -> tuple[np.ndarray, float, int]:
     """Labels, inertia and iteration count of Lloyd's iterations from ``centers``
-    (updated in place), whose squared distances ``d2`` the first assignment
-    takes; after ``_MAX_LLOYD_ITERATIONS`` it returns the next assignment.
+    (updated in place), whose (k, n) squared distances ``d2`` the first
+    assignment takes; later ones are written there through the scratch
+    ``diff``. After ``_MAX_LLOYD_ITERATIONS`` it returns the next assignment.
 
     The centres an iteration ends with, repaired or not, depend only on its
     assignment. So from the first empty-cluster repair on, each assignment is
@@ -104,14 +88,13 @@ def _lloyd(
     n = X.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
     prev_inertia = np.inf
-    work = None
     seen: dict[bytes, int] = {}  # each kept assignment -> its iteration
     kept: dict[int, tuple[np.ndarray, float]] = {}  # iteration -> (assignment, inertia)
     for iteration in itertools.count(1):
         if iteration > 1:
-            d2, work = _sqdist_to_centers(X, centers, work)
-        new_labels = d2.argmin(axis=1)
-        inertia = float(d2.min(axis=1).sum())
+            _sq_to_points(X, centers, d2, diff)
+        new_labels = d2.argmin(axis=0)
+        inertia = float(d2.min(axis=0).sum())
         if inertia > prev_inertia * (1 + 1e-9) + 1e-12:
             raise NumericalError("Lloyd iteration increased inertia")
         prev_inertia = inertia
@@ -136,8 +119,8 @@ def _lloyd(
         # empty-cluster repair: move the point farthest from its centre that is
         # not alone in its cluster (k <= n, so one always has company)
         for c in empty:
-            d2, work = _sqdist_to_centers(X, centers, work)
-            dist_own = d2[np.arange(n), labels]
+            _sq_to_points(X, centers, d2, diff)
+            dist_own = d2[labels, np.arange(n)]
             dist_own[np.take(counts, labels) == 1] = -np.inf
             labels[int(dist_own.argmax())] = c
             counts = _update_centers(X, labels, centers, k)
@@ -159,10 +142,10 @@ def kmeans(X: np.ndarray, k: int, restarts: int = 10, seed: int = 0) -> ClusterA
         raise ConfigError("k must be >= 2")
     if restarts < 1:
         raise ConfigError("restarts must be >= 1")
-    best = None
+    best, d2, diff = None, np.empty((k, n)), np.empty_like(X)
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        result = _lloyd(X, *_kmeanspp_init(X, k, rng), k)
+        centers = _kmeanspp_init(X, k, np.random.default_rng([seed, r]), d2, diff)
+        result = _lloyd(X, centers, d2, diff, k)
         if best is None or result[1] < best[1]:
             best = result
     labels, inertia, iterations = best

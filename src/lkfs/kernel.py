@@ -79,17 +79,29 @@ def _triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
+def _sq_to_points(X: np.ndarray, points: np.ndarray, out: np.ndarray, diff: np.ndarray) -> None:
+    """Write into row j of the (k, n) ``out`` the squared Euclidean distances
+    of the n rows of ``X`` to row j of the (k, d) ``points``.
+
+    Each point's differences are squared in ``diff``, a scratch laid out as
+    ``X``, as the temporary ``X - points[j]`` would be, and summed over its
+    columns: numpy's summation order follows the layout of what it sums, so
+    every caller gets the bits of those temporaries, and no k copies of ``X``.
+    """
+    for j, point in enumerate(points):
+        np.subtract(X, point, out=diff)
+        np.add.reduce(np.multiply(diff, diff, out=diff), axis=1, out=out[j])
+
+
 def _sq_triangle(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances of the n(n-1)/2 pairs of rows of ``points``,
     in ``np.triu_indices(n, 1)`` order, written into ``out`` if given.
 
     A 1-D column is differenced in one pass. A 2-D ``points`` goes row by
-    row, as ``points[i:] - points[i]`` squared and summed over the columns,
-    with the zero distance of row i to itself dropped: numpy's summation order
-    follows the shape and layout of what it sums, and this form has the bits
-    of the full row-by-row distances on every layout (``points[i + 1:]``
-    changes them on some). Each row's squares are written into one scratch
-    laid out as ``points``, as that difference's temporary would be.
+    row, as the distances of ``points[i:]`` to ``points[i]``, with the zero
+    distance of row i to itself dropped: this form has the bits of the full
+    row-by-row distances on every layout (``points[i + 1:]`` changes them on
+    some).
     """
     n = points.shape[0]
     if out is None:
@@ -99,11 +111,11 @@ def _sq_triangle(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
         np.take(points, ju, out=out)
         out -= points[iu]
         return np.multiply(out, out, out=out)
-    work = np.empty_like(points)
+    work, row = np.empty_like(points), np.empty((1, n))
     lo = 0
     for i in range(n - 1):
-        diff = np.subtract(points[i:], points[i], out=work[i:])
-        out[lo : lo + n - 1 - i] = np.add.reduce(np.multiply(diff, diff, out=diff), axis=1)[1:]
+        _sq_to_points(points[i:], points[i : i + 1], row[:, : n - i], work[i:])
+        out[lo : lo + n - 1 - i] = row[0, 1 : n - i]
         lo += n - 1 - i
     return out
 

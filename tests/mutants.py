@@ -90,7 +90,7 @@ MUTANTS = (
     ),
     Mutant(
         "sq-triangle-c-ordered-scratch", "kernel.py",
-        "work = np.empty_like(points)", "work = np.empty(points.shape)",
+        "work, row = np.empty_like(points)", "work, row = np.empty(points.shape)",
         ("tests/test_kernel.py::TestPairwiseSqdist",),
     ),
     Mutant(
@@ -151,8 +151,12 @@ MUTANTS = (
     ),
     Mutant(
         "kmeanspp-column-from-previous-centre", "clustering.py",
-        "np.subtract(X, X[chosen[j]], out=diff)", "np.subtract(X, X[chosen[j - 1]], out=diff)",
+        "X[chosen[j] : chosen[j] + 1]", "X[chosen[j - 1] : chosen[j - 1] + 1]",
         ("tests/test_clustering.py::TestKmeansppDistances",),
+    ),
+    Mutant(
+        "kmeans-scratch-c-ordered", "clustering.py", "np.empty_like(X)", "np.empty(X.shape)",
+        (f"{_KMEANS_BITS}::test_matches_reference_past_the_pairwise_block",),
     ),
     Mutant(
         "lloyd-inertia-check-removed", "clustering.py",

@@ -74,7 +74,8 @@ class TestBetweenClusterSums:
         # the first feature is 0, but total minus within rounds to -5.6e-17
         a = np.random.default_rng(0).uniform(0, 1, 3)
         values = np.column_stack([np.concatenate([a, a[::-1]]), [0, 0, 0, 1, 1, 1.0]])
-        b = _between_cluster_ss(values, np.array([0, 0, 0, 1, 1, 1]), 2)
+        total = ((values - values.mean(axis=0)) ** 2).sum(axis=0)
+        b = _between_cluster_ss(values, np.array([0, 0, 0, 1, 1, 1]), 2, total)
         assert b.tolist() == [0.0, 1.5]
 
 

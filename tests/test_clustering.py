@@ -1,19 +1,35 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lkfs import clustering
-from lkfs.clustering import (
-    _draw,
-    _kmeanspp_init,
-    _sqdist_to_centers,
-    adjusted_rand_index,
-    kmeans,
-    rand_index,
-)
+from lkfs.clustering import _draw, _kmeanspp_init, adjusted_rand_index, kmeans, rand_index
 from lkfs.dataio import minmax_scale
 from lkfs.errors import ConfigError, DataValidationError, NumericalError
+from lkfs.kernel import _sq_to_points
+
+
+def sqdist_to_centers(X, centers):
+    """(n, k) squared distances summed in the (n, k, d) broadcast temporary.
+    numpy lays it out from ``X``: an F-ordered X, such as a fancy-indexed
+    column subset, puts the sample axis innermost, and the sums over the
+    last axis round as that layout orders them."""
+    diff = X[:, None, :] - centers[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def layouts(values, d, rng):
+    """The first d columns of ``values`` (n, 2 d) in each memory layout: C,
+    F, a fancy-indexed column subset (F-ordered) and a strided view."""
+    return {
+        "C": np.ascontiguousarray(values[:, :d]),
+        "F": np.asfortranarray(values[:, :d]),
+        "fancy-indexed columns": values[:, rng.permutation(2 * d)[:d]],
+        "strided": values[:, ::2],
+    }
 
 
 def brute_force_pair_counts(pred, truth):
@@ -95,12 +111,13 @@ class TestKmeans:
     def test_an_inertia_increase_raises(self, monkeypatch):
         calls = []
 
-        def inflated(X, centers, work=None):
-            d2, work = _sqdist_to_centers(X, centers, work)
-            calls.append(None)
-            return d2 + 1e6 * len(calls), work  # farther than k-means++'s distances
+        def inflated(X, points, out, diff):
+            _sq_to_points(X, points, out, diff)
+            if len(points) > 1:  # Lloyd's distances to all k centres, not k-means++'s one
+                calls.append(None)
+                out += 1e6 * len(calls)  # farther than k-means++'s distances
 
-        monkeypatch.setattr(clustering, "_sqdist_to_centers", inflated)
+        monkeypatch.setattr(clustering, "_sq_to_points", inflated)
         X = np.random.default_rng(3).standard_normal((20, 2))
         with pytest.raises(NumericalError, match="Lloyd iteration increased inertia"):
             kmeans(X, k=3, restarts=1, seed=0)
@@ -115,37 +132,33 @@ class TestKmeans:
 
 
 class TestReusedDistanceWorkspace:
-    """Squared distances computed in the reused workspace have the bits of the
-    broadcast temporaries, for every memory layout of the points."""
+    """Squared distances computed one point at a time in a reused scratch laid
+    out as the rows have the bits of the broadcast temporaries, for every
+    memory layout of the rows, also past numpy's 128-term pairwise-summation
+    block."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         st.integers(2, 20),
-        st.integers(1, 5),
-        st.integers(1, 40),
-        st.sampled_from(["C", "fancy-indexed columns", "strided"]),
+        st.integers(1, 6),
+        st.sampled_from([1, 7, 9, 40, 127, 128, 129, 200, 256, 300]),
+        st.sampled_from(["C", "F", "fancy-indexed columns", "strided"]),
         st.integers(0, 2**16),
     )
     def test_matches_broadcast_temporaries(self, n, k, d, layout, seed):
         rng = np.random.default_rng(seed)
-        values = rng.standard_normal((n, 2 * d))
-        X = {
-            "C": np.ascontiguousarray(values[:, :d]),
-            "fancy-indexed columns": values[:, rng.permutation(2 * d)[:d]],  # F-ordered
-            "strided": values[:, ::2],
-        }[layout]
-        work = None
+        values = rng.standard_normal((n, 2 * d)) * 10.0 ** rng.integers(-3, 4, size=2 * d)
+        X = layouts(values, d, rng)[layout]
+        out, diff = np.empty((k, n)), np.empty_like(X)
         for _ in range(3):  # later calls reuse the scratch of the first
             centers = rng.standard_normal((k, d))
-            diff = X[:, None, :] - centers[None, :, :]
-            expected = (diff * diff).sum(axis=2)
-            got, work = _sqdist_to_centers(X, centers, work)
-            assert got.tobytes() == expected.tobytes()
+            _sq_to_points(X, centers, out, diff)
+            assert out.T.tobytes() == sqdist_to_centers(X, centers).tobytes()
 
 
 class TestKmeansppDistances:
     """The squared distances k-means++ hands to Lloyd's first assignment have
-    the bits of ``_sqdist_to_centers`` for every memory layout of the points."""
+    the bits of the broadcast temporaries for every memory layout of the points."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -161,16 +174,11 @@ class TestKmeansppDistances:
         values = rng.standard_normal((n, 2 * d)) * 10.0 ** rng.integers(-3, 4, size=2 * d)
         if duplicates:  # repeated rows put k-means++ mass at zero
             values = values[rng.integers(0, max(1, n // 3), n)]
-        X = {
-            "C": np.ascontiguousarray(values[:, :d]),
-            "F": np.asfortranarray(values[:, :d]),
-            "fancy-indexed columns": values[:, rng.permutation(2 * d)[:d]],
-            "strided": values[:, ::2],
-        }[layout]
+        X = layouts(values, d, rng)[layout]
         k = 2 + round(k_frac * (n - 2))
-        centers, d2 = _kmeanspp_init(X, k, np.random.default_rng([seed, 0]))
-        assert d2.shape == (n, k)
-        assert d2.tobytes() == _sqdist_to_centers(X, centers)[0].tobytes()
+        d2 = np.empty((k, n))
+        centers = _kmeanspp_init(X, k, np.random.default_rng([seed, 0]), d2, np.empty_like(X))
+        assert d2.T.tobytes() == sqdist_to_centers(X, centers).tobytes()
 
 
 def reference_kmeans(X, k, restarts, seed, max_iterations=300):
@@ -201,10 +209,9 @@ def reference_kmeans(X, k, restarts, seed, max_iterations=300):
         n = X.shape[0]
         labels = np.full(n, -1, dtype=np.int64)
         prev_inertia = np.inf
-        work = None
         repaired, undone = None, False
         for iteration in range(1, max_iterations + 1):
-            d2, work = _sqdist_to_centers(X, centers, work)
+            d2 = sqdist_to_centers(X, centers)
             new_labels = d2.argmin(axis=1)
             inertia = float(d2[np.arange(n), new_labels].sum())
             if inertia > prev_inertia * (1 + 1e-9) + 1e-12:
@@ -222,7 +229,7 @@ def reference_kmeans(X, k, restarts, seed, max_iterations=300):
             for c in range(k):
                 if (labels == c).any():
                     continue
-                dist_own = _sqdist_to_centers(X, centers, work)[0][np.arange(n), labels]
+                dist_own = sqdist_to_centers(X, centers)[np.arange(n), labels]
                 counts = np.bincount(labels, minlength=k)
                 movable = counts[labels] > 1
                 if not movable.any():
@@ -233,7 +240,7 @@ def reference_kmeans(X, k, restarts, seed, max_iterations=300):
                 centers[c] = X[far]
                 for cc in np.unique(labels):
                     centers[cc] = X[labels == cc].mean(axis=0)
-        d2, _ = _sqdist_to_centers(X, centers, work)
+        d2 = sqdist_to_centers(X, centers)
         labels = d2.argmin(axis=1)
         return labels, float(d2[np.arange(n), labels].sum()), max_iterations, undone
 
@@ -284,17 +291,26 @@ class TestKmeansBitIdentity:
             patch.setattr(clustering, "_MAX_LLOYD_ITERATIONS", cap)
             self.assert_matches_reference(n, d, k_frac, restarts, layout, duplicates, seed, cap)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 14),
+        st.integers(129, 300),
+        st.floats(0.0, 1.0),
+        st.sampled_from(["C", "F", "fancy-indexed columns", "strided"]),
+        st.integers(0, 2**16),
+    )
+    def test_matches_reference_past_the_pairwise_block(self, n, d, k_frac, layout, seed):
+        # rows of more than 128 terms are summed by numpy's recursive pairwise
+        # branch when contiguous, and column by column when F-ordered
+        self.assert_matches_reference(n, d, k_frac, 2, layout, False, seed)
+
     @staticmethod
     def assert_matches_reference(n, d, k_frac, restarts, layout, duplicates, seed, cap=300):
         rng = np.random.default_rng(seed)
         values = rng.standard_normal((n, 2 * d))
         if duplicates:  # repeated rows put k-means++ mass at zero and empty clusters
             values = values[rng.integers(0, max(1, n // 3), n)]
-        X = {
-            "C": np.ascontiguousarray(values[:, :d]),
-            "fancy-indexed columns": values[:, rng.permutation(2 * d)[:d]],  # F-ordered
-            "strided": values[:, ::2],
-        }[layout]
+        X = layouts(values, d, rng)[layout]
         k = 2 + round(k_frac * (n - 2))
         inertia, labels, iterations, undone = reference_kmeans(X, k, restarts, seed, cap)
         got = kmeans(X, k, restarts=restarts, seed=seed)
@@ -346,17 +362,17 @@ class TestKmeansBitIdentity:
 
         def counted(*args):
             calls.append(None)
-            return _sqdist_to_centers(*args)
+            return _sq_to_points(*args)
 
         monkeypatch.setattr(clustering, "_MAX_LLOYD_ITERATIONS", cap)
-        monkeypatch.setattr(clustering, "_sqdist_to_centers", counted)
+        monkeypatch.setattr(clustering, "_sq_to_points", counted)
         got = kmeans(X, k, restarts=restarts, seed=seed)
         assert got.labels.tobytes() == labels.tobytes()
         assert np.float64(got.inertia).tobytes() == np.float64(inertia).tobytes()
         assert got.iterations_run == cap
-        # the work does not grow with the cap: each restart stops at its first
-        # repeat, by iteration 5
-        assert len(calls) <= restarts * 4 * k
+        # the work does not grow with the cap: each restart makes k calls in
+        # k-means++, and stops at its first repeat, by iteration 5
+        assert len(calls) <= restarts * (k + 4 * k)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 2**16))
@@ -369,6 +385,24 @@ class TestKmeansBitIdentity:
         ours, theirs = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
         assert _draw(p, ours) == int(theirs.choice(n, p=p))
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestKmeansMemory:
+    """One kmeans call holds one scratch laid out as its input and the (k, n)
+    distances, not k copies of the input, whatever k is."""
+
+    @pytest.mark.parametrize("k", [2, 6])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_traced_peak_does_not_grow_with_k(self, layout, k):
+        values = np.random.default_rng(0).standard_normal((200, 1000))
+        X = np.asfortranarray(values) if layout == "F" else values
+        tracemalloc.start()
+        try:
+            kmeans(X, k, restarts=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * X.nbytes + 64 * 1024
 
 
 class TestRandIndex:
