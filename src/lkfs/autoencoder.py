@@ -109,14 +109,9 @@ class AeModel:
         yield from self.encoder
         yield from self.decoder
 
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
+    def parameters(self) -> list[np.ndarray]:
         """All trainable arrays in a fixed order (weights, biases, BN scale/shift)."""
-        names = ("weights", "bias", "gamma", "shift")
-        return [
-            (f"layer{idx}.{name}", array)
-            for idx, layer in enumerate(self.layers())
-            for name, array in zip(names, _layer_parameters(layer))
-        ]
+        return [array for layer in self.layers() for array in _layer_parameters(layer)]
 
     def weight_matrices(self) -> list[np.ndarray]:
         return [layer.weights for layer in self.layers()]
@@ -221,7 +216,7 @@ def _update_running_stats(model: AeModel, caches: list[dict], m: int) -> None:
         bn = layer.batch_norm
         if bn is None:
             continue
-        unbiased = cache["batch_var"] * (m / (m - 1)) if m > 1 else cache["batch_var"]
+        unbiased = cache["batch_var"] * (m / (m - 1))
         bn.running_mean = _BN_MOMENTUM * bn.running_mean + (1 - _BN_MOMENTUM) * cache["batch_mean"]
         bn.running_var = _BN_MOMENTUM * bn.running_var + (1 - _BN_MOMENTUM) * unbiased
 
@@ -276,7 +271,7 @@ def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
 def _flatten_parameters(model: AeModel) -> np.ndarray:
     """Move every trainable array into one flat buffer, in ``model.parameters()``
     order, and leave the model holding reshaped views of it."""
-    arrays = [array for _, array in model.parameters()]
+    arrays = model.parameters()
     flat = np.concatenate([array.ravel() for array in arrays])
     views = iter(_views(flat, [array.shape for array in arrays]))
     for layer in model.layers():
@@ -324,30 +319,29 @@ class _Workspace:
 def _loss(model: AeModel, batch: np.ndarray, beta_l2: float, ws: _Workspace) -> tuple:
     """The train-mode pass into ``ws``: the regularized loss (the squared
     reconstruction error summed over features and averaged over samples, plus
-    ``beta_l2`` times ``weight_penalty``), the caches and the reconstruction."""
+    ``beta_l2`` times ``weight_penalty``), the caches and the residual
+    ``recon - batch``, held in ``ws.deltas[0]`` for the backward pass."""
     caches, recon = _forward_cached(model, batch, ws.forward)
-    diff = _view(ws.rows_tmp, batch.shape)
-    np.subtract(batch, recon, out=diff)
-    np.multiply(diff, diff, out=diff)
-    loss = float(diff.sum() / batch.shape[0]) + beta_l2 * weight_penalty(model, ws.scratch)
-    return loss, caches, recon
+    residual = np.subtract(recon, batch, out=_view(ws.deltas[0], batch.shape))
+    squares = np.multiply(residual, residual, out=_view(ws.rows_tmp, batch.shape))
+    loss = float(squares.sum() / batch.shape[0]) + beta_l2 * weight_penalty(model, ws.scratch)
+    return loss, caches, residual
 
 
 def _backward(
-    model: AeModel, caches: list[dict], batch: np.ndarray, recon: np.ndarray, beta_l2: float,
+    model: AeModel, caches: list[dict], residual: np.ndarray, beta_l2: float,
     ws: _Workspace, layer_done: Callable[[int], None],
 ) -> None:
-    """Gradients of the regularized loss from the caches of one ``_loss`` pass,
-    from the last layer down. Once layer ``idx``'s gradients are in
-    ``ws.layer_grads[idx]`` and the gradient it passes down has read its
-    weights, ``layer_done(idx)`` is called; the next layer down overwrites
-    them. The input gradient of the first layer is not computed: nothing
-    reads it."""
-    m = batch.shape[0]
+    """Gradients of the regularized loss from the caches and the residual of
+    one ``_loss`` pass, from the last layer down; the residual is scaled in
+    place into the reconstruction's gradient. Once layer ``idx``'s gradients
+    are in ``ws.layer_grads[idx]`` and the gradient it passes down has read
+    its weights, ``layer_done(idx)`` is called; the next layer down
+    overwrites them. The input gradient of the first layer is not computed:
+    nothing reads it."""
+    m = residual.shape[0]
     delta_buf, below_buf = ws.deltas
-    d_out = _view(delta_buf, recon.shape)
-    np.subtract(recon, batch, out=d_out)
-    np.multiply(2.0, d_out, out=d_out)
+    d_out = np.multiply(2.0, residual, out=residual)
     np.divide(d_out, m, out=d_out)
     layers = list(model.layers())
     for idx in range(len(layers) - 1, -1, -1):
@@ -398,13 +392,13 @@ def parameter_gradients(model: AeModel, batch: np.ndarray, beta_l2: float) -> li
     each copied out of the workspace into a fresh array."""
     batch = np.asarray(batch, dtype=np.float64)
     ws = _Workspace(model, batch.shape[0])
-    _, caches, recon = _loss(model, batch, beta_l2, ws)
+    _, caches, residual = _loss(model, batch, beta_l2, ws)
     from_the_top = []  # per layer, last layer first
 
     def copy_out(idx: int) -> None:
         from_the_top.append([g.copy() for g in ws.layer_grads[idx] if g is not None])
 
-    _backward(model, caches, batch, recon, beta_l2, ws, copy_out)
+    _backward(model, caches, residual, beta_l2, ws, copy_out)
     return [g for grads in reversed(from_the_top) for g in grads]
 
 
@@ -413,7 +407,7 @@ def numerical_gradients(model: AeModel, batch: np.ndarray, beta_l2: float, step:
     batch = np.asarray(batch, dtype=np.float64)
     ws = _Workspace(model, batch.shape[0])
     out = []
-    for _, array in model.parameters():
+    for array in model.parameters():
         grad = np.empty_like(array)
         flat = array.reshape(-1)
         gflat = grad.reshape(-1)
@@ -528,12 +522,12 @@ def train(X: ExpressionMatrix, arch: AeArchitecture, hp: AeHyperparams, seed: in
             m = rows.size
             # mode="clip" lets numpy write straight into `out` (the default buffers it)
             batch = np.take(values, rows, axis=0, out=gathered[:m], mode="clip")
-            batch_loss, caches, recon = _loss(model, batch, hp.beta_l2, ws)
+            batch_loss, caches, residual = _loss(model, batch, hp.beta_l2, ws)
             if not np.isfinite(batch_loss):
                 raise NumericalError(f"non-finite loss at epoch {epoch}, batch {batch_no}")
             epoch_loss += batch_loss * m
             step += 1
-            _backward(model, caches, batch, recon, hp.beta_l2, ws, adam_layer)
+            _backward(model, caches, residual, hp.beta_l2, ws, adam_layer)
             _update_running_stats(model, caches, m)
         model.loss_history.append(epoch_loss / X.n)
     return model

@@ -10,6 +10,7 @@ rows in memory.
 from __future__ import annotations
 
 import math
+import re
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,9 @@ import numpy as np
 from .errors import ConfigError, DataValidationError
 
 ORIENTATIONS = ("rows", "cols")  # file rows are samples, or features
+# a tab, or a character str.splitlines breaks a line at: either would split a
+# name or label across cells or lines of the tab-separated files lkfs writes
+_SEPARATORS = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def derive_seed(master: int, *tags: int) -> int:
@@ -62,6 +66,8 @@ class ExpressionMatrix:
             )
         _check_unique(self.sample_ids, "sample id")
         _check_unique(self.feature_names, "feature name")
+        _check_no_separator(self.sample_ids, "sample id")
+        _check_no_separator(self.feature_names, "feature name")
 
     @property
     def n(self) -> int:
@@ -82,6 +88,8 @@ class LabelVector:
         object.__setattr__(self, "labels", dict(self.labels))
         if not self.labels:
             raise DataValidationError("label vector is empty")
+        _check_no_separator(self.labels, "sample id")
+        _check_no_separator(self.labels.values(), "label")
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,13 @@ def _check_unique(names: Iterable[str], what: str) -> None:
         if name in seen:
             raise DataValidationError(f"duplicate {what}: {name!r}")
         seen.add(name)
+
+
+def _check_no_separator(names: Iterable[str], what: str) -> None:
+    # one search over the joined names; the loop only finds the one to name
+    if _SEPARATORS.search("".join(names)):
+        name = next(name for name in names if _SEPARATORS.search(name))
+        raise DataValidationError(f"{what} {name!r} holds a tab or a line break")
 
 
 def _detect_delimiter(header_line: str) -> str:

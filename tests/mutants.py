@@ -41,6 +41,7 @@ _CONTESTED = "tests/test_pins.py::test_contested_run_matches_its_pins"
 _KMEANS = "tests/test_clustering.py::TestKmeans"
 _KMEANS_BITS = "tests/test_clustering.py::TestKmeansBitIdentity"
 _CYCLING = f"{_KMEANS_BITS}::test_a_cycling_run_returns_the_last_assignment_of_the_cap"
+_AE_GRADIENTS = "tests/test_autoencoder.py::TestGradients"
 
 MUTANTS = (
     Mutant(
@@ -112,6 +113,16 @@ MUTANTS = (
     Mutant(
         "ae-bn-momentum", "autoencoder.py", "_BN_MOMENTUM = 0.9", "_BN_MOMENTUM = 0.8",
         (f"{_TOY}[lkfs]",),
+    ),
+    Mutant(
+        # the squares, so every loss bit, stay the same; the gradient changes sign
+        "ae-residual-sign", "autoencoder.py",
+        "np.subtract(recon, batch, out=", "np.subtract(batch, recon, out=",
+        ("tests/test_autoencoder.py::TestTrainingBitIdentity"
+         "::test_matches_two_pass_loop_on_a_wider_network",
+         f"{_AE_GRADIENTS}::test_matches_finite_differences_beta_zero",
+         f"{_AE_GRADIENTS}::test_matches_finite_differences_with_regularization",
+         f"{_AE_GRADIENTS}::test_gradients_after_some_training"),
     ),
     Mutant("ae-seed", "pipeline.py", "_SEED_AE = 1", "_SEED_AE = 6", (f"{_TOY}[lkfs]",)),
     Mutant(

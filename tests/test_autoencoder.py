@@ -58,7 +58,7 @@ class TestInit:
     def test_same_seed_identical(self):
         a = init_model(TINY, seed=3)
         b = init_model(TINY, seed=3)
-        for (_, pa), (_, pb) in zip(a.parameters(), b.parameters()):
+        for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa, pb)
 
     def test_first_encoder_weight_shape(self):
@@ -334,7 +334,7 @@ def _reference_train(X, arch, hp, seed):
     parameter array with fresh temporaries."""
     model = init_model(arch, seed)
     shuffle_rng = np.random.default_rng([seed, 1])
-    params = [array for _, array in model.parameters()]
+    params = model.parameters()
     adam_m = [np.zeros_like(p) for p in params]
     adam_v = [np.zeros_like(p) for p in params]
     step = 0
@@ -368,7 +368,7 @@ def _assert_same_bits(a, b):
 
 def _assert_same_training(X, arch, hp, seed):
     got, want = train(X, arch, hp, seed), _reference_train(X, arch, hp, seed)
-    for (name, a), (_, b) in zip(got.parameters(), want.parameters()):
+    for a, b in zip(got.parameters(), want.parameters()):
         _assert_same_bits(a, b)
     for layer, ref in zip(got.layers(), want.layers()):
         if layer.batch_norm is not None:
@@ -443,7 +443,7 @@ class TestTrainingBitIdentity:
         batch = tiny_batch()
         first = parameter_gradients(model, batch, 1e-3)
         second = parameter_gradients(model, batch, 1e-3)
-        params = [array for _, array in model.parameters()]
+        params = model.parameters()
         for a, b in zip(first, second):
             _assert_same_bits(a, b)
         for i, a in enumerate(first):
@@ -458,7 +458,7 @@ class TestTrainingMemory:
         arch = AeArchitecture.default(d)
         hp = AeHyperparams(epochs=1)
         model = init_model(arch, 0)
-        P = sum(array.size for _, array in model.parameters())
+        P = sum(array.size for array in model.parameters())
         largest = max(w.size for w in model.weight_matrices())
         layer_params = [
             layer.weights.size + layer.bias.size + (2 * layer.bias.size if layer.batch_norm else 0)

@@ -283,6 +283,20 @@ class TestRun:
         assert main(run_args(fixture_dir, out)) == 2
         assert main(run_args(fixture_dir, out, extra=["--force"])) == 0
 
+    def test_force_leaves_files_it_does_not_write_and_indexes_only_its_own(self, fixture_dir,
+                                                                           tmp_path):
+        out = tmp_path / "exp"
+        assert main(run_args(fixture_dir, out)) == 0
+        second_rep = sorted(f.name for f in out.iterdir() if "_rep1" in f.name)
+        assert second_rep
+        argv = run_args(fixture_dir, out, extra=["--force"])
+        argv[argv.index("--reps") + 1] = "1"
+        assert main(argv) == 0
+        assert all((out / name).is_file() for name in second_rep)
+        indexed = {e["path"] for e in json.loads((out / "index.json").read_text())["files"]}
+        assert indexed and not indexed & set(second_rep)
+        assert indexed | set(second_rep) | {"index.json"} == {f.name for f in out.iterdir()}
+
     def test_non_empty_out_is_refused_before_the_run(self, fixture_dir, tmp_path, monkeypatch,
                                                      capsys):
         out = tmp_path / "exp"
@@ -452,6 +466,35 @@ class TestExitCodes:
 
     def test_unknown_method_is_1(self, fixture_dir):
         assert main(run_args(fixture_dir, "unused")[:5] + ["--methods", "bogus"]) == 1
+
+    def test_tab_in_a_csv_sample_id_is_2_at_the_first_preprocess(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("id,g1,g2,g3\na\tb,1,2,3\nc,4,5,7\nd,0,1,1\n", encoding="utf-8")
+        out = tmp_path / "p.tsv"
+        argv = ["preprocess", "--input", str(matrix), "--keep-fraction", "1.0", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: sample id 'a\\tb' holds a tab or a line break\n"
+        )
+        assert not out.exists()
+
+    def test_tab_in_a_csv_label_is_2_before_training(self, fixture_dir, tmp_path, monkeypatch,
+                                                     capsys):
+        text = (fixture_dir / "labels.tsv").read_text(encoding="utf-8")
+        rows = text.replace("\t", ",").splitlines()
+        rows[1] += "\tx"
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(a))
+        out = tmp_path / "exp"
+        argv = run_args(fixture_dir, out, extra=["--labels", str(labels), "--methods", "lkfs"])
+        assert main(argv) == 2
+        label = rows[1].split(",")[1]
+        assert capsys.readouterr().err == (
+            f"data error: label {label!r} holds a tab or a line break\n"
+        )
+        assert calls == [] and not out.exists()
 
     def test_missing_input_is_2(self, tmp_path):
         code = main(

@@ -110,6 +110,13 @@ class TestLoadMatrix:
         with pytest.raises(DataValidationError, match="duplicate sample id"):
             load_matrix(path)
 
+    def test_tab_in_a_csv_sample_id_rejected(self, tmp_path):
+        # it would split the row of every tab-separated file lkfs writes
+        path = write(tmp_path, "m.csv", "id,g1\ns1,1\na\tb,2\n")
+        with pytest.raises(DataValidationError) as raised:
+            load_matrix(path)
+        assert str(raised.value) == "sample id 'a\\tb' holds a tab or a line break"
+
     def test_infinite_cell_rejected(self, tmp_path):
         path = write(tmp_path, "m.tsv", "id\tg1\ns1\tinf\ns2\t2\n")
         with pytest.raises(DataValidationError, match="non-finite"):
@@ -350,6 +357,12 @@ class TestLoadLabels:
         with pytest.raises(DataValidationError, match="duplicate sample id 's1' at line 4"):
             load_labels(path)
 
+    def test_tab_in_a_csv_label_rejected(self, tmp_path):
+        path = write(tmp_path, "l.csv", "sample_id,label\ns1,a\ns2,b\tc\n")
+        with pytest.raises(DataValidationError) as raised:
+            load_labels(path)
+        assert str(raised.value) == "label 'b\\tc' holds a tab or a line break"
+
     def test_superset_accepted(self, tmp_path):
         path = write(tmp_path, "l.tsv", "s1\ta\ns2\tb\nextra\ta\n")
         assert load_labels(path).labels == {"s1": "a", "s2": "b", "extra": "a"}
@@ -544,6 +557,13 @@ def test_expression_matrix_invariants():
         ExpressionMatrix(np.array([[1.0, np.nan]]), ("a",), ("g1", "g2"))
     with pytest.raises(DataValidationError):
         ExpressionMatrix(np.ones((2, 2)), ("a",), ("g1", "g2"))
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x85", "\u2028", "\t"])
+def test_expression_matrix_rejects_a_name_that_breaks_a_line_or_a_cell(brk):
+    with pytest.raises(DataValidationError) as raised:
+        ExpressionMatrix(np.ones((2, 2)), ("a", "b"), ("g1", f"g{brk}2"))
+    assert str(raised.value) == f"feature name {f'g{brk}2'!r} holds a tab or a line break"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
